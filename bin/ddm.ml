@@ -48,23 +48,20 @@ let samples_arg =
     & opt (pos_int "sample count") 200_000
     & info [ "samples" ] ~docv:"K" ~doc:"Monte-Carlo plays.")
 
-(* Absent -j keeps the historical single-threaded paths byte-for-byte;
-   with -j K the Monte-Carlo paths shard over lease-owned Rng.split
-   streams and the exact paths (grid cells, 2^n subset folds, sweep
-   points) shard by index range, each merging per-lease results in lease
-   order — so outputs depend only on (seed, leases, work), never on K,
-   and -j 1 output is the determinism reference for any -j K.  See
-   docs/PARALLELISM.md. *)
+(* Every Monte-Carlo path runs over lease-owned Rng.split streams and
+   every exact path (grid cells, 2^n subset folds, sweep points) over
+   index-range leases, each merging per-lease results in lease order — so
+   outputs depend only on (seed, leases, work), never on -j K, and
+   omitting -j is -j 1.  See docs/PARALLELISM.md. *)
 let jobs_arg =
   Arg.(
     value
-    & opt (some (pos_int "worker count")) None
+    & opt (pos_int "worker count") 1
     & info [ "j"; "jobs" ] ~docv:"J"
         ~doc:
           "Worker domains for the Monte-Carlo $(i,and) exact paths (grid integration, the \
            threshold 2^n subset fold, chaos sweeps). Results are bit-identical for every \
-           $(docv) at a fixed seed (lease-sharded work); omit to keep the historical \
-           single-threaded paths.")
+           $(docv) at a fixed seed (lease-sharded work).")
 
 let kernel_arg =
   Arg.(
@@ -378,7 +375,7 @@ let eval_cmd =
       | `Threshold ->
         (* -j shards the Theorem 5.1 2^n subset fold; the value is
            bit-identical for every worker count. *)
-        (Threshold.winning_probability ?domains:jobs ~delta:deltaf p, Model.Single_threshold p)
+        (Threshold.winning_probability ~domains:jobs ~delta:deltaf p, Model.Single_threshold p)
       | `Oblivious -> (Oblivious.winning_probability ~delta:deltaf p, Model.Oblivious p)
     in
     Printf.printf "instance: n = %d, delta = %s\n" n (Rat.to_string delta);
@@ -387,7 +384,7 @@ let eval_cmd =
       exact;
     let rng = Rng.create ~seed in
     let inst = Model.instance ~n ~delta:deltaf in
-    let est = Mc_eval.winning_probability ?domains:jobs ~kernel ~rng ~samples inst model_rule in
+    let est = Mc_eval.winning_probability ~domains:jobs ~kernel ~rng ~samples inst model_rule in
     Printf.printf "Monte-Carlo (%d plays%s): %s\n" samples
       (if kernel then ", batch kernel" else "")
       (Format.asprintf "%a" Mc.pp_estimate est);
@@ -402,8 +399,8 @@ let eval_cmd =
 
 (* ------------------------- simulate ------------------------- *)
 
-(* Aggregate over plays; the parallel path merges one of these per lease,
-   in lease order, so the report is independent of the worker count. *)
+(* Aggregate over plays; one of these per lease, merged in lease order,
+   so the report is independent of the worker count. *)
 type sim_acc = {
   wins : int;
   over0 : int;
@@ -465,11 +462,7 @@ let simulate_cmd =
            same histogram range. *)
         let spec = Engine.kernel_spec ~where:"ddm simulate --kernel" ~delta pattern protocol in
         let hist = Option.map (fun bins -> (bins, 0., 2. *. delta)) hist_bins in
-        let r =
-          match jobs with
-          | None -> Mc_kernel.run ?hist ~loads:true ~rng ~samples spec
-          | Some domains -> Mc_kernel.run_par ?hist ~loads:true ~domains ~rng ~samples spec
-        in
+        let r = Mc_kernel.run ?hist ~loads:true ~domains:jobs ~rng ~samples spec in
         {
           wins = r.Mc_kernel.wins;
           over0 = r.Mc_kernel.over0;
@@ -477,16 +470,7 @@ let simulate_cmd =
           loads = r.Mc_kernel.loads;
           hist = r.Mc_kernel.hist;
         }
-      else
-        match jobs with
-        | None ->
-          (* the historical single-stream draw order, byte-for-byte *)
-          let acc = ref (init ()) in
-          for _ = 1 to samples do
-            acc := step !acc rng
-          done;
-          !acc
-        | Some domains -> Mc_par.fold ~domains ~rng ~samples ~init ~step ~merge ()
+      else Mc_par.fold ~domains:jobs ~rng ~samples ~init ~step ~merge ()
     in
     let f c = float_of_int c /. float_of_int samples in
     Printf.printf "protocol: %s over %s%s\n" (Dist_protocol.name protocol)
@@ -553,7 +537,7 @@ let banded_cmd =
       (snd (Threshold.optimum_sym ~n ~delta ()));
     let rng = Rng.create ~seed in
     let inst = Model.instance ~n ~delta in
-    let est = Mc_eval.winning_probability ?domains:jobs ~rng ~samples inst (Banded.to_rule rule) in
+    let est = Mc_eval.winning_probability ~domains:jobs ~rng ~samples inst (Banded.to_rule rule) in
     Printf.printf "Monte-Carlo (%d plays): %s\n" samples (Format.asprintf "%a" Mc.pp_estimate est)
   in
   Cmd.v
@@ -603,7 +587,7 @@ let chaos_cmd =
     let pattern = Comm_pattern.none ~n in
     let rng = Rng.create ~seed in
     let report =
-      Degradation.sweep ~grid_points ?domains:jobs ~kernel ~rng ~samples ~rates ~model_of
+      Degradation.sweep ~grid_points ~domains:jobs ~kernel ~rng ~samples ~rates ~model_of
         ~delta:deltaf pattern protocol
     in
     Printf.printf "instance: n = %d, delta = %s\n" n (Rat.to_string delta_r);
@@ -697,9 +681,9 @@ let chaos_cmd =
    recording stays under a second but clears the noise model's absolute
    floor.  Workloads take the base seed so repeated recordings are
    deterministic given --seed.  The suite takes the -j value so the
-   parallel MC and parallel-grid workloads are recorded at the worker
-   count under test; their baseline entries (recorded at -j 1) are what
-   `perf check` gates the multicore speedup against. *)
+   -par workloads are recorded at the worker count under test; their
+   baseline entries (recorded at -j 1) are what `perf check` gates the
+   multicore speedup against, and their twins always run on one domain. *)
 let perf_suite ~jobs : (string * (int -> unit)) list =
   [
     ( "perf-sym-eval-n5",
@@ -725,7 +709,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
       fun _ ->
         ignore
           (Engine.win_probability_grid ~points:32
-             ~domains:(Option.value ~default:1 jobs)
+             ~domains:jobs
              ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );
     ( "perf-mc-100k-n3",
@@ -739,7 +723,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
         let rng = Rng.create ~seed in
         ignore
           (Engine.win_probability_mc
-             ~domains:(Option.value ~default:1 jobs)
+             ~domains:jobs
              ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );
     ( "perf-mc-kernel-100k-n3",
@@ -761,7 +745,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
       fun seed ->
         let rng = Rng.create ~seed in
         ignore
-          (Fault_engine.win_probability_mc ~kernel:true ~rng ~samples:100_000
+          (Engine.win_probability_mc ~kernel:true ~rng ~samples:100_000
              ~faults:(Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 ())
              ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );
@@ -860,7 +844,7 @@ let record_suite ~repeat ~seed ~only ~jobs =
     created_s = Some (Unix.gettimeofday ());
     rev = Ledger.git_rev ();
     seed = Some seed;
-    jobs = Some (Option.value ~default:1 jobs);
+    jobs = Some jobs;
     total_wall_seconds = List.fold_left (fun acc r -> acc +. r.Baseline.wall_seconds) 0. records;
     experiments = records;
   }
@@ -1227,10 +1211,10 @@ let serve_cmd =
       & opt (pos_int "solver worker count") Serve.default_config.Serve.solver_domains
       & info [ "j"; "solver-jobs" ] ~docv:"J"
           ~doc:
-            "Domains $(i,per solve): each worker fans its exact solve (grid sweeps, the \
-             threshold 2^n fold) over $(docv) lease-sharded domains, so total solve \
+            "Domains $(i,per solve): each worker fans its lease-sharded solve (grid sweeps, \
+             the threshold 2^n fold, the mc kernel) over $(docv) domains, so total solve \
              concurrency is up to --workers * $(docv). Answers are bit-identical for every \
-             $(docv), so the cache is unaffected. Default 1 (sequential solves).")
+             $(docv), so the cache is unaffected. Default 1 (leases run on the worker).")
   in
   let queue_arg =
     Arg.(

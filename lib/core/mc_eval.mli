@@ -12,8 +12,9 @@ val winning_probability :
   Model.instance ->
   Model.rule ->
   Mc.estimate
-(** [?domains]/[?leases] select {!Mc.probability}'s lease-sharded parallel
-    path (worker-count-independent estimates at a fixed seed).
+(** [?domains] (default 1) and [?leases] drive {!Mc.probability}'s
+    lease-sharded sampler (worker-count-independent estimates at a fixed
+    seed).
     [~kernel:true] routes {!Model.Oblivious} / {!Model.Single_threshold}
     rules through the batch kernel ({!Mc_kernel}): statistically identical
     to the scalar path at the same seed, several times faster, same [-j]

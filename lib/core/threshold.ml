@@ -10,13 +10,12 @@ let check_thresholds a =
     (fun v -> if v < 0. || v > 1. then invalid_arg "Threshold: thresholds must lie in [0,1]")
     a
 
-let winning_probability_caps ?domains ?leases ~delta0 ~delta1 a =
+let winning_probability_caps ?(domains = 1) ?leases ~delta0 ~delta1 a =
   check_thresholds a;
   let n = Array.length a in
   Metrics.add subset_terms (1 lsl n);
   (* mask bit i set <=> player i picks bin 1 (x_i > a_i).  [term] is one
-     decision vector's contribution, shared by the sequential fold and the
-     lease-sharded sum. *)
+     decision vector's contribution. *)
   let term mask =
     let p_b = ref 1. in
     for i = 0 to n - 1 do
@@ -33,12 +32,9 @@ let winning_probability_caps ?domains ?leases ~delta0 ~delta1 a =
       !p_b *. f0 *. f1
     end
   in
-  match domains with
-  | None -> Combinat.fold_subsets ~n ~init:0. ~f:(fun acc mask -> acc +. term mask)
-  | Some domains ->
-    (* 2^n decision vectors sharded by index range; partial sums merge in
-       lease order, so the value is worker-count invariant. *)
-    Par_fold.sum ?leases ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n) term
+  (* 2^n decision vectors sharded by index range; partial sums merge in
+     lease order, so the value is worker-count invariant. *)
+  Par_fold.sum ?leases ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n) term
 
 let winning_probability ?domains ?leases ~delta a =
   winning_probability_caps ?domains ?leases ~delta0:delta ~delta1:delta a

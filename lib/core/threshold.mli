@@ -14,13 +14,14 @@
 val winning_probability : ?domains:int -> ?leases:int -> delta:float -> float array -> float
 (** Theorem 5.1 for an arbitrary threshold vector [a], [0 <= a_i <= 1].
 
-    Without [domains] the [2^n] decision-vector enumeration is the
-    historical sequential fold.  With [domains:k] the vectors are sharded
-    by index range over [leases] leases ({!Par_fold.sum}); partial sums
-    merge in lease order, so the value is bit-identical for every worker
-    count at fixed [leases] — this is the exact path behind
-    [ddm eval -j].  The symmetric evaluators below stay sequential: they
-    are [O(n²)] and not worth a domain spawn. *)
+    The [2^n] decision vectors are sharded by index range over [leases]
+    leases (default {!Par_fold.default_leases}, capped at [2^n]) run on
+    [domains] workers (default 1) by {!Par_fold.sum}; partial sums merge
+    in lease order, so the value is bit-identical for every worker count
+    at fixed [leases] — this is the exact path behind [ddm eval -j].  For
+    [n <= 6] every lease holds one vector and the value is the plain
+    left-to-right sum.  The symmetric evaluators below stay sequential:
+    they are [O(n²)] and not worth a domain spawn. *)
 
 val winning_probability_caps :
   ?domains:int -> ?leases:int -> delta0:float -> delta1:float -> float array -> float

@@ -3,14 +3,38 @@
     Runs protocols over a {!Comm_pattern} either by Monte-Carlo simulation of
     actual distributed executions or by deterministic numeric integration
     over the input cube (midpoint rule), and provides a protocol-family
-    optimizer used by the communication-trade-off experiment (X1). *)
+    optimizer used by the communication-trade-off experiment (X1).
+
+    {!run_once}, {!win_probability_mc}, {!win_probability_given} and
+    {!win_probability_grid} take an optional [?faults:Fault_model.t]
+    (default: no faults) applied between the input draw and the
+    decisions.  All fault
+    randomness comes from the caller's seeded {!Rng}, and a fault
+    dimension consumes draws only when its rate is nonzero — so under
+    {!Fault_model.none} a play replays the fault-free play draw-for-draw,
+    and any chaos run is reproducible from its seed.  Injection is
+    instrumented under the [ddm_faults_*] metrics family: plays run with
+    a fault model, per-dimension fault events, [ddm_faults_injected_total]
+    across all dimensions, and degraded plays (at least one fault).
+
+    Every exact and Monte-Carlo evaluator runs on the lease-sharded path
+    ({!Par_fold} / {!Mc_par}) with [?domains] defaulting to 1: a result
+    depends on its inputs and lease count, never on the worker count (see
+    docs/PARALLELISM.md). *)
 
 type outcome = {
-  inputs : float array;
+  inputs : float array;  (** true inputs (noise perturbs views only) *)
+  crashed : bool array;
+      (** per-player crash flags; empty when the play ran without a crash
+          rate *)
   decisions : int array;
+      (** per-player bin; [-1] marks a crashed player whose input was
+          dropped ({!Fault_model.Drop}) *)
   load0 : float;
   load1 : float;
+  delta_eff : float;  (** the (possibly jittered) capacity this play was judged against *)
   win : bool;
+  faults : int;  (** fault events injected in this play *)
 }
 
 val views : Comm_pattern.t -> float array -> Dist_protocol.view array
@@ -60,110 +84,125 @@ val retry_under :
     @raise Invalid_argument on a non-positive deadline, attempt count, or
     backoff base. *)
 
+val degrade_view : Rng.t -> Fault_model.t -> Dist_protocol.view -> Dist_protocol.view * int
+(** Apply link loss, stale reads, and view noise to one player's view;
+    returns the degraded view and the number of fault events injected.
+    Exposed for tests. *)
+
 val run_once :
-  ?sampler:(Rng.t -> float) -> Rng.t -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> outcome
+  ?sampler:(Rng.t -> float) ->
+  ?faults:Fault_model.t ->
+  Rng.t ->
+  delta:float ->
+  Comm_pattern.t ->
+  Dist_protocol.t ->
+  outcome
 (** One distributed play. [sampler] draws each player's private input
     (default [Rng.float01], the paper's U[0,1] model); supplying another
     sampler exercises the paper's Section 6 direction of "more realistic
-    assumptions on the distribution of inputs".
+    assumptions on the distribution of inputs".  [faults] injects crashes
+    (drawn after the inputs), capacity jitter, and per-view link loss,
+    stale reads and noise; passing it also counts the play in
+    [ddm_faults_plays_total].
     @raise Invalid_argument when the protocol returns a non-finite decide
     output (see {!Dist_protocol.sanitized} to degrade instead). *)
 
 val kernel_spec :
   where:string ->
-  ?fault:Mc_kernel.fault ->
+  ?faults:Fault_model.t ->
   delta:float ->
   Comm_pattern.t ->
   Dist_protocol.t ->
   Mc_kernel.t
 (** Translate a protocol with a {!Dist_protocol.local_rule} into a batch
-    kernel spec for the pattern's player count.  Shared with
-    [Fault_engine]; [where] names the caller in errors.
+    kernel spec for the pattern's player count ([ddm simulate --kernel]
+    runs it directly).  [faults]' crash, noise and jitter translate
+    one-to-one; link loss and stale reads are dropped, because a local
+    rule never reads the revealed inputs they degrade.  [where] names the
+    caller in errors.
     @raise Invalid_argument when the protocol has no local rule or its
     parameter count disagrees with the pattern. *)
-
-val no_sampler : where:string -> (Rng.t -> float) option -> unit
-(** Reject a custom input sampler on a [~kernel] path (the kernel bakes in
-    the paper's U[0,1] input model).  Shared with [Fault_engine]. *)
 
 val win_probability_mc :
   ?sampler:(Rng.t -> float) ->
   ?kernel:bool ->
   ?domains:int ->
   ?leases:int ->
+  ?faults:Fault_model.t ->
   rng:Rng.t -> samples:int -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> Mc.estimate
-(** Monte-Carlo estimate of the win probability. [?domains]/[?leases]
-    select {!Mc.probability}'s lease-sharded parallel path; estimates are
-    bit-identical for every worker count at a fixed seed.
+(** Monte-Carlo estimate of the win probability (under [faults] when
+    given), with a Wilson 95% CI, on {!Mc.probability}'s lease-sharded
+    path: [domains] (default 1) workers over [leases] split streams, so
+    the estimate is bit-identical for every worker count at a fixed seed
+    and fault counters stay exact (they are atomic).
 
     [~kernel:true] routes the run through the batch kernel
-    ({!Mc_kernel}): statistically identical to the closure path at the
-    same seed, several times faster, same [-j] bit-identity contract.
-    [ddm_engine_plays_total] is bumped in aggregate rather than per play.
+    ({!Mc_kernel}, via {!kernel_spec}): statistically identical to the
+    closure path at the same seed, several times faster, same [-j]
+    bit-identity contract.  [ddm_engine_plays_total] and
+    [ddm_faults_plays_total] are bumped in aggregate and the per-event
+    fault counters (crashes, perturbations, ...) are not maintained.
     @raise Invalid_argument when [~kernel:true] is combined with a custom
-    [sampler] or a protocol without a {!Dist_protocol.local_rule}. *)
+    [sampler] or a protocol without a {!Dist_protocol.local_rule}, or on
+    an invalid fault model. *)
 
-val win_probability_given : delta:float -> Comm_pattern.t -> Dist_protocol.t -> float array -> float
+val win_probability_given :
+  ?domains:int ->
+  ?leases:int ->
+  ?faults:Fault_model.t ->
+  delta:float ->
+  Comm_pattern.t ->
+  Dist_protocol.t ->
+  float array ->
+  float
 (** Exact win probability conditioned on the input vector: enumerates the
     [2^n] decision vectors with their probabilities (single branch for
     deterministic protocols). Decision probabilities slightly outside
     [[0,1]] are clamped; a non-finite one raises [Invalid_argument] rather
-    than silently poisoning grid integrals with NaN. *)
+    than silently poisoning grid integrals with NaN.
+
+    With a crash rate [c > 0] in [faults] the crash model folds
+    analytically: the sum runs over the [2^n] crash subsets (weighted
+    [c^|S| (1-c)^(n-|S|)]), rerouting crashed inputs per the crash mode,
+    and over the surviving players' decision branches.  The subsets are
+    sharded by index range over [leases] leases on [domains] (default 1)
+    workers ({!Par_fold.sum}), bit-identical for every worker count.  At
+    crash rate 0 only the empty crash set is visited.
+    @raise Invalid_argument unless {!Fault_model.crash_foldable} holds —
+    only the crash dimension folds; estimate the rest by Monte-Carlo. *)
 
 exception Cancelled of { cells_done : int; cells_total : int }
 (** Raised out of a grid integration when its [cancel] hook fires,
     carrying how far the sweep got — the partial-progress metadata a
     deadline-bounded service reports with its 504. *)
 
-val cancel_check : where:string -> (unit -> bool) option -> int ref -> int -> unit -> unit
-(** [cancel_check ~where cancel done_cells total] builds the per-cell
-    cancellation probe shared by the {e sequential} exact grid integrators
-    (including {!Fault_engine.win_probability_grid}): a no-op for [None],
-    otherwise a thunk that raises {!Cancelled} with the current progress
-    when the hook returns [true].  Exposed for the fault-engine mirror;
-    not meant for direct use. *)
-
-val cancel_check_atomic :
-  where:string -> (unit -> bool) option -> int Atomic.t -> int -> unit -> unit
-(** Sharded-sweep counterpart of {!cancel_check}: progress lives in a
-    shared atomic that every lease bumps, so the {!Cancelled} raise
-    carries the merged [cells_done] across all leases rather than one
-    lease's private count.  Exposed for the fault-engine mirror; not
-    meant for direct use. *)
-
-val decode_cell : n:int -> points:int -> int -> float array
-(** Midpoint coordinates of flat cell [idx] in the row-major enumeration
-    of the [points^n] grid (dimension 0 outermost) — the index scheme the
-    sharded sweeps lease out.  Exposed for the fault-engine mirror; not
-    meant for direct use. *)
-
 val win_probability_grid :
   ?points:int ->
   ?cancel:(unit -> bool) ->
   ?domains:int ->
   ?leases:int ->
+  ?faults:Fault_model.t ->
   delta:float -> Comm_pattern.t -> Dist_protocol.t -> float
 (** Midpoint-rule integration of {!win_probability_given} over [[0,1]^n];
     default 64 points per dimension. Deterministic, so usable inside
-    optimizers.
+    optimizers.  With a crash-foldable [faults] the integrand is the
+    crash fold, each cell folding its crash sets in place.
 
-    Without [domains] the sweep is the historical single-threaded
-    row-major loop (byte-identical to every release since the seed).
-    With [domains:k] cells are sharded by flat index into [leases]
-    (default {!Par_fold.default_leases}) contiguous ranges executed on a
-    [k]-domain pool, with per-lease partial sums merged in lease order:
-    for fixed [(points, leases)] the result is bit-identical for every
-    worker count ([domains:1] = [domains:8]), though it may differ from
-    the [domains]-less loop in the last ulp because the partial sums are
-    regrouped.  Per-lease ["engine.grid.lease"] spans ride the tracing
-    plane.  See docs/PARALLELISM.md.
+    Cells are sharded by flat row-major index into [leases] (default
+    {!Par_fold.default_leases}, capped at the cell count) contiguous
+    ranges executed on a [domains]-worker pool (default 1), with
+    per-lease partial sums merged in lease order: for fixed
+    [(points, leases)] the result is bit-identical for every worker
+    count.  Per-lease ["engine.grid.lease"] spans ride the tracing plane
+    when the pool is spawned.  See docs/PARALLELISM.md.
 
     [cancel] is a cooperative cancellation hook consulted once per cell;
     when it returns [true] the sweep raises {!Cancelled} with its
     progress (this is how per-request deadlines reach into the exact
-    pipeline — see lib/serve).  Under sharding every lease polls the same
-    hook and the raise carries the merged progress of all leases.
-    @raise Invalid_argument when [points^n] exceeds [10^8].
+    pipeline — see lib/serve).  Every lease polls the same hook and the
+    raise carries the merged progress of all leases.
+    @raise Invalid_argument when [points^n] exceeds [10^8] or the fault
+    model is not crash-foldable.
     @raise Cancelled when [cancel] fires mid-sweep. *)
 
 val optimize_family :
@@ -179,5 +218,5 @@ val optimize_family :
   float array * float
 (** Nelder-Mead (with bound clamping) over a parametric protocol family,
     scoring each candidate with {!win_probability_grid} (each scoring
-    sweep goes wide when [domains] is given; the simplex itself is
-    sequential). Returns the best parameters and their win probability. *)
+    sweep runs on [domains] workers; the simplex itself is sequential).
+    Returns the best parameters and their win probability. *)

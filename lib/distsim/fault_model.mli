@@ -4,7 +4,7 @@
     information; a fault model makes the missing-ness adversarial. Every
     fault dimension is a per-play, per-site rate drawn from the run's
     seeded {!Rng}, so a chaos run is exactly as reproducible as a clean
-    one. Injection itself lives in {!Fault_engine}. *)
+    one. Injection itself is {!Engine}'s [?faults] argument. *)
 
 type crash_mode =
   | Drop  (** a crashed player's input reaches neither bin *)
@@ -29,8 +29,8 @@ type t = {
 }
 
 val none : t
-(** The fault-free model: {!Fault_engine.run_once} under [none] replays
-    the clean {!Engine.run_once} draw-for-draw. *)
+(** The fault-free model: {!Engine.run_once} under [~faults:none]
+    replays the clean [Engine.run_once] draw-for-draw. *)
 
 val make :
   ?crash:float ->
@@ -54,7 +54,7 @@ val is_none : t -> bool
 
 val crash_foldable : t -> bool
 (** Only the crash dimension is active: the model folds analytically over
-    the [2^n] crash subsets, so {!Fault_engine.win_probability_given} is
+    the [2^n] crash subsets, so {!Engine.win_probability_given} is
     exact. *)
 
 val crash_mode_to_string : crash_mode -> string

@@ -1,8 +1,8 @@
 (* Graceful-degradation analysis: sweep a fault rate and compare the
    faulty win probability against the fault-free baseline of the same
    protocol. The baseline is the deterministic grid integral, so the
-   zero-rate sweep point doubles as an end-to-end check that the fault
-   engine reproduces the clean engine (MC within its Wilson CI). *)
+   zero-rate sweep point doubles as an end-to-end check that a fault-model
+   run reproduces the fault-free one (MC within its Wilson CI). *)
 
 type point = {
   rate : float;
@@ -26,8 +26,8 @@ type report = {
 let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~model_of ~delta
     pattern protocol =
   Trace.with_span "faults.degradation_sweep" @@ fun () ->
-  (* [domains] widens both halves of every point: the MC estimate rides
-     Mc_par's split-stream leases, the exact grid rides Par_fold's
+  (* [domains] (default 1) runs both halves of every point: the MC
+     estimate on Mc_par's split-stream leases, the exact grid on Par_fold's
      index-sharded leases — each bit-identical across worker counts.
      [kernel] batches every MC half through Mc_kernel's fault variant (the
      exact grid halves are untouched). *)
@@ -37,7 +37,7 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
   (* every sweep point owns a split-off stream: adding a rate or changing
      the sample count of one point never shifts another's randomness *)
   let baseline_mc =
-    Fault_engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
+    Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
       ~faults:Fault_model.none ~delta pattern protocol
   in
   let points =
@@ -50,14 +50,14 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
             [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("rate", Logx.Float rate);
               ("samples", Logx.Int samples) ];
         let estimate =
-          Fault_engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
+          Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
             ~faults ~delta pattern protocol
         in
         let exact =
           if Fault_model.crash_foldable faults then
             Some
-              (Fault_engine.win_probability_grid ~points:grid_points ?domains ?leases ~faults
-                 ~delta pattern protocol)
+              (Engine.win_probability_grid ~points:grid_points ?domains ?leases ~faults ~delta
+                 pattern protocol)
           else None
         in
         { rate; faults; estimate; exact })

@@ -21,12 +21,12 @@ type report = {
   samples : int;
   grid_points : int;  (** grid resolution of the exact baseline and folds *)
   baseline_exact : float;  (** fault-free {!Engine.win_probability_grid} *)
-  baseline_mc : Mc.estimate;  (** fault-free Monte-Carlo through the fault engine *)
+  baseline_mc : Mc.estimate;  (** Monte-Carlo under {!Fault_model.none} *)
   baseline_agrees : bool;
       (** the zero-fault MC estimate matches the exact baseline — inside
           its Wilson CI, or within the grid's own [0.5/points] midpoint
-          discretization allowance when the CI is tighter than that: the
-          fault engine reproduces the clean engine *)
+          discretization allowance when the CI is tighter than that: a
+          fault-model run reproduces the fault-free one *)
   points : point list;
 }
 
@@ -48,11 +48,11 @@ val sweep :
     stable under adding rates. [model_of] maps the swept rate to the full
     fault model (fix the other dimensions inside it).
 
-    [?domains]/[?leases] widen {e both} halves of every point: the MC
-    estimate through {!Mc.probability}'s split-stream leases and the
-    exact grid fold through {!Par_fold}'s index-sharded leases (each
-    sweep point is an independent exact solve whose cells go wide).
-    Either way the report is bit-identical for every worker count at a
+    [?domains] (default 1) and [?leases] drive {e both} halves of every
+    point: the MC estimate through {!Mc.probability}'s split-stream
+    leases and the exact grid fold through {!Par_fold}'s index-sharded
+    leases (each sweep point is an independent exact solve whose cells
+    go wide).  The report is bit-identical for every worker count at a
     fixed seed and lease count.
 
     [~kernel:true] batches every MC half through {!Mc_kernel}'s fault

@@ -25,33 +25,25 @@ let pp_estimate fmt e =
   let lo, hi = e.ci95 in
   Format.fprintf fmt "%.6f ± %.6f [%.6f, %.6f] (n=%d)" e.mean e.stderr lo hi e.samples
 
-(* [?domains:None] keeps the historical single-stream draw order
-   byte-for-byte (every committed golden depends on it).  [?domains:(Some
-   k)] switches to the lease-sharded Mc_par path, whose estimates depend
-   on (seed, leases, samples) but not on [k] — [-j 1] is the reference for
-   any [-j k].  Counters are merged on join and the throughput gauge is
-   written once here, on the calling domain, so nothing races.
+(* Every estimate is lease-sharded: the sample budget is split over
+   [leases] Rng.split streams (Mc_par), so an estimate depends on (seed,
+   leases, samples) but never on [domains], which defaults to 1.  Counters
+   are merged on join and the throughput gauge is written once here, on
+   the calling domain, so nothing races.
 
    [?kernel] swaps the sampling loop for the batch kernel: [f] is kept in
    the signature as the scalar reference but is never called.  The kernel
    runs inside the same span and feeds the same finish_run counters, so
    throughput attribution (mc_samples_per_sec in the perf suite) keeps
    working unchanged. *)
-let probability ?domains ?leases ?kernel ~rng ~samples f =
+let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.probability: samples";
   Trace.with_span "mc.probability" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let hits =
-    match (kernel, domains) with
-    | Some k, None -> (Mc_kernel.run ~rng ~samples k).Mc_kernel.wins
-    | Some k, Some domains -> (Mc_kernel.run_par ?leases ~domains ~rng ~samples k).Mc_kernel.wins
-    | None, None ->
-      let hits = ref 0 in
-      for _ = 1 to samples do
-        if f rng then incr hits
-      done;
-      !hits
-    | None, Some domains -> Mc_par.count ?leases ~domains ~rng ~samples f
+    match kernel with
+    | Some k -> (Mc_kernel.run ?leases ~domains ~rng ~samples k).Mc_kernel.wins
+    | None -> Mc_par.count ?leases ~domains ~rng ~samples f
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits;
   let n = float_of_int samples in
@@ -62,22 +54,14 @@ let probability ?domains ?leases ?kernel ~rng ~samples f =
 
 (* With [?kernel] the estimated quantity is the kernel's continuous
    observable — the expected max bin load — and [f] is never called. *)
-let expectation ?domains ?leases ?kernel ~rng ~samples f =
+let expectation ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.expectation: samples";
   Trace.with_span "mc.expectation" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let acc =
-    match (kernel, domains) with
-    | Some k, None -> (Mc_kernel.run ~loads:true ~rng ~samples k).Mc_kernel.loads
-    | Some k, Some domains ->
-      (Mc_kernel.run_par ?leases ~loads:true ~domains ~rng ~samples k).Mc_kernel.loads
-    | None, None ->
-      let acc = ref Stats.empty in
-      for _ = 1 to samples do
-        acc := Stats.add !acc (f rng)
-      done;
-      !acc
-    | None, Some domains -> Mc_par.fold_stats ?leases ~domains ~rng ~samples f
+    match kernel with
+    | Some k -> (Mc_kernel.run ?leases ~loads:true ~domains ~rng ~samples k).Mc_kernel.loads
+    | None -> Mc_par.fold_stats ?leases ~domains ~rng ~samples f
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits:0;
   let mean = Stats.mean acc in

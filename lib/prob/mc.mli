@@ -20,15 +20,12 @@ val probability :
   estimate
 (** Bernoulli estimation with a Wilson 95% interval.
 
-    Without [?domains] the sampler is the historical single-stream loop
-    (byte-compatible with every committed golden).  With [~domains:k] the
-    run is sharded over [?leases] (default {!Mc_par.default_leases})
-    lease-owned [Rng.split] streams executed by [k] domains; the estimate
-    is bit-identical for every [k >= 1] at a fixed [(seed, leases,
-    samples)], so [~domains:1] is the determinism reference for any
-    [~domains:k].  The sampling closure must then be safe to run on other
-    domains (pure up to its own [Rng.t] draws — all closures in this
-    repository qualify).
+    The run is sharded over [?leases] (default {!Mc_par.default_leases})
+    lease-owned [Rng.split] streams executed by [?domains] (default 1)
+    domains; the estimate is a function of [(seed, leases, samples)] and
+    bit-identical for every [domains >= 1].  The sampling closure must
+    be safe to run on other domains (pure up to its own [Rng.t] draws —
+    all closures in this repository qualify).
 
     With [?kernel] the closure is never called: the batch kernel plays
     the spec's game and [wins/samples] is the estimate.  The kernel draws

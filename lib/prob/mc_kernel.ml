@@ -10,10 +10,9 @@
 
    Determinism contract (docs/KERNEL.md): a kernel estimate is a pure
    function of (seed, leases, samples, spec) — worker count never enters.
-   [run] consumes the caller's stream directly (fill derivation = two
-   draws); [run_par] derives one stream per lease exactly as Mc_par does
-   and merges per-lease results in lease order, so [-j k] is bit-identical
-   to [-j 1].  The kernel draws in a different order than the scalar path
+   [run] derives one stream per lease exactly as Mc_par does and merges
+   per-lease results in lease order, so [-j k] is bit-identical to
+   [-j 1].  The kernel draws in a different order than the scalar path
    (inputs for a whole chunk first, then decision / fault draws), so
    kernel and scalar estimates agree statistically, not byte-for-byte;
    tests pin the agreement through Mc.agrees. *)
@@ -82,7 +81,7 @@ let empty_result ?hist () =
     hist = Option.map (fun (bins, lo, hi) -> Stats.histogram_empty ~bins ~lo ~hi) hist;
   }
 
-(* Merging in lease order keeps run_par worker-count invariant: integer
+(* Merging in lease order keeps run worker-count invariant: integer
    sums commute, Stats.merge / histogram_merge are evaluated left-to-right
    over the lease array. *)
 let merge_result a b =
@@ -103,25 +102,46 @@ let merge_result a b =
    set inside L2 while amortizing the fill-call overhead to nothing. *)
 let chunk_plays = 4096
 
-let run_fill ?hist ~loads ~fill ~samples t =
+(* One lease's chunk buffers: the uniform inputs plus the decision /
+   crash / noise / jitter draws its spec consumes (zero-length when
+   unused), each sized for [cap] plays. *)
+type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buffers = { u : buffer; db : buffer; cb : buffer; nb : buffer; jb : buffer }
+
+let the_fault t = match t.fault with Some f -> f | None -> fault ()
+let oblivious t = match t.rule with Oblivious _ -> true | Threshold _ -> false
+
+(* Noise perturbs the value a rule reads, never the load it contributes;
+   oblivious rules read no value, so their noise draws are skipped (the
+   distribution of outcomes is unchanged — see docs/KERNEL.md). *)
+let noise_on t = (the_fault t).noise > 0. && not (oblivious t)
+
+let alloc_buffers ~cap t =
+  let n = t.n and f = the_fault t in
+  let mk len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
+  {
+    u = mk (cap * n);
+    db = (if oblivious t then mk (cap * n) else mk 0);
+    cb = (if f.crash_rate > 0. then mk (cap * n) else mk 0);
+    nb = (if noise_on t then mk (cap * n) else mk 0);
+    jb = (if f.jitter > 0. then mk cap else mk 0);
+  }
+
+(* Plays one lease of [samples] plays through [b], whose buffers hold at
+   least [min samples chunk_plays] plays: chunks are [min remaining
+   chunk_plays] plays whatever the buffer size, so the draw order is a
+   function of the lease's share alone. *)
+let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
   let n = t.n in
   let delta = t.delta in
   let cap = if samples < chunk_plays then samples else chunk_plays in
-  let mk len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  let u = mk (cap * n) in
-  let f = match t.fault with Some f -> f | None -> fault () in
+  let u = b.u and db = b.db and cb = b.cb and nb = b.nb and jb = b.jb in
+  let f = the_fault t in
   let crash_on = f.crash_rate > 0. in
   let jitter_on = f.jitter > 0. in
-  (* Noise perturbs the value a rule reads, never the load it contributes;
-     oblivious rules read no value, so their noise draws are skipped (the
-     distribution of outcomes is unchanged — see docs/KERNEL.md). *)
-  let noise_on = f.noise > 0. && match t.rule with Threshold _ -> true | Oblivious _ -> false in
-  let oblivious = match t.rule with Oblivious _ -> true | Threshold _ -> false in
+  let noise_on = noise_on t in
+  let oblivious = oblivious t in
   let params = match t.rule with Threshold a | Oblivious a -> a in
-  let db = if oblivious then mk (cap * n) else mk 0 in
-  let cb = if crash_on then mk (cap * n) else mk 0 in
-  let nb = if noise_on then mk (cap * n) else mk 0 in
-  let jb = if jitter_on then mk cap else mk 0 in
   let hist = Option.map (fun (bins, lo, hi) -> Stats.histogram_empty ~bins ~lo ~hi) hist in
   let wins = ref 0 and over0 = ref 0 and over1 = ref 0 in
   (* Welford state in local refs (ocamlopt unboxes non-escaping float
@@ -212,23 +232,40 @@ let run_fill ?hist ~loads ~fill ~samples t =
     hist;
   }
 
-let run ?hist ?(loads = false) ~rng ~samples t =
+let run ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ?(domains = 1) ~rng ~samples t
+    =
+  if domains < 1 then invalid_arg "Mc_kernel.run: domains must be >= 1";
+  if leases < 1 then invalid_arg "Mc_kernel.run: leases must be >= 1";
   if samples < 0 then invalid_arg "Mc_kernel.run: samples must be >= 0";
-  if samples = 0 then empty_result ?hist ()
-  else run_fill ?hist ~loads ~fill:(Rng.fill_of rng) ~samples t
-
-let run_par ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ~domains ~rng ~samples t =
-  if domains < 1 then invalid_arg "Mc_kernel.run_par: domains must be >= 1";
-  if leases < 1 then invalid_arg "Mc_kernel.run_par: leases must be >= 1";
-  if samples < 0 then invalid_arg "Mc_kernel.run_par: samples must be >= 0";
   (* Same stream-derivation discipline as Mc_par.fold: every lease stream
      is split off sequentially, in lease order, before any worker runs, so
      lease i's draws depend only on (root seed, leases, i). *)
   let streams = Array.init leases (fun _ -> Rng.split rng) in
   let counts = Mc_par.lease_counts ~leases ~samples in
+  (* Chunk buffers live for this call only: a lease takes a set off the
+     free list (allocating one when every set is in use) and returns it,
+     so a call allocates one set per worker rather than one per lease.
+     Lease 0 has the largest share, so its size fits every lease. *)
+  let cap = min counts.(0) chunk_plays in
+  let free = ref [] and mu = Mutex.create () in
+  let take () =
+    Mutex.protect mu (fun () ->
+        match !free with
+        | b :: rest ->
+          free := rest;
+          b
+        | [] -> alloc_buffers ~cap t)
+  in
+  let give b = Mutex.protect mu (fun () -> free := b :: !free) in
   let parts =
     Par_fold.run_leases ~span:"mc.kernel.lease" ~domains ~leases (fun i ->
         if counts.(i) = 0 then empty_result ?hist ()
-        else run_fill ?hist ~loads ~fill:(Rng.fill_of streams.(i)) ~samples:counts.(i) t)
+        else begin
+          let buffers = take () in
+          let fill = Rng.fill_of streams.(i) in
+          let r = run_fill ?hist ~loads ~buffers ~fill ~samples:counts.(i) t in
+          give buffers;
+          r
+        end)
   in
   Array.fold_left merge_result (empty_result ?hist ()) parts

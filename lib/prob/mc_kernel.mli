@@ -13,10 +13,10 @@
     closure path (see docs/KERNEL.md and EXPERIMENTS.md X14).
 
     {b Determinism.} A kernel estimate is a pure function of
-    [(seed, leases, samples, spec)].  {!run_par} derives one RNG stream
-    per lease (exactly {!Mc_par}'s discipline) and merges per-lease
-    results in lease order, so the result is bit-identical for every
-    worker count [>= 1].  The kernel consumes randomness in a different
+    [(seed, leases, samples, spec)].  {!run} derives one RNG stream per
+    lease (exactly {!Mc_par}'s discipline) and merges per-lease results
+    in lease order, so the result is bit-identical for every worker
+    count [>= 1].  The kernel consumes randomness in a different
     order than the scalar path, so kernel estimates agree with scalar
     estimates {e statistically} (pinned through {!Mc.agrees} in tests),
     not byte-for-byte. *)
@@ -69,28 +69,26 @@ type result = {
       (** max-bin-load histogram, present iff the run passed [?hist] *)
 }
 
-val run : ?hist:int * float * float -> ?loads:bool -> rng:Rng.t -> samples:int -> t -> result
-(** Sequential batch run.  [?hist:(bins, lo, hi)] requests the fused
-    histogram; [~loads:true] (default false) requests the Welford
-    accumulator — both are fused into the same pass, costing only their
-    own arithmetic.  Advances [rng] by exactly two draws (the fill-stream
-    derivation), regardless of [samples].
-    @raise Invalid_argument when [samples < 0]. *)
-
-val run_par :
+val run :
   ?leases:int ->
   ?hist:int * float * float ->
   ?loads:bool ->
-  domains:int ->
+  ?domains:int ->
   rng:Rng.t ->
   samples:int ->
   t ->
   result
-(** Lease-sharded batch run on a {!Par_fold} domain pool: [rng] is
-    advanced by exactly [leases] splits, lease [i] runs {!run}'s loop on
-    its own stream and share of [samples], and per-lease results merge in
-    lease order ({!Stats.merge} / [histogram_merge]) — bit-identical for
-    every [domains >= 1] at fixed [(seed, leases, samples)], the same
-    contract as {!Mc_par}.
+(** Lease-sharded batch run on a {!Par_fold} domain pool of [domains]
+    (default 1) workers: [rng] is advanced by exactly [leases] (default
+    {!Mc_par.default_leases}) splits, lease [i] plays its share of
+    [samples] ({!Mc_par.lease_counts}) from a fill stream derived from
+    its own split, and per-lease results merge in lease order
+    ({!Stats.merge} / [histogram_merge]) — bit-identical for every
+    [domains >= 1] at fixed [(seed, leases, samples)], the same contract
+    as {!Mc_par}.  [?hist:(bins, lo, hi)] requests the fused histogram;
+    [~loads:true] (default false) requests the Welford accumulator — both
+    are fused into the same pass, costing only their own arithmetic.
+    Chunk buffers are allocated once per worker for the call and dropped
+    with it.
     @raise Invalid_argument when [domains < 1], [leases < 1], or
     [samples < 0]. *)

@@ -1,43 +1,38 @@
 let default_leases = 64
 let recommended_domains () = Domain.recommended_domain_count ()
 
-(* Lease i gets [items / leases] indices plus one of the remainder, so the
-   shares differ by at most one and every index is owned by exactly one
-   lease.  Ranges are contiguous and in index order: lease i covers
-   [start i, start i + count i). *)
-let lease_counts ~leases ~items =
-  let base = items / leases and extra = items mod leases in
-  Array.init leases (fun i -> base + if i < extra then 1 else 0)
-
 let run_leases ?(span = "par.lease") ~domains ~leases run =
   if domains < 1 then invalid_arg "Par_fold.run_leases: domains must be >= 1";
   if leases < 0 then invalid_arg "Par_fold.run_leases: leases must be >= 0";
-  let results = Array.make (max leases 1) None in
-  let next = Atomic.make 0 in
-  (* Raised exceptions (a worker bug, or a cooperative-cancellation raise
-     reaching up through [run]) park the pool: leases already running
-     finish or raise on their own, but no new lease starts. *)
-  let stop = Atomic.make false in
-  let run_lease i =
-    Trace.with_span span @@ fun () ->
-    (* Slots are disjoint per lease and published to the main domain by
-       Domain.join's happens-before edge. *)
-    results.(i) <- Some (run i)
-  in
-  let rec worker () =
-    if not (Atomic.get stop) then begin
-      let i = Atomic.fetch_and_add next 1 in
-      if i < leases then begin
-        (try run_lease i
-         with e ->
-           Atomic.set stop true;
-           raise e);
-        worker ()
-      end
-    end
-  in
-  if domains = 1 || leases <= 1 then worker ()
+  if domains = 1 || leases <= 1 then
+    (* Inline: the leases run in order on the calling domain, under its
+       caller's span, so they get no span of their own. *)
+    Array.init leases run
   else begin
+    let results = Array.make leases None in
+    let next = Atomic.make 0 in
+    (* Raised exceptions (a worker bug, or a cooperative-cancellation raise
+       reaching up through [run]) park the pool: leases already running
+       finish or raise on their own, but no new lease starts. *)
+    let stop = Atomic.make false in
+    let run_lease i =
+      Trace.with_span span @@ fun () ->
+      (* Slots are disjoint per lease and published to the main domain by
+         Domain.join's happens-before edge. *)
+      results.(i) <- Some (run i)
+    in
+    let rec worker () =
+      if not (Atomic.get stop) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < leases then begin
+          (try run_lease i
+           with e ->
+             Atomic.set stop true;
+             raise e);
+          worker ()
+        end
+      end
+    in
     let spawned =
       Array.init
         (min (domains - 1) leases)
@@ -54,42 +49,53 @@ let run_leases ?(span = "par.lease") ~domains ~leases run =
     let joined = Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned in
     Array.iter (function Ok spans -> Trace.absorb spans | Error _ -> ()) joined;
     (match main_exn with Some e -> raise e | None -> ());
-    Array.iter (function Error e -> raise e | Ok _ -> ()) joined
-  end;
-  Array.init leases (fun i ->
-      match results.(i) with
-      | Some v -> v
-      | None ->
-        (* Unreachable: a missing slot means some lease raised, and that
-           exception was re-raised above. *)
-        assert false)
+    Array.iter (function Error e -> raise e | Ok _ -> ()) joined;
+    Array.map
+      (function
+        | Some v -> v
+        | None ->
+          (* Unreachable: a missing slot means some lease raised, and that
+             exception was re-raised above. *)
+          assert false)
+      results
+  end
 
-let fold ?(leases = default_leases) ?span ~domains ~items ~init ~step ~merge () =
+let fold_ranges ?(leases = default_leases) ?span ~domains ~items ~init ~range ~merge () =
   if domains < 1 then invalid_arg "Par_fold.fold: domains must be >= 1";
   if leases < 1 then invalid_arg "Par_fold.fold: leases must be >= 1";
   if items < 0 then invalid_arg "Par_fold.fold: items must be >= 0";
-  if Logx.would_log Logx.Debug then
+  (* A lease past the last item would fold nothing and merge as [init ()],
+     the identity, so capping the count changes no result — it only spares
+     small folds the empty slots. *)
+  let leases = if items < 1 then 1 else if leases < items then leases else items in
+  let logging = Logx.would_log Logx.Debug in
+  if logging then
     Logx.debug "par.fold.start"
       [ ("domains", Logx.Int domains); ("leases", Logx.Int leases); ("items", Logx.Int items) ];
-  let t0 = Trace.now_mono_s () in
-  let counts = lease_counts ~leases ~items in
-  let starts = Array.make leases 0 in
-  for i = 1 to leases - 1 do
-    starts.(i) <- starts.(i - 1) + counts.(i - 1)
-  done;
+  let t0 = if logging then Trace.now_mono_s () else 0. in
+  (* Lease i gets [items / leases] indices plus one of the remainder, so
+     the shares differ by at most one and every index is owned by exactly
+     one lease.  Ranges are contiguous and in index order: lease i covers
+     [start i, start (i + 1)). *)
+  let base = items / leases and extra = items mod leases in
+  let start i = (i * base) + if i < extra then i else extra in
   let parts =
-    run_leases ?span ~domains ~leases (fun i ->
-        let acc = ref (init ()) in
-        let hi = starts.(i) + counts.(i) - 1 in
-        for k = starts.(i) to hi do
-          acc := step !acc k
-        done;
-        !acc)
+    run_leases ?span ~domains ~leases (fun i -> range (init ()) ~lo:(start i) ~hi:(start (i + 1)))
   in
-  if Logx.would_log Logx.Debug then
+  if logging then
     Logx.debug "par.fold.done"
       [ ("items", Logx.Int items); ("wall_s", Logx.Float (Trace.now_mono_s () -. t0)) ];
   Array.fold_left merge (init ()) parts
+
+let fold ?leases ?span ~domains ~items ~init ~step ~merge () =
+  fold_ranges ?leases ?span ~domains ~items ~init ~merge
+    ~range:(fun acc ~lo ~hi ->
+      let acc = ref acc in
+      for k = lo to hi - 1 do
+        acc := step !acc k
+      done;
+      !acc)
+    ()
 
 let sum ?leases ?span ~domains ~items f =
   fold ?leases ?span ~domains ~items

@@ -21,10 +21,14 @@
     propagate to the caller after every worker domain has been joined.
 
     Observability: [step] may bump {!Metrics} counters (they are
-    atomic).  When tracing is enabled each lease is recorded as a span
-    (default name ["par.lease"]; callers pass [?span] to label their
-    workload) in its worker's domain-local buffer, folded into the main
-    domain's profile on join ({!Trace.drain}/{!Trace.absorb}). *)
+    atomic).  When tracing is enabled and the leases run on a spawned
+    pool ([domains > 1]), each lease is recorded as a span (default name
+    ["par.lease"]; callers pass [?span] to label their workload) in its
+    worker's domain-local buffer, folded into the main domain's profile
+    on join ({!Trace.drain}/{!Trace.absorb}).  An inline run
+    ([domains = 1]) records no lease spans: it already sits under its
+    caller's span, and a span per lease would cost more than a small
+    fold's work. *)
 
 val default_leases : int
 (** 64 — comfortably more leases than any realistic worker count, so the
@@ -40,7 +44,8 @@ val run_leases : ?span:string -> domains:int -> leases:int -> (int -> 'a) -> 'a 
     jobs [run 0 .. run (leases-1)] on a pool of [domains] worker domains
     (the calling domain is one of them, so [domains:1] spawns nothing)
     and returns their results in lease order.  This is the shared
-    domain-pool core under {!fold} and {!Mc_par.fold}; use it directly
+    domain-pool core under {!fold}, {!Mc_par.fold} and {!Mc_kernel.run};
+    use it directly
     when per-lease work is not an indexed fold (e.g. {!Mc_par}'s
     per-lease RNG streams).  [run] and the closures it captures must be
     safe to call from another domain.
@@ -63,11 +68,29 @@ val fold :
     contiguous index share and merges the per-lease accumulators in
     lease order starting from a fresh [init ()].  [merge] must be
     associative with [init ()] as identity; [step] must be pure up to
-    atomic-counter bumps and safe to run on another domain.  Leases in
-    excess of [items] simply fold zero indices and contribute an
-    [init ()] to the merge.
+    atomic-counter bumps and safe to run on another domain.  The fold
+    runs [min leases items] leases: a lease past the last item would
+    only merge an [init ()], the identity, so the cap changes no result
+    and spares small folds the empty slots.
     @raise Invalid_argument when [domains < 1], [leases < 1], or
     [items < 0]. *)
+
+val fold_ranges :
+  ?leases:int ->
+  ?span:string ->
+  domains:int ->
+  items:int ->
+  init:(unit -> 'a) ->
+  range:('a -> lo:int -> hi:int -> 'a) ->
+  merge:('a -> 'a -> 'a) ->
+  unit ->
+  'a
+(** {!fold} with the lease loop handed to the caller: [range acc ~lo ~hi]
+    folds the lease's whole contiguous share [[lo, hi)] into [acc], so a
+    lease can carry state from one index to the next (the grid
+    integrators walk their cells odometer-style instead of decoding each
+    flat index).  [fold ~step] is [fold_ranges] with a [for] loop over
+    [step]; the partition, merge order and validation are identical. *)
 
 val sum : ?leases:int -> ?span:string -> domains:int -> items:int -> (int -> float) -> float
 (** [sum ~domains ~items f] is [f 0 +. ... +. f (items-1)] with

@@ -377,11 +377,6 @@ let run_job t job =
     | Some c when chaos_draw t c.slow_rate ->
       (try Unix.sleepf c.slow_s with Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | _ -> ());
-    (* solver_domains = 1 keeps the historical in-worker sequential solve
-       (no lease regrouping of float sums, so answers cached by earlier
-       builds stay byte-stable); > 1 fans each solve out over a lease-
-       sharded domain pool nested under this worker. *)
-    let domains = if t.cfg.solver_domains > 1 then Some t.cfg.solver_domains else None in
     let solve0 = Trace.now_mono_s () in
     Atomic.set job.t_solve_start_mono_s solve0;
     (* observe the solve phase on every exit — success, deadline expiry,
@@ -391,7 +386,9 @@ let run_job t job =
       Atomic.set job.t_solve_end_mono_s solve1;
       Metrics.observe h_solve (solve1 -. solve0)
     in
-    match Solver.solve ?domains ~deadline_mono_s:job.deadline_mono_s job.jreq with
+    match
+      Solver.solve ~domains:t.cfg.solver_domains ~deadline_mono_s:job.deadline_mono_s job.jreq
+    with
     | answer ->
       solve_done ();
       let wall_s = Trace.now_mono_s () -. now in

@@ -66,12 +66,13 @@ type config = {
   port : int;  (** 0 picks an ephemeral port; read back with {!port} *)
   workers : int;
   solver_domains : int;
-      (** [-j] for each worker's solve: > 1 fans the exact paths (grid
-          sweeps, threshold subset fold) over a lease-sharded domain pool
-          nested under the worker, so total solve concurrency is up to
-          [workers * solver_domains] domains.  Answers are bit-identical
-          for every value (see {!Solver.solve}), so the cache is
-          unaffected.  Default 1: the historical sequential solve. *)
+      (** [-j] for each worker's solve, passed to {!Solver.solve}: > 1
+          fans the lease-sharded paths (grid sweeps, threshold subset
+          fold, mc kernel) over a domain pool nested under the worker, so
+          total solve concurrency is up to [workers * solver_domains]
+          domains.  Answers are bit-identical for every value, so the
+          cache is unaffected.  Default 1: the leases run inline on the
+          worker. *)
   queue_depth : int;  (** shed watermark *)
   default_budget_ms : int;  (** deadline for requests without [budget_ms] *)
   stuck_grace_s : float;  (** slack past the deadline before the watchdog supersedes *)

@@ -165,7 +165,11 @@ let cache_key r =
     | Grid p -> Printf.sprintf "grid:%d" p
     | Mc { samples; seed } -> Printf.sprintf "mc:%d:%d" samples seed
   in
-  Printf.sprintf "v1|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
+  (* The prefix versions the answers: bump it whenever an evaluator's
+     answer for a key changes (v2: lease-sharded sums and MC streams), so
+     a durable store filled by an older build misses instead of serving
+     stale values. *)
+  Printf.sprintf "v2|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
     r.n (Rat.to_string r.delta) params mode r.crash
 
 type answer = { p : float; detail : (string * Jsonx.t) list }
@@ -188,6 +192,7 @@ let check_not_expired ~deadline_mono_s =
 let solve ?domains ~deadline_mono_s r =
   let cancel () = Trace.now_mono_s () >= deadline_mono_s in
   let delta_f = Rat.to_float r.delta in
+  let faults = if r.crash > 0. then Some (Fault_model.crash_only r.crash) else None in
   match (r.rule, r.mode) with
   | Opt, _ ->
     check_not_expired ~deadline_mono_s;
@@ -214,19 +219,15 @@ let solve ?domains ~deadline_mono_s r =
       | _ -> Dist_protocol.oblivious r.params
     in
     let p =
-      if r.crash > 0. then
-        Fault_engine.win_probability_grid ~points ~cancel ?domains
-          ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
-      else Engine.win_probability_grid ~points ~cancel ?domains ~delta:delta_f pattern protocol
+      Engine.win_probability_grid ~points ~cancel ?domains ?faults ~delta:delta_f pattern protocol
     in
     { p; detail = [ ("points", Jsonx.Num (float_of_int points)) ] }
   | (Threshold | Oblivious), Mc { samples; seed } ->
-    (* Batch-kernel estimation at a client-pinned seed.  Runs sequentially
-       on purpose — ?domains is NOT forwarded — so the answer is a pure
-       function of the request and the cache stays byte-stable across
-       server -j settings.  The sample cap bounds the run well under a
-       second, so like the exact pipelines it only checks the deadline up
-       front. *)
+    (* Batch-kernel estimation at a client-pinned seed: the estimate is a
+       function of (seed, leases, samples) alone, so forwarding ?domains
+       keeps the answer byte-stable across server -j settings.  The sample
+       cap bounds the run well under a second, so like the exact pipelines
+       it only checks the deadline up front. *)
     check_not_expired ~deadline_mono_s;
     let pattern = Comm_pattern.none ~n:r.n in
     let protocol =
@@ -236,10 +237,8 @@ let solve ?domains ~deadline_mono_s r =
     in
     let rng = Rng.create ~seed in
     let e =
-      if r.crash > 0. then
-        Fault_engine.win_probability_mc ~kernel:true ~rng ~samples
-          ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
-      else Engine.win_probability_mc ~kernel:true ~rng ~samples ~delta:delta_f pattern protocol
+      Engine.win_probability_mc ~kernel:true ?domains ?faults ~rng ~samples ~delta:delta_f
+        pattern protocol
     in
     let ci_lo, ci_hi = e.Mc.ci95 in
     {

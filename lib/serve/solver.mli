@@ -51,7 +51,9 @@ val cache_key : req -> string
 (** Canonical identity of the {e answer}: rule family, [n], exact
     [delta], parameters at full precision, mode, and crash rate.
     [budget_ms] is excluded — the deadline shapes whether an answer is
-    produced, not its value. *)
+    produced, not its value.  The key carries a format prefix ([v2|]):
+    a build whose evaluators answer differently bumps it, so answers an
+    older build stored in a durable cache miss instead of being served. *)
 
 type answer = {
   p : float;  (** winning probability (the optimum's value for [Opt]) *)
@@ -68,17 +70,16 @@ val solve : ?domains:int -> deadline_mono_s:float -> req -> answer
 (** Evaluate, honoring the deadline (monotonic absolute,
     {!Trace.now_mono_s} clock).
 
-    [domains] widens the solve itself on the lease-sharded exact paths —
-    grid sweeps ({!Engine.win_probability_grid} /
-    {!Fault_engine.win_probability_grid}) and the threshold 2^n subset
-    fold — with answers bit-identical for every domain count, so
-    {!cache_key} stays [domains]-independent by construction.  Grid
-    cancellation still fires under sharding, with merged progress across
-    leases.  The [opt] symbolic pipeline and the n+1-term oblivious
-    closed form stay single-threaded, and [mc] runs the batch kernel
-    sequentially {e by design} ([domains] is not forwarded): a cached MC
-    answer must be a pure function of the request, byte-stable across
-    server [-j] settings.
+    [domains] (default 1) is the worker count of the solve's own
+    lease-sharded evaluators — grid sweeps ({!Engine.win_probability_grid},
+    crash folds included), the threshold 2^n subset fold, and the [mc]
+    batch kernel ({!Mc_kernel.run}).  Each answer is a function of the
+    request alone (an [mc] estimate of [(seed, leases, samples)]), so it
+    is bit-identical for every [domains] and {!cache_key} stays
+    [domains]-independent by construction.  Grid cancellation fires at
+    every [domains], with merged progress across leases.  The [opt]
+    symbolic pipeline and the n+1-term oblivious closed form are
+    single-threaded.
     @raise Engine.Cancelled when the budget expires mid-sweep (or before
     an un-cancellable exact pipeline starts), with partial progress.
     @raise Invalid_argument on instance limits (grid too large). *)

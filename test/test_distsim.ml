@@ -248,6 +248,23 @@ let grid_par_tests =
   let n = 3 and delta = 1. in
   let pat = Comm_pattern.none ~n in
   let proto = Dist_protocol.common_threshold ~n 0.622 in
+  (* reference: a single-pass midpoint sum over the points^n cells in
+     row-major order *)
+  let midpoint_sum ~n ~delta ~pat ~proto points =
+    let coord k = (float_of_int k +. 0.5) /. float_of_int points in
+    let inputs = Array.make n 0. in
+    let acc = ref 0. in
+    let rec loop d =
+      if d = n then acc := !acc +. Engine.win_probability_given ~delta pat proto inputs
+      else
+        for k = 0 to points - 1 do
+          inputs.(d) <- coord k;
+          loop (d + 1)
+        done
+    in
+    loop 0;
+    !acc /. (float_of_int points ** float_of_int n)
+  in
   [
     Alcotest.test_case "sharded grid is bit-identical across domains 1/2/4" `Quick (fun () ->
       let grid j = Engine.win_probability_grid ~points:24 ~domains:j ~delta pat proto in
@@ -255,10 +272,10 @@ let grid_par_tests =
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) g1 (grid j))
         [ 2; 4 ];
-      (* the historical sequential sweep groups the same cell sums in one
-         pass; the lease regrouping may move the last ulp, nothing more *)
-      let seq = Engine.win_probability_grid ~points:24 ~delta pat proto in
-      Alcotest.(check bool) "matches the sequential sweep" true (Float.abs (g1 -. seq) < 1e-12));
+      (* a single pass groups the same cell sums differently; the lease
+         regrouping may move the last ulp, nothing more *)
+      Alcotest.(check bool) "matches the sequential sweep" true
+        (Float.abs (g1 -. midpoint_sum ~n ~delta ~pat ~proto 24) < 1e-12));
     Alcotest.test_case "worker-count invariance holds for any lease count" `Quick (fun () ->
       List.iter
         (fun leases ->
@@ -270,9 +287,32 @@ let grid_par_tests =
     Alcotest.test_case "lease count > cells still covers every cell once" `Quick (fun () ->
       (* 8 cells over 64 leases: most leases are empty *)
       let tiny j = Engine.win_probability_grid ~points:2 ~domains:j ~leases:64 ~delta pat proto in
-      let seq = Engine.win_probability_grid ~points:2 ~delta pat proto in
-      Alcotest.(check (float 1e-12)) "empty leases contribute nothing" seq (tiny 4);
+      Alcotest.(check (float 1e-12)) "empty leases contribute nothing"
+        (midpoint_sum ~n ~delta ~pat ~proto 2)
+        (tiny 4);
       Alcotest.(check (float 0.)) "and stay worker-count invariant" (tiny 1) (tiny 4));
+    Alcotest.test_case "odometer walk covers every cell for any lease split" `Quick (fun () ->
+      (* each lease decodes its first cell and carries digits from there;
+         lease boundaries land mid-row for most (points, leases) pairs *)
+      List.iter
+        (fun n ->
+          let delta = float_of_int n /. 2.5 in
+          let pat = Comm_pattern.none ~n in
+          let proto =
+            Dist_protocol.oblivious (Array.init n (fun i -> 0.3 +. (0.2 *. float_of_int i)))
+          in
+          List.iter
+            (fun points ->
+              let reference = midpoint_sum ~n ~delta ~pat ~proto points in
+              List.iter
+                (fun leases ->
+                  Alcotest.(check (float 1e-12))
+                    (Printf.sprintf "n=%d points=%d leases=%d" n points leases)
+                    reference
+                    (Engine.win_probability_grid ~points ~leases ~delta pat proto))
+                [ 1; 3; 7; 64; 500 ])
+            [ 2; 3; 5; 7 ])
+        [ 1; 2; 3 ]);
     Alcotest.test_case "cancellation fires mid-lease with merged progress" `Quick (fun () ->
       (* let roughly half the sweep complete before the hook flips: the
          raise must carry a cells_done merged across leases, not one

@@ -61,7 +61,7 @@ let model_tests =
         [ "crash=0.25"; "bin1"; "loss=0.1"; "stale=0.05"; "noise=0.01"; "jitter=0.2" ]);
   ]
 
-(* ------------------------- Fault_engine ------------------------- *)
+(* ------------------------- Engine ~faults ------------------------- *)
 
 let all_faults =
   Fault_model.make ~crash:0.2 ~crash_mode:(Fault_model.Default_bin 0) ~link_loss:0.25 ~stale:0.15
@@ -69,7 +69,7 @@ let all_faults =
 
 let outcome_stream ~seed ~plays ~faults ~delta pattern protocol =
   let rng = Rng.create ~seed in
-  List.init plays (fun _ -> Fault_engine.run_once rng ~faults ~delta pattern protocol)
+  List.init plays (fun _ -> Engine.run_once ~faults rng ~delta pattern protocol)
 
 let engine_tests =
   [
@@ -79,44 +79,60 @@ let engine_tests =
       let run () = outcome_stream ~seed:5 ~plays:300 ~faults:all_faults ~delta:1.2 pattern protocol in
       let a = run () and b = run () in
       List.iter2
-        (fun (x : Fault_engine.outcome) (y : Fault_engine.outcome) ->
-          Alcotest.(check (array (float 0.))) "inputs" x.Fault_engine.inputs y.Fault_engine.inputs;
-          Alcotest.(check (array int)) "decisions" x.Fault_engine.decisions
-            y.Fault_engine.decisions;
-          Alcotest.(check (array bool)) "crashed" x.Fault_engine.crashed y.Fault_engine.crashed;
-          Alcotest.(check (float 0.)) "delta_eff" x.Fault_engine.delta_eff
-            y.Fault_engine.delta_eff;
-          Alcotest.(check (float 0.)) "load0" x.Fault_engine.load0 y.Fault_engine.load0;
-          Alcotest.(check bool) "win" x.Fault_engine.win y.Fault_engine.win;
-          Alcotest.(check int) "faults" x.Fault_engine.faults y.Fault_engine.faults)
+        (fun (x : Engine.outcome) (y : Engine.outcome) ->
+          Alcotest.(check (array (float 0.))) "inputs" x.Engine.inputs y.Engine.inputs;
+          Alcotest.(check (array int)) "decisions" x.Engine.decisions y.Engine.decisions;
+          Alcotest.(check (array bool)) "crashed" x.Engine.crashed y.Engine.crashed;
+          Alcotest.(check (float 0.)) "delta_eff" x.Engine.delta_eff y.Engine.delta_eff;
+          Alcotest.(check (float 0.)) "load0" x.Engine.load0 y.Engine.load0;
+          Alcotest.(check bool) "win" x.Engine.win y.Engine.win;
+          Alcotest.(check int) "faults" x.Engine.faults y.Engine.faults)
         a b);
     Alcotest.test_case "zero rates replay the clean engine draw-for-draw" `Quick (fun () ->
+      (* every rate 0, whatever the crash mode: the faulty play must draw
+         exactly what the fault-free play draws, in the same order *)
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.oblivious [| 0.3; 0.5; 0.7 |] in
-      let frng = Rng.create ~seed:9 and crng = Rng.create ~seed:9 in
-      for _ = 1 to 300 do
-        let f = Fault_engine.run_once frng ~faults:Fault_model.none ~delta:1. pattern protocol in
-        let c = Engine.run_once crng ~delta:1. pattern protocol in
-        Alcotest.(check (array (float 0.))) "inputs" c.Engine.inputs f.Fault_engine.inputs;
-        Alcotest.(check (array int)) "decisions" c.Engine.decisions f.Fault_engine.decisions;
-        Alcotest.(check (float 0.)) "load0" c.Engine.load0 f.Fault_engine.load0;
-        Alcotest.(check (float 0.)) "load1" c.Engine.load1 f.Fault_engine.load1;
-        Alcotest.(check bool) "win" c.Engine.win f.Fault_engine.win;
-        Alcotest.(check int) "no faults" 0 f.Fault_engine.faults
-      done);
+      List.iter
+        (fun faults ->
+          let frng = Rng.create ~seed:9 and crng = Rng.create ~seed:9 in
+          for _ = 1 to 300 do
+            let f = Engine.run_once ~faults frng ~delta:1. pattern protocol in
+            let c = Engine.run_once crng ~delta:1. pattern protocol in
+            Alcotest.(check (array (float 0.))) "inputs" c.Engine.inputs f.Engine.inputs;
+            Alcotest.(check (array int)) "decisions" c.Engine.decisions f.Engine.decisions;
+            Alcotest.(check (array bool)) "no crash flags" [||] f.Engine.crashed;
+            Alcotest.(check (float 0.)) "capacity" 1. f.Engine.delta_eff;
+            Alcotest.(check (float 0.)) "load0" c.Engine.load0 f.Engine.load0;
+            Alcotest.(check (float 0.)) "load1" c.Engine.load1 f.Engine.load1;
+            Alcotest.(check bool) "win" c.Engine.win f.Engine.win;
+            Alcotest.(check int) "no faults" 0 f.Engine.faults
+          done;
+          Alcotest.(check int64) "streams end in the same state" (Rng.next_int64 crng)
+            (Rng.next_int64 frng))
+        [ Fault_model.none; Fault_model.make ~crash_mode:(Fault_model.Default_bin 0) () ]);
     Alcotest.test_case "zero-rate MC estimate is bit-identical to the clean engine" `Quick
       (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
-      let est_f =
-        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:17) ~samples:50_000
-          ~faults:Fault_model.none ~delta:1. pattern protocol
+      let est ?faults () =
+        Engine.win_probability_mc ?faults ~rng:(Rng.create ~seed:17) ~samples:50_000 ~delta:1.
+          pattern protocol
       in
-      let est_c =
-        Engine.win_probability_mc ~rng:(Rng.create ~seed:17) ~samples:50_000 ~delta:1. pattern
-          protocol
+      let est_c = est () in
+      List.iter
+        (fun faults ->
+          Alcotest.(check (float 0.)) (Fault_model.to_string faults) est_c.Mc.mean
+            (est ~faults ()).Mc.mean)
+        [ Fault_model.none; Fault_model.make ~crash_mode:(Fault_model.Default_bin 1) () ];
+      (* and the shared estimate is right: Theorem 5.1 over Q *)
+      let exact =
+        Rat.to_float
+          (Threshold.winning_probability_rat ~delta:Rat.one (Array.make 3 (Rat.of_ints 311 500)))
       in
-      Alcotest.(check (float 0.)) "mean" est_c.Mc.mean est_f.Mc.mean);
+      Alcotest.(check bool)
+        (Printf.sprintf "MC %.4f vs exact %.4f" est_c.Mc.mean exact)
+        true (Mc.agrees est_c exact));
     Alcotest.test_case "crash faults are counted and degrade plays" `Quick (fun () ->
       with_metrics (fun () ->
         let before_injected = counter_value "ddm_faults_injected_total" in
@@ -126,7 +142,7 @@ let engine_tests =
         let protocol = Dist_protocol.fair_coin ~n:3 in
         let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.5 in
         for _ = 1 to 200 do
-          ignore (Fault_engine.run_once rng ~faults ~delta:1. pattern protocol)
+          ignore (Engine.run_once ~faults rng ~delta:1. pattern protocol)
         done;
         let injected = counter_value "ddm_faults_injected_total" - before_injected in
         let degraded = counter_value "ddm_faults_degraded_plays_total" - before_degraded in
@@ -139,11 +155,11 @@ let engine_tests =
       let rng = Rng.create ~seed:3 in
       let v = { Dist_protocol.me = 0; own = 0.4; others = [ (1, 0.5); (2, 0.6); (3, 0.7) ] } in
       let lossy = Fault_model.make ~link_loss:1. () in
-      let dv, k = Fault_engine.degrade_view rng lossy v in
+      let dv, k = Engine.degrade_view rng lossy v in
       Alcotest.(check int) "all links lost" 3 k;
       Alcotest.(check (list (pair int (float 0.)))) "empty" [] dv.Dist_protocol.others;
       let stale = Fault_model.make ~stale:1. () in
-      let dv, k = Fault_engine.degrade_view rng stale v in
+      let dv, k = Engine.degrade_view rng stale v in
       Alcotest.(check int) "all links stale" 3 k;
       Alcotest.(check int) "links kept" 3 (List.length dv.Dist_protocol.others);
       List.iter
@@ -152,7 +168,7 @@ let engine_tests =
           Alcotest.(check bool) "stale value in [0,1)" true (x >= 0. && x < 1.))
         dv.Dist_protocol.others;
       let noisy = Fault_model.make ~noise:0.2 () in
-      let dv, k = Fault_engine.degrade_view rng noisy v in
+      let dv, k = Engine.degrade_view rng noisy v in
       Alcotest.(check int) "own + 3 links perturbed" 4 k;
       Alcotest.(check bool) "own moved at most by amplitude" true
         (abs_float (dv.Dist_protocol.own -. 0.4) <= 0.2));
@@ -161,36 +177,60 @@ let engine_tests =
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
       let p_drop =
-        Fault_engine.win_probability_given ~faults:(Fault_model.crash_only 1.) ~delta:1. pattern
-          protocol [| 0.9; 0.8; 0.7 |]
+        Engine.win_probability_given ~faults:(Fault_model.crash_only 1.) ~delta:1. pattern protocol
+          [| 0.9; 0.8; 0.7 |]
       in
       Alcotest.(check (float 1e-12)) "drop sheds all load" 1. p_drop;
       let bin0 r inputs =
-        Fault_engine.win_probability_given
+        Engine.win_probability_given
           ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
           ~delta:1. pattern protocol inputs
       in
       Alcotest.(check (float 1e-12)) "total 0.9 fits in bin 0" 1. (bin0 1. [| 0.4; 0.3; 0.2 |]);
       Alcotest.(check (float 1e-12)) "total 1.2 overflows bin 0" 0. (bin0 1. [| 0.5; 0.4; 0.3 |]));
     Alcotest.test_case "zero-rate fold equals the clean enumeration" `Quick (fun () ->
+      (* reference: a test-local walk over the 2^n decision vectors of the
+         oblivious rule, weighting each by its probability *)
+      let alpha = [| 0.2; 0.4; 0.6; 0.8 |] in
       let pattern = Comm_pattern.none ~n:4 in
-      let protocol = Dist_protocol.oblivious [| 0.2; 0.4; 0.6; 0.8 |] in
+      let protocol = Dist_protocol.oblivious alpha in
+      let delta = 1.3 in
+      let enumerate inputs =
+        let acc = ref 0. in
+        for mask = 0 to 15 do
+          let w = ref 1. and l0 = ref 0. and l1 = ref 0. in
+          for i = 0 to 3 do
+            if mask land (1 lsl i) = 0 then begin
+              w := !w *. alpha.(i);
+              l0 := !l0 +. inputs.(i)
+            end
+            else begin
+              w := !w *. (1. -. alpha.(i));
+              l1 := !l1 +. inputs.(i)
+            end
+          done;
+          if !l0 <= delta && !l1 <= delta then acc := !acc +. !w
+        done;
+        !acc
+      in
       let rng = Rng.create ~seed:33 in
       for _ = 1 to 50 do
         let inputs = Array.init 4 (fun _ -> Rng.float01 rng) in
-        Alcotest.(check (float 1e-12)) "fold = clean"
-          (Engine.win_probability_given ~delta:1.3 pattern protocol inputs)
-          (Fault_engine.win_probability_given ~faults:Fault_model.none ~delta:1.3 pattern protocol
-             inputs)
+        List.iter
+          (fun faults ->
+            Alcotest.(check (float 1e-12)) "fold = clean" (enumerate inputs)
+              (Engine.win_probability_given ?faults ~delta pattern protocol inputs))
+          [ None; Some Fault_model.none;
+            Some (Fault_model.crash_only ~mode:(Fault_model.Default_bin 1) 0.) ]
       done);
     Alcotest.test_case "crash fold agrees with Monte-Carlo" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
       let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3 in
-      let exact = Fault_engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
+      let exact = Engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
       let est =
-        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults
-          ~delta:1. pattern protocol
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults ~delta:1.
+          pattern protocol
       in
       Alcotest.(check bool)
         (Printf.sprintf "MC %.4f vs fold %.4f" est.Mc.mean exact)
@@ -200,7 +240,7 @@ let engine_tests =
       let protocol = Dist_protocol.fair_coin ~n:3 in
       Alcotest.(check bool) "raises" true
         (raises_invalid (fun () ->
-           Fault_engine.win_probability_given
+           Engine.win_probability_given
              ~faults:(Fault_model.make ~link_loss:0.5 ())
              ~delta:1. pattern protocol [| 0.5; 0.5; 0.5 |])));
     Alcotest.test_case "golden degradation table (n=3, delta=1, beta*)" `Quick (fun () ->
@@ -209,7 +249,7 @@ let engine_tests =
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
       let fold r =
-        Fault_engine.win_probability_grid ~points:64
+        Engine.win_probability_grid ~points:64
           ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
           ~delta:1. pattern protocol
       in
@@ -240,9 +280,9 @@ let combinator_tests =
       Alcotest.(check bool) "win_probability_given raises" true
         (raises_invalid (fun () ->
            Engine.win_probability_given ~delta:1. pattern nan_protocol [| 0.5; 0.5; 0.5 |]));
-      Alcotest.(check bool) "fault engine raises too" true
+      Alcotest.(check bool) "fault injection raises too" true
         (raises_invalid (fun () ->
-           Fault_engine.run_once (Rng.create ~seed:1) ~faults:Fault_model.none ~delta:1. pattern
+           Engine.run_once ~faults:Fault_model.none (Rng.create ~seed:1) ~delta:1. pattern
              nan_protocol)));
     Alcotest.test_case "sanitized clamps and replaces non-finite outputs" `Quick (fun () ->
       let v = { Dist_protocol.me = 0; own = 0.5; others = [] } in
@@ -335,8 +375,8 @@ let combinator_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       let faults = Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) () in
       let est j =
-        Fault_engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:81) ~samples:20_000
-          ~faults ~delta:1. pattern protocol
+        Engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:81) ~samples:20_000 ~faults
+          ~delta:1. pattern protocol
       in
       let e1 = est 1 in
       Alcotest.(check (float 0.)) "-j 2 bit-identical" e1.Mc.mean (est 2).Mc.mean;
@@ -385,12 +425,10 @@ let kernel_tests =
         (fun mode ->
           let faults = Fault_model.crash_only ~mode 0.2 in
           let est =
-            Fault_engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:71)
-              ~samples:120_000 ~faults ~delta pattern protocol
+            Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:71) ~samples:120_000
+              ~faults ~delta pattern protocol
           in
-          let fold =
-            Fault_engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol
-          in
+          let fold = Engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol in
           Alcotest.(check bool)
             (Fault_model.to_string faults)
             true (agrees_with_fold est fold))
@@ -402,15 +440,15 @@ let kernel_tests =
       let exact = Oblivious.winning_probability_uniform ~n:3 ~delta in
       let faults = Fault_model.make ~noise:0.3 ~link_loss:0.4 ~stale:0.3 () in
       let est =
-        Fault_engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:72) ~samples:150_000
-          ~faults ~delta pattern (Dist_protocol.fair_coin ~n:3)
+        Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:72) ~samples:150_000 ~faults
+          ~delta pattern (Dist_protocol.fair_coin ~n:3)
       in
       Alcotest.(check bool) "fair coin unmoved" true (Mc.agrees est exact));
     Alcotest.test_case "kernel fault estimates are worker-count bit-identical" `Quick (fun () ->
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       let faults = Fault_model.make ~crash:0.15 ~noise:0.1 ~jitter:0.2 () in
       let est j =
-        Fault_engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:73)
+        Engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:73)
           ~samples:40_000 ~faults ~delta pattern protocol
       in
       let e1 = est 1 in
@@ -421,11 +459,11 @@ let kernel_tests =
     Alcotest.test_case "kernel requests reject custom samplers" `Quick (fun () ->
       Alcotest.check_raises "sampler"
         (Invalid_argument
-           "Fault_engine.win_probability_mc: ~kernel assumes the paper's uniform input model \
-            (drop the custom sampler)")
+           "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model (drop the \
+            custom sampler)")
         (fun () ->
           ignore
-            (Fault_engine.win_probability_mc ~kernel:true
+            (Engine.win_probability_mc ~kernel:true
                ~sampler:(fun rng -> Rng.float01 rng *. 0.5)
                ~rng:(Rng.create ~seed:74) ~samples:100 ~faults:Fault_model.none ~delta pattern
                (Dist_protocol.fair_coin ~n:3))));
@@ -594,35 +632,58 @@ let fold_par_tests =
   [
     Alcotest.test_case "2^n crash fold is bit-identical across domains 1/2/4" `Quick (fun () ->
       let inputs = [| 0.7; 0.25; 0.55; 0.4 |] in
-      let fold j =
-        Fault_engine.win_probability_given ~domains:j ~faults ~delta pattern protocol inputs
-      in
+      let fold j = Engine.win_probability_given ~domains:j ~faults ~delta pattern protocol inputs in
       let f1 = fold 1 in
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) f1 (fold j))
         [ 2; 4 ];
-      let seq = Fault_engine.win_probability_given ~faults ~delta pattern protocol inputs in
-      Alcotest.(check bool) "matches the sequential fold" true (Float.abs (f1 -. seq) < 1e-14);
+      (* reference: the crash-subset formula spelled out with the
+         fault-free evaluator — a dropped player takes its input away, so
+         each subset is the clean game of its survivors *)
+      let c = faults.Fault_model.crash in
+      let by_subsets = ref 0. in
+      for mask = 0 to (1 lsl n) - 1 do
+        let survivors = List.filter (fun i -> mask land (1 lsl i) = 0) (List.init n Fun.id) in
+        let k = List.length survivors in
+        let weight = (c ** float_of_int (n - k)) *. ((1. -. c) ** float_of_int k) in
+        let win =
+          if k = 0 then 1.
+          else
+            Engine.win_probability_given ~delta (Comm_pattern.none ~n:k)
+              (Dist_protocol.common_threshold ~n:k 0.62)
+              (Array.of_list (List.map (fun i -> inputs.(i)) survivors))
+        in
+        by_subsets := !by_subsets +. (weight *. win)
+      done;
+      Alcotest.(check bool) "matches the sequential fold" true
+        (Float.abs (f1 -. !by_subsets) < 1e-14);
       (* leases beyond the 16 subsets fold nothing *)
       Alcotest.(check (float 0.)) "leases > subsets" f1
-        (Fault_engine.win_probability_given ~domains:3 ~leases:64 ~faults ~delta pattern
-           protocol inputs));
+        (Engine.win_probability_given ~domains:3 ~leases:64 ~faults ~delta pattern protocol
+           inputs));
     Alcotest.test_case "fault grid is bit-identical across domains 1/2/4" `Quick (fun () ->
       let grid j =
-        Fault_engine.win_probability_grid ~points:8 ~domains:j ~faults ~delta pattern protocol
+        Engine.win_probability_grid ~points:8 ~domains:j ~faults ~delta pattern protocol
       in
       let g1 = grid 1 in
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) g1 (grid j))
         [ 2; 4 ];
-      let seq = Fault_engine.win_probability_grid ~points:8 ~faults ~delta pattern protocol in
-      Alcotest.(check bool) "matches the sequential sweep" true (Float.abs (g1 -. seq) < 1e-12));
+      (* reference: a single-pass midpoint sum over the 8^4 cells *)
+      let coord k = (float_of_int k +. 0.5) /. 8. in
+      let acc = ref 0. in
+      for cell = 0 to 4095 do
+        let inputs = Array.init n (fun d -> coord ((cell lsr (3 * (n - 1 - d))) land 7)) in
+        acc := !acc +. Engine.win_probability_given ~faults ~delta pattern protocol inputs
+      done;
+      Alcotest.(check bool) "matches the sequential sweep" true
+        (Float.abs (g1 -. (!acc /. 4096.)) < 1e-12));
     Alcotest.test_case "fault grid cancellation reports merged progress" `Quick (fun () ->
       let calls = Atomic.make 0 in
       let cancel () = Atomic.fetch_and_add calls 1 >= 1_000 in
       try
         ignore
-          (Fault_engine.win_probability_grid ~points:8 ~domains:4 ~cancel ~faults ~delta pattern
+          (Engine.win_probability_grid ~points:8 ~domains:4 ~cancel ~faults ~delta pattern
              protocol);
         Alcotest.fail "sweep outran its cancel hook"
       with Engine.Cancelled { cells_done; cells_total } ->

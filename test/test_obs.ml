@@ -348,6 +348,19 @@ let trace_tests =
            which domain ran it. *)
         Alcotest.(check int) "one lease span per lease" 8 (calls "mc.par.lease");
         Alcotest.(check int) "top-level span on main" 1 (calls "mc.probability")));
+    Alcotest.test_case "exact folds span their leases only on a pool" `Quick (fun () ->
+      (* an inline fold already sits under its caller's span; a pooled one
+         records one span per lease, and a 10-item fold runs 10 leases,
+         not the default 64 *)
+      let lease_spans domains =
+        with_tracing (fun () ->
+          ignore (Par_fold.sum ~span:"test.lease" ~domains ~items:10 float_of_int);
+          match List.find_opt (fun r -> r.Trace.p_name = "test.lease") (Trace.profile ()) with
+          | Some r -> r.Trace.calls
+          | None -> 0)
+      in
+      Alcotest.(check int) "inline: no lease spans" 0 (lease_spans 1);
+      Alcotest.(check int) "pooled: one span per item-capped lease" 10 (lease_spans 2));
   ]
 
 (* ------------------------------ exporters ------------------------------ *)

@@ -486,14 +486,14 @@ let kernel_tests =
       Alcotest.(check bool) "kernel agrees with exact" true (Mc.agrees est_k exact);
       Alcotest.(check bool) "scalar agrees with exact" true (Mc.agrees est_s exact);
       Alcotest.(check int) "same sample count" est_s.Mc.samples est_k.Mc.samples);
-    Alcotest.test_case "run_par is bit-identical across domains 1/2/4" `Quick (fun () ->
+    Alcotest.test_case "run is bit-identical across domains 1/2/4" `Quick (fun () ->
       let k =
         Mc_kernel.make ~n:3 ~delta:1.
           ~fault:(Mc_kernel.fault ~crash_rate:0.1 ~crash_bin:0 ~noise:0.05 ~jitter:0.1 ())
           (Mc_kernel.Threshold (Array.make 3 0.62))
       in
       let go j =
-        Mc_kernel.run_par ~hist:(8, 0., 2.) ~loads:true ~domains:j ~rng:(Rng.create ~seed:31)
+        Mc_kernel.run ~hist:(8, 0., 2.) ~loads:true ~domains:j ~rng:(Rng.create ~seed:31)
           ~samples:60_000 k
       in
       let r1 = go 1 in
@@ -573,8 +573,8 @@ let kernel_tests =
         (Invalid_argument "Mc_kernel.run: samples must be >= 0") (fun () ->
           ignore (Mc_kernel.run ~rng:(Rng.create ~seed:1) ~samples:(-1) k));
       Alcotest.check_raises "domains < 1"
-        (Invalid_argument "Mc_kernel.run_par: domains must be >= 1") (fun () ->
-          ignore (Mc_kernel.run_par ~domains:0 ~rng:(Rng.create ~seed:1) ~samples:10 k));
+        (Invalid_argument "Mc_kernel.run: domains must be >= 1") (fun () ->
+          ignore (Mc_kernel.run ~domains:0 ~rng:(Rng.create ~seed:1) ~samples:10 k));
       let z = Mc_kernel.run ~rng:(Rng.create ~seed:1) ~samples:0 k in
       Alcotest.(check int) "samples:0 is empty" 0 z.Mc_kernel.samples;
       Alcotest.(check int) "samples:0 has no wins" 0 z.Mc_kernel.wins);

@@ -457,8 +457,8 @@ let solver_tests =
         (k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\"}"
         = k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\",\"budget_ms\":9}");
       (* seed-pinned estimates: byte-stable across repeat solves and across
-         the server's -j setting (the solver runs the kernel sequentially by
-         design), statistically consistent with the closed form *)
+         the server's -j setting (an estimate depends on seed, leases and
+         samples only), statistically consistent with the closed form *)
       let solve ?domains () =
         Solver.solve ?domains ~deadline_mono_s:far
           (parse_ok "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62,\"mode\":\"mc\"}")
@@ -483,11 +483,30 @@ let solver_tests =
       in
       let ac = Solver.solve ~deadline_mono_s:far rc in
       let fold =
-        Fault_engine.win_probability_grid ~points:64
-          ~faults:(Fault_model.crash_only 0.2) ~delta:1. (Comm_pattern.none ~n:3)
+        Engine.win_probability_grid ~points:64 ~faults:(Fault_model.crash_only 0.2) ~delta:1.
+          (Comm_pattern.none ~n:3)
           (Dist_protocol.single_threshold (Array.make 3 0.62))
       in
       checkb "crash mc near the exact fold" true (Float.abs (ac.Solver.p -. fold) < 0.02));
+    Alcotest.test_case "one cache key, one answer at every domains" `Quick (fun () ->
+      (* the answer cached under a key must not depend on the server's
+         --solver-jobs: the default and every domains value agree bit for
+         bit on the threshold fold and the crash grid *)
+      let far = Trace.now_mono_s () +. 60. in
+      List.iter
+        (fun body ->
+          let r = parse_ok body in
+          let p0 = (Solver.solve ~deadline_mono_s:far r).Solver.p in
+          List.iter
+            (fun domains ->
+              let p = (Solver.solve ~domains ~deadline_mono_s:far r).Solver.p in
+              checkb (Printf.sprintf "%s at domains %d: %h = %h" body domains p p0) true
+                (Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float p0)))
+            [ 1; 2; 4 ])
+        [ {|{"rule":"threshold","n":8,"delta":"3/2",|}
+          ^ {|"params":[0.31,0.62,0.44,0.7,0.52,0.28,0.66,0.41]}|};
+          {|{"rule":"oblivious","n":3,"delta":"1","params":[0.41,0.62,0.55],|}
+          ^ {|"mode":"grid","points":24,"crash":0.1}|} ]);
     Alcotest.test_case "answer json roundtrip" `Quick (fun () ->
       let a = { Solver.p = 0.625; detail = [ ("beta_star", Jsonx.Num 0.5) ] } in
       match Solver.answer_of_json (Solver.answer_to_json a) with
@@ -526,7 +545,7 @@ let engine_tests =
        with Engine.Cancelled { cells_done; cells_total } ->
          check Alcotest.int "cells done" 10 cells_done;
          check Alcotest.int "cells total" 64 cells_total);
-      (* fault-engine mirror shares the contract *)
+      (* the crash-fold grid shares the contract *)
       let calls = ref 0 in
       let cancel () =
         incr calls;
@@ -534,8 +553,8 @@ let engine_tests =
       in
       try
         ignore
-          (Fault_engine.win_probability_grid ~points:4 ~cancel
-             ~faults:(Fault_model.crash_only 0.1) ~delta:1. pat proto);
+          (Engine.win_probability_grid ~points:4 ~cancel ~faults:(Fault_model.crash_only 0.1)
+             ~delta:1. pat proto);
         Alcotest.fail "faults grid should cancel"
       with Engine.Cancelled { cells_done; cells_total } ->
         check Alcotest.int "fault cells done" 5 cells_done;
@@ -1100,6 +1119,25 @@ let serve_tests =
       Alcotest.check_raises "rejected"
         (Invalid_argument "Serve.start: slow_request_s must be positive") (fun () ->
           ignore (Serve.start { Serve.default_config with Serve.slow_request_s = 0. })));
+    Alcotest.test_case "an answer stored under a v1 key is answered cold" `Quick (fun () ->
+      (* a durable store filled by a build with the v1 key format holds
+         answers the current evaluators would not give; they must miss *)
+      let dir = temp_dir "ddm_serve_v1" in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let key = Solver.cache_key (parse_ok eval_req) in
+          check Alcotest.string "current key format" "v2|" (String.sub key 0 3);
+          let v1_key = "v1|" ^ String.sub key 3 (String.length key - 3) in
+          let store, _ = Cache_store.open_store ~dir in
+          Cache_store.put store ~key:v1_key
+            (Solver.answer_to_json { Solver.p = 0.125; detail = [] });
+          with_serve { Serve.default_config with Serve.cache_dir = Some dir } (fun t ->
+            let status, body = post ~body:eval_req (Serve.port t) "/eval" in
+            check Alcotest.int "200" 200 status;
+            let j = json_exn body in
+            checkb "answered cold" true (Jsonx.member "cached" j = Some (Jsonx.Bool false));
+            checkb "not the stale v1 value" true (Jsonx.float_member "p" j <> Some 0.125))));
   ]
 
 let () =
