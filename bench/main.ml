@@ -940,41 +940,39 @@ let x14 () =
   Printf.printf
     "The kernel replaces the per-play closure walk with chunked
 structure-of-arrays sampling and a fused accumulator (docs/KERNEL.md).
-It draws from a splitmix fill stream seeded off the same Rng, so at a
-fixed seed the kernel estimate is statistically identical to the
-closure estimate (same model, independent randomness), not
-byte-identical; each pair below must agree within its 95%% CIs.\n\n";
+The engine picks it for every local rule on the no-communication
+pattern; the closure column runs the same protocol with its local rule
+hidden, which sends the engine down the per-play path.  The kernel
+draws from a splitmix fill stream seeded off the same Rng, so at a
+fixed seed the two estimates are statistically identical (same model,
+independent randomness), not byte-identical; each pair below must
+agree within its 95%% CIs.\n\n";
   let time f =
     let t0 = Trace.now_mono_s () in
     let v = f () in
     (v, Trace.now_mono_s () -. t0)
   in
+  let hide p =
+    Dist_protocol.make ~deterministic:(Dist_protocol.is_deterministic p)
+      ~name:(Dist_protocol.name p) (Dist_protocol.decide p)
+  in
   let faults = Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 () in
   let rows =
     [
-      ( "threshold(beta*)",
-        fun ~kernel ->
-          let rng = Rng.create ~seed:141 in
-          Engine.win_probability_mc ~kernel ~rng ~samples ~delta pattern
-            (Dist_protocol.common_threshold ~n beta_star) );
-      ( "fair coin",
-        fun ~kernel ->
-          let rng = Rng.create ~seed:142 in
-          Engine.win_probability_mc ~kernel ~rng ~samples ~delta pattern
-            (Dist_protocol.fair_coin ~n) );
-      ( "faulty threshold",
-        fun ~kernel ->
-          let rng = Rng.create ~seed:143 in
-          Engine.win_probability_mc ~kernel ~rng ~samples ~faults ~delta pattern
-            (Dist_protocol.common_threshold ~n beta_star) );
+      ("threshold(beta*)", 141, None, Dist_protocol.common_threshold ~n beta_star);
+      ("fair coin", 142, None, Dist_protocol.fair_coin ~n);
+      ("faulty threshold", 143, Some faults, Dist_protocol.common_threshold ~n beta_star);
     ]
   in
   Printf.printf "%-18s %-13s %-13s %-9s %-10s %s\n" "workload" "closure s/s" "kernel s/s"
     "speedup" "|dP|" "CIs agree";
   List.iter
-    (fun (name, run) ->
-      let est_c, dt_c = time (fun () -> run ~kernel:false) in
-      let est_k, dt_k = time (fun () -> run ~kernel:true) in
+    (fun (name, seed, faults, protocol) ->
+      let run protocol () =
+        Engine.win_probability_mc ~rng:(Rng.create ~seed) ~samples ?faults ~delta pattern protocol
+      in
+      let est_c, dt_c = time (run (hide protocol)) in
+      let est_k, dt_k = time (run protocol) in
       let rate dt = if dt > 0. then float_of_int samples /. dt else 0. in
       Printf.printf "%-18s %-13.0f %-13.0f %-9s %-10.6f %b\n" name (rate dt_c) (rate dt_k)
         (Printf.sprintf "%.2fx" (dt_c /. Float.max 1e-9 dt_k))
@@ -985,7 +983,7 @@ byte-identical; each pair below must agree within its 95%% CIs.\n\n";
      estimate depends on (seed, leases, samples), never the worker count *)
   let kernel_par j =
     let rng = Rng.create ~seed:141 in
-    Engine.win_probability_mc ~kernel:true ~domains:j ~rng ~samples ~delta pattern
+    Engine.win_probability_mc ~domains:j ~rng ~samples ~delta pattern
       (Dist_protocol.common_threshold ~n beta_star)
   in
   let e1 = kernel_par 1 in
@@ -1101,55 +1099,17 @@ let groups =
 (* Machine-readable run reports (--report FILE)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One record per experiment: wall time (monotonic), the Monte-Carlo
-   throughput, the GC allocation delta, and the full
-   counter/gauge/histogram snapshot accumulated while it ran.
+(* One record per experiment (Baseline.measure, one repeat, no warm-up):
+   wall time (monotonic), the Monte-Carlo throughput, the GC allocation
+   delta, and the full counter/gauge/histogram snapshot accumulated while
+   it ran.
 
    Throughput is reported twice: `mc_samples_per_sec` keeps the v1
    semantics (samples over the WHOLE experiment window, including non-MC
    phases — misleading for mixed experiments, kept for v1 readers) while
    `mc_samples_per_sec_mc` divides by the time actually spent inside the
    MC sampling spans, taken from the per-span-name trace aggregation. *)
-
-(* The span names under which Mc.probability/Mc.expectation record the
-   sampling loops; every MC sample drawn anywhere in the tree passes
-   through exactly one of these leaves. *)
-let mc_span_names = [ "mc.probability"; "mc.expectation" ]
-
-let run_experiment ~instrument (id, f) =
-  if instrument then begin
-    Metrics.reset ();
-    Trace.clear ()
-  end;
-  let g0 = Ledger.gc_now () in
-  let t0 = Trace.now_mono_s () in
-  f ();
-  let wall_seconds = Trace.now_mono_s () -. t0 in
-  let gc = Ledger.gc_delta ~before:g0 ~after:(Ledger.gc_now ()) in
-  let snap = Metrics.snapshot () in
-  let mc_samples =
-    match Metrics.find "ddm_mc_samples_total" with
-    | Some { Metrics.value = Metrics.Counter_v v; _ } -> v
-    | _ -> 0
-  in
-  let mc_span_seconds =
-    List.fold_left (fun acc name -> acc +. Trace.total_seconds name) 0. mc_span_names
-  in
-  let mc_samples_per_sec =
-    if wall_seconds > 0. then float_of_int mc_samples /. wall_seconds else 0.
-  in
-  {
-    Baseline.id;
-    wall_seconds;
-    runs = [ wall_seconds ];
-    mc_samples;
-    mc_samples_per_sec;
-    mc_span_seconds = Some mc_span_seconds;
-    mc_samples_per_sec_mc =
-      (if mc_span_seconds > 0. then Some (float_of_int mc_samples /. mc_span_seconds) else None);
-    gc = Some gc;
-    metrics = Result.to_option (Jsonx.parse (Export.json_of_samples snap));
-  }
+let run_experiment (id, f) = Baseline.measure ~repeat:1 ~id (fun _ -> f ())
 
 (* Fail before the experiments run, not after tens of seconds of work. *)
 let check_writable ~flag file =
@@ -1160,22 +1120,12 @@ let check_writable ~flag file =
     exit 2
 
 let write_report ~file records =
-  let total = List.fold_left (fun acc r -> acc +. r.Baseline.wall_seconds) 0. records in
-  Baseline.write ~file
-    {
-      Baseline.version = 2;
-      suite = "ddm-bench";
-      created_s = Some (Unix.gettimeofday ());
-      rev = Ledger.git_rev ();
-      seed = None;
-      jobs = !jobs;
-      total_wall_seconds = total;
-      experiments = records;
-    };
+  let report = Baseline.report ~suite:"ddm-bench" ?jobs:!jobs records in
+  Baseline.write ~file report;
   Printf.printf "\nwrote run report: %s (%d experiment%s, %.2f s total)\n" file
     (List.length records)
     (if List.length records = 1 then "" else "s")
-    total
+    report.Baseline.total_wall_seconds
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1225,7 +1175,7 @@ let () =
     Metrics.set_enabled true;
     Trace.set_enabled true
   end;
-  let run_all () = List.map (run_experiment ~instrument) to_run in
+  let run_all () = List.map run_experiment to_run in
   let records =
     match ledger_file with
     | None -> run_all ()

@@ -63,17 +63,6 @@ let jobs_arg =
            threshold 2^n subset fold, chaos sweeps). Results are bit-identical for every \
            $(docv) at a fixed seed (lease-sharded work).")
 
-let kernel_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "kernel" ]
-        ~doc:
-          "Route the Monte-Carlo half through the batch sampling kernel (structure-of-arrays \
-           buffers, fused statistics): statistically identical estimates at the same seed, \
-           several times faster, same -j bit-identity contract. Only the oblivious/threshold \
-           rule families qualify. See docs/KERNEL.md.")
-
 let resolve_delta n = function Some d -> d | None -> Rat.of_ints n 3
 
 (* ------------------------- observability ------------------------- *)
@@ -366,7 +355,7 @@ let expand_params n = function
   | _ -> failwith "params length must be 1 or n"
 
 let eval_cmd =
-  let run n delta rule params samples seed jobs kernel () =
+  let run n delta rule params samples seed jobs () =
     let delta = resolve_delta n delta in
     let deltaf = Rat.to_float delta in
     let p = expand_params n params in
@@ -384,33 +373,20 @@ let eval_cmd =
       exact;
     let rng = Rng.create ~seed in
     let inst = Model.instance ~n ~delta:deltaf in
-    let est = Mc_eval.winning_probability ~domains:jobs ~kernel ~rng ~samples inst model_rule in
-    Printf.printf "Monte-Carlo (%d plays%s): %s\n" samples
-      (if kernel then ", batch kernel" else "")
-      (Format.asprintf "%a" Mc.pp_estimate est);
+    let est = Mc_eval.winning_probability ~domains:jobs ~rng ~samples inst model_rule in
+    Printf.printf "Monte-Carlo (%d plays): %s\n" samples (Format.asprintf "%a" Mc.pp_estimate est);
     Printf.printf "closed form inside 95%% interval: %b\n" (Mc.agrees est exact)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a decision rule exactly and by simulation.")
     (obs_term
        Term.(
-         const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg
-         $ kernel_arg))
+         const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg))
 
 (* ------------------------- simulate ------------------------- *)
 
-(* Aggregate over plays; one of these per lease, merged in lease order,
-   so the report is independent of the worker count. *)
-type sim_acc = {
-  wins : int;
-  over0 : int;
-  over1 : int;
-  loads : Stats.acc;
-  hist : Stats.histogram option;
-}
-
 let simulate_cmd =
-  let run n delta rule params samples seed jobs hist_bins kernel () =
+  let run n delta rule params samples seed jobs hist_bins () =
     let delta = Rat.to_float (resolve_delta n delta) in
     let p = expand_params n params in
     let protocol =
@@ -420,67 +396,21 @@ let simulate_cmd =
     in
     let rng = Rng.create ~seed in
     let pattern = Comm_pattern.none ~n in
-    let init () =
-      {
-        wins = 0;
-        over0 = 0;
-        over1 = 0;
-        loads = Stats.empty;
-        hist =
-          Option.map (fun bins -> Stats.histogram_empty ~bins ~lo:0. ~hi:(2. *. delta)) hist_bins;
-      }
-    in
-    let step acc rng =
-      let o = Engine.run_once rng ~delta pattern protocol in
-      let max_load = Float.max o.Engine.load0 o.Engine.load1 in
-      Option.iter (fun h -> Stats.histogram_observe h max_load) acc.hist;
-      {
-        acc with
-        wins = (acc.wins + if o.Engine.win then 1 else 0);
-        over0 = (acc.over0 + if o.Engine.load0 > delta then 1 else 0);
-        over1 = (acc.over1 + if o.Engine.load1 > delta then 1 else 0);
-        loads = Stats.add acc.loads max_load;
-      }
-    in
-    let merge a b =
-      {
-        wins = a.wins + b.wins;
-        over0 = a.over0 + b.over0;
-        over1 = a.over1 + b.over1;
-        loads = Stats.merge a.loads b.loads;
-        hist =
-          (match (a.hist, b.hist) with
-          | Some x, Some y -> Some (Stats.histogram_merge x y)
-          | x, None -> x
-          | None, y -> y);
-      }
-    in
-    let acc =
-      if kernel then
-        (* The kernel result record carries exactly the sim_acc fields:
-           same win/overflow predicates, same Welford max-load moments,
-           same histogram range. *)
-        let spec = Engine.kernel_spec ~where:"ddm simulate --kernel" ~delta pattern protocol in
-        let hist = Option.map (fun bins -> (bins, 0., 2. *. delta)) hist_bins in
-        let r = Mc_kernel.run ?hist ~loads:true ~domains:jobs ~rng ~samples spec in
-        {
-          wins = r.Mc_kernel.wins;
-          over0 = r.Mc_kernel.over0;
-          over1 = r.Mc_kernel.over1;
-          loads = r.Mc_kernel.loads;
-          hist = r.Mc_kernel.hist;
-        }
-      else Mc_par.fold ~domains:jobs ~rng ~samples ~init ~step ~merge ()
-    in
+    (* a threshold or oblivious protocol without communication is the
+       paper's game, so it always has a kernel spec; the engine's spec
+       keeps the engine's play counters *)
+    let spec = Option.get (Engine.kernel_spec ~delta pattern protocol) in
+    let hist = Option.map (fun bins -> (bins, 0., 2. *. delta)) hist_bins in
+    let r = Mc_kernel.run ?hist ~loads:true ~domains:jobs ~rng ~samples spec in
     let f c = float_of_int c /. float_of_int samples in
-    Printf.printf "protocol: %s over %s%s\n" (Dist_protocol.name protocol)
-      (Comm_pattern.to_string pattern)
-      (if kernel then " (batch kernel)" else "");
-    Printf.printf "plays: %d   P(win) = %.6f\n" samples (f acc.wins);
-    Printf.printf "overflow rates: bin0 %.6f, bin1 %.6f\n" (f acc.over0) (f acc.over1);
-    Printf.printf "max-load: mean %.4f, stddev %.4f\n" (Stats.mean acc.loads)
-      (Stats.stddev acc.loads);
-    match acc.hist with
+    Printf.printf "protocol: %s over %s\n" (Dist_protocol.name protocol)
+      (Comm_pattern.to_string pattern);
+    Printf.printf "plays: %d   P(win) = %.6f\n" samples (f r.Mc_kernel.wins);
+    Printf.printf "overflow rates: bin0 %.6f, bin1 %.6f\n" (f r.Mc_kernel.over0)
+      (f r.Mc_kernel.over1);
+    Printf.printf "max-load: mean %.4f, stddev %.4f\n" (Stats.mean r.Mc_kernel.loads)
+      (Stats.stddev r.Mc_kernel.loads);
+    match r.Mc_kernel.hist with
     | None -> ()
     | Some h ->
       let bins = Array.length h.Stats.counts in
@@ -509,7 +439,7 @@ let simulate_cmd =
     (obs_term
        Term.(
          const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg
-         $ hist_arg $ kernel_arg))
+         $ hist_arg))
 
 (* ------------------------- banded ------------------------- *)
 
@@ -551,8 +481,8 @@ let banded_cmd =
 (* ------------------------- chaos ------------------------- *)
 
 let chaos_cmd =
-  let run n delta rule params samples seed jobs kernel crash crash_mode loss stale noise jitter
-      sweep points csv () =
+  let run n delta rule params samples seed jobs crash crash_mode loss stale noise jitter sweep
+      points csv () =
     let delta_r = resolve_delta n delta in
     let deltaf = Rat.to_float delta_r in
     let protocol =
@@ -587,7 +517,7 @@ let chaos_cmd =
     let pattern = Comm_pattern.none ~n in
     let rng = Rng.create ~seed in
     let report =
-      Degradation.sweep ~grid_points ~domains:jobs ~kernel ~rng ~samples ~rates ~model_of
+      Degradation.sweep ~grid_points ~domains:jobs ~rng ~samples ~rates ~model_of
         ~delta:deltaf pattern protocol
     in
     Printf.printf "instance: n = %d, delta = %s\n" n (Rat.to_string delta_r);
@@ -671,8 +601,8 @@ let chaos_cmd =
     (obs_term
        Term.(
          const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg
-         $ kernel_arg $ crash_arg $ crash_mode_arg $ loss_arg $ stale_arg $ noise_arg $ jitter_arg
-         $ sweep_arg $ points_arg $ csv_arg))
+         $ crash_arg $ crash_mode_arg $ loss_arg $ stale_arg $ noise_arg $ jitter_arg $ sweep_arg
+         $ points_arg $ csv_arg))
 
 (* ------------------------- perf ------------------------- *)
 
@@ -685,6 +615,13 @@ let chaos_cmd =
    baseline entries (recorded at -j 1) are what `perf check` gates the
    multicore speedup against, and their twins always run on one domain. *)
 let perf_suite ~jobs : (string * (int -> unit)) list =
+  (* perf-mc-100k-n3 and its -par twin time the closure path their
+     baseline entries recorded: hiding the local rule keeps the engine
+     from handing the run to the kernel. *)
+  let closure_threshold =
+    let p = Dist_protocol.common_threshold ~n:3 0.62 in
+    Dist_protocol.make ~deterministic:true ~name:(Dist_protocol.name p) (Dist_protocol.decide p)
+  in
   [
     ( "perf-sym-eval-n5",
       fun _ ->
@@ -717,7 +654,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
         let rng = Rng.create ~seed in
         ignore
           (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
+             closure_threshold) );
     ( "perf-mc-par-100k-n3",
       fun seed ->
         let rng = Rng.create ~seed in
@@ -725,27 +662,26 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
           (Engine.win_probability_mc
              ~domains:jobs
              ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
+             closure_threshold) );
     ( "perf-mc-kernel-100k-n3",
       (* same instance as perf-mc-100k-n3: the pair is the kernel-vs-closure
          speedup the ROADMAP gates on *)
       fun seed ->
         let rng = Rng.create ~seed in
         ignore
-          (Engine.win_probability_mc ~kernel:true ~rng ~samples:100_000 ~delta:1.
-             (Comm_pattern.none ~n:3)
+          (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );
     ( "perf-mc-kernel-oblivious-100k-n3",
       fun seed ->
         let rng = Rng.create ~seed in
         ignore
-          (Engine.win_probability_mc ~kernel:true ~rng ~samples:100_000 ~delta:1.
-             (Comm_pattern.none ~n:3) (Dist_protocol.fair_coin ~n:3)) );
+          (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
+             (Dist_protocol.fair_coin ~n:3)) );
     ( "perf-mc-kernel-faulty-100k-n3",
       fun seed ->
         let rng = Rng.create ~seed in
         ignore
-          (Engine.win_probability_mc ~kernel:true ~rng ~samples:100_000
+          (Engine.win_probability_mc ~rng ~samples:100_000
              ~faults:(Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 ())
              ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );
@@ -761,53 +697,6 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
           ignore (Bigint.mul a a)
         done );
   ]
-
-let mc_span_names = [ "mc.probability"; "mc.expectation" ]
-
-(* Record one experiment: --repeat timed runs under metrics+tracing, the
-   per-repeat wall times kept for the z-test, MC/GC attribution from the
-   final repeat. *)
-let measure_experiment ~repeat ~seed (id, f) =
-  let wall = ref [] and last = ref None in
-  f seed (* untimed warm-up: page-cache and minor-heap effects dominate a cold first repeat *);
-  for k = 1 to repeat do
-    Metrics.reset ();
-    Trace.clear ();
-    let g0 = Ledger.gc_now () in
-    let t0 = Trace.now_mono_s () in
-    f (seed + k - 1);
-    let dt = Trace.now_mono_s () -. t0 in
-    let gc = Ledger.gc_delta ~before:g0 ~after:(Ledger.gc_now ()) in
-    wall := dt :: !wall;
-    if k = repeat then begin
-      let mc_samples =
-        match Metrics.find "ddm_mc_samples_total" with
-        | Some { Metrics.value = Metrics.Counter_v v; _ } -> v
-        | _ -> 0
-      in
-      let mc_span =
-        List.fold_left (fun acc name -> acc +. Trace.total_seconds name) 0. mc_span_names
-      in
-      let metrics = Result.to_option (Jsonx.parse (Export.json_of_samples (Metrics.snapshot ()))) in
-      last := Some (mc_samples, mc_span, gc, metrics)
-    end
-  done;
-  let runs = List.rev !wall in
-  let mc_samples, mc_span, gc, metrics = Option.get !last in
-  {
-    Baseline.id;
-    wall_seconds = List.fold_left ( +. ) 0. runs /. float_of_int repeat;
-    runs;
-    mc_samples;
-    mc_samples_per_sec =
-      (let w = List.nth runs (repeat - 1) in
-       if w > 0. then float_of_int mc_samples /. w else 0.);
-    mc_span_seconds = (if mc_span > 0. then Some mc_span else None);
-    mc_samples_per_sec_mc =
-      (if mc_span > 0. then Some (float_of_int mc_samples /. mc_span) else None);
-    gc = Some gc;
-    metrics;
-  }
 
 let record_suite ~repeat ~seed ~only ~jobs =
   let all = perf_suite ~jobs in
@@ -836,18 +725,16 @@ let record_suite ~repeat ~seed ~only ~jobs =
       ~finally:(fun () ->
         Metrics.set_enabled m0;
         Trace.set_enabled t0)
-      (fun () -> List.map (measure_experiment ~repeat ~seed) suite)
+      (fun () ->
+        List.map
+          (fun (id, f) ->
+            (* untimed warm-up: page-cache and minor-heap effects dominate
+               a cold first repeat *)
+            f seed;
+            Baseline.measure ~repeat ~id (fun k -> f (seed + k)))
+          suite)
   in
-  {
-    Baseline.version = 2;
-    suite = "ddm-perf";
-    created_s = Some (Unix.gettimeofday ());
-    rev = Ledger.git_rev ();
-    seed = Some seed;
-    jobs = Some jobs;
-    total_wall_seconds = List.fold_left (fun acc r -> acc +. r.Baseline.wall_seconds) 0. records;
-    experiments = records;
-  }
+  Baseline.report ~suite:"ddm-perf" ~seed ~jobs records
 
 let repeat_arg =
   Arg.(

@@ -1,17 +1,15 @@
+(* The sampler follows the rule: the paper's two local families are the
+   game the batch kernel plays; a Custom rule takes the closure. *)
 let kernel_of inst rule =
+  let make r = Some (Mc_kernel.make ~n:inst.Model.n ~delta:inst.Model.delta r) in
   match rule with
-  | Model.Single_threshold a ->
-    Mc_kernel.make ~n:inst.Model.n ~delta:inst.Model.delta (Mc_kernel.Threshold a)
-  | Model.Oblivious a ->
-    Mc_kernel.make ~n:inst.Model.n ~delta:inst.Model.delta (Mc_kernel.Oblivious a)
-  | Model.Custom _ ->
-    invalid_arg
-      "Mc_eval.winning_probability: Custom rules have no batch-kernel form (drop ~kernel)"
+  | Model.Single_threshold a -> make (Mc_kernel.Threshold a)
+  | Model.Oblivious a -> make (Mc_kernel.Oblivious a)
+  | Model.Custom _ -> None
 
-let winning_probability ?domains ?leases ?(kernel = false) ~rng ~samples inst rule =
+let winning_probability ?domains ?leases ~rng ~samples inst rule =
   Trace.with_span "mc_eval.winning_probability" @@ fun () ->
-  let kernel = if kernel then Some (kernel_of inst rule) else None in
-  Mc.probability ?domains ?leases ?kernel ~rng ~samples (fun rng ->
+  Mc.probability ?domains ?leases ?kernel:(kernel_of inst rule) ~rng ~samples (fun rng ->
       (Model.play rng inst rule).Model.win)
 
 let check_against = Mc.agrees

@@ -6,7 +6,6 @@
 val winning_probability :
   ?domains:int ->
   ?leases:int ->
-  ?kernel:bool ->
   rng:Rng.t ->
   samples:int ->
   Model.instance ->
@@ -15,12 +14,15 @@ val winning_probability :
 (** [?domains] (default 1) and [?leases] drive {!Mc.probability}'s
     lease-sharded sampler (worker-count-independent estimates at a fixed
     seed).
-    [~kernel:true] routes {!Model.Oblivious} / {!Model.Single_threshold}
-    rules through the batch kernel ({!Mc_kernel}): statistically identical
-    to the scalar path at the same seed, several times faster, same [-j]
-    bit-identity.
-    @raise Invalid_argument for [~kernel:true] with a {!Model.Custom}
-    rule. *)
+
+    The sampler follows the rule: {!Model.Oblivious} and
+    {!Model.Single_threshold} rules are played by the batch kernel
+    ({!Mc_kernel}, several times faster), a {!Model.Custom} rule by the
+    per-play closure over {!Model.play}.  Both estimate the same
+    probability; they draw in different orders, so they agree
+    statistically, not byte-for-byte.
+    @raise Invalid_argument when an oblivious/threshold rule's parameter
+    array is not of length [n] or holds a non-finite value. *)
 
 val check_against : Mc.estimate -> float -> bool
 (** Alias of {!Mc.agrees}. *)

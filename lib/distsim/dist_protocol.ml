@@ -5,7 +5,7 @@ let view_input v j =
 
 (* Local rules depend only on the deciding player's own input; recording
    which standard family built the protocol lets the batch kernel
-   (Mc_kernel, via Engine's ~kernel) replay it without calling
+   (Mc_kernel, via Engine.kernel_spec) replay it without calling
    [decide] per sample.  The closure stays authoritative — [local_rule] is
    an introspection hint that must describe the same decision function. *)
 type local_rule = Local_threshold of float array | Local_oblivious of float array

@@ -38,8 +38,8 @@ val local_rule : t -> local_rule option
     {!common_threshold} families (preserved by {!sanitized}, which cannot
     change their already-clamped outputs); [None] for {!make},
     {!weighted_threshold} and {!with_fallback}, whose decisions can read
-    the rest of the view.  {!Engine.kernel_spec} uses this to route
-    [~kernel] runs to {!Mc_kernel} without calling [decide] per sample. *)
+    the rest of the view.  {!Engine.kernel_spec} uses this to hand a
+    no-communication run to {!Mc_kernel}, which never calls [decide]. *)
 
 val make : ?deterministic:bool -> name:string -> (view -> float) -> t
 

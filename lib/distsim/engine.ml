@@ -264,23 +264,34 @@ let run_once ?(sampler = Rng.float01) ?faults rng ~delta pattern protocol =
     end;
     settle ~inputs ~crashed ~decisions ~delta_eff ~faults:events
 
-(* Translate a kernel-eligible protocol into a batch-kernel spec.  Raises
-   a named error instead of silently falling back: a caller asking for
-   [~kernel:true] wants the fast path or an explanation, not a quiet 5x
-   slowdown.  Link loss and stale reads degrade only the revealed inputs,
-   which a local (kernel-eligible) rule never reads, so they cannot change
-   any outcome and the spec drops them; crash / noise / jitter translate
-   one-to-one. *)
-let kernel_spec ~where ?faults ~delta pattern protocol =
+(* A kernel run keeps the counters run_once keeps, once per lease.  Besides
+   its plays, a lease tallies crashes and crashed plays from draws it
+   already makes; on the no-communication pattern every other count
+   follows.  Noise perturbs each surviving player's own value
+   (degrade_view does, whatever the rule reads), jitter judges every
+   play, and with either on every play carries a fault event. *)
+let count_lease ~n faults (r : Mc_kernel.result) =
+  Metrics.add plays r.samples;
+  Option.iter
+    (fun (m : Fault_model.t) ->
+      Metrics.add fault_plays r.samples;
+      let perturbed = if m.noise > 0. then (n * r.samples) - r.crashes else 0 in
+      let jittered = if m.jitter > 0. then r.samples else 0 in
+      Metrics.add crashes r.crashes;
+      Metrics.add values_perturbed perturbed;
+      Metrics.add jittered_plays jittered;
+      Metrics.add injected (r.crashes + perturbed + jittered);
+      Metrics.add degraded_plays
+        (if m.noise > 0. || m.jitter > 0. then r.samples else r.crash_plays))
+    faults
+
+(* The kernel plays the paper's game: a local rule on the
+   no-communication pattern.  There no player reveals an input, so link
+   loss and stale reads have nothing to degrade and the spec drops them;
+   crash / noise / jitter translate one-to-one. *)
+let kernel_spec ?faults ~delta pattern protocol =
   match Dist_protocol.local_rule protocol with
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "%s: protocol %S has no local rule (only the oblivious/threshold families ride the \
-          batch kernel)"
-         where
-         (Dist_protocol.name protocol))
-  | Some lr ->
+  | Some lr when Comm_pattern.message_count pattern = 0 ->
     let rule =
       match lr with
       | Dist_protocol.Local_threshold a -> Mc_kernel.Threshold a
@@ -295,27 +306,17 @@ let kernel_spec ~where ?faults ~delta pattern protocol =
             ~noise:m.noise ~jitter:m.jitter ())
         faults
     in
-    Mc_kernel.make ?fault ~n:(Comm_pattern.n pattern) ~delta rule
+    let n = Comm_pattern.n pattern in
+    Some (Mc_kernel.make ?fault ~on_lease:(count_lease ~n faults) ~n ~delta rule)
+  | _ -> None
 
-let win_probability_mc ?sampler ?(kernel = false) ?domains ?leases ?faults ~rng ~samples ~delta
-    pattern protocol =
+let win_probability_mc ?sampler ?domains ?leases ?faults ~rng ~samples ~delta pattern protocol =
   Option.iter Fault_model.validate faults;
   Trace.with_span "engine.mc" @@ fun () ->
+  (* the sampler follows the question: the kernel for the paper's game on
+     its uniform inputs, the closure for everything else *)
   let kernel =
-    if kernel then begin
-      if Option.is_some sampler then
-        invalid_arg
-          "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model (drop the \
-           custom sampler)";
-      (* The scalar path bumps the play counters once per run_once call;
-         the kernel path accounts for the whole batch here, in aggregate,
-         and leaves the per-event ddm_faults_* counters unmaintained (see
-         docs/KERNEL.md). *)
-      Metrics.add plays samples;
-      if Option.is_some faults then Metrics.add fault_plays samples;
-      Some (kernel_spec ~where:"Engine.win_probability_mc" ?faults ~delta pattern protocol)
-    end
-    else None
+    if Option.is_some sampler then None else kernel_spec ?faults ~delta pattern protocol
   in
   Mc.probability ?domains ?leases ?kernel ~rng ~samples (fun rng ->
       (run_once ?sampler ?faults rng ~delta pattern protocol).win)

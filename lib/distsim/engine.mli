@@ -108,24 +108,25 @@ val run_once :
     output (see {!Dist_protocol.sanitized} to degrade instead). *)
 
 val kernel_spec :
-  where:string ->
-  ?faults:Fault_model.t ->
-  delta:float ->
-  Comm_pattern.t ->
-  Dist_protocol.t ->
-  Mc_kernel.t
-(** Translate a protocol with a {!Dist_protocol.local_rule} into a batch
-    kernel spec for the pattern's player count ([ddm simulate --kernel]
-    runs it directly).  [faults]' crash, noise and jitter translate
-    one-to-one; link loss and stale reads are dropped, because a local
-    rule never reads the revealed inputs they degrade.  [where] names the
-    caller in errors.
-    @raise Invalid_argument when the protocol has no local rule or its
-    parameter count disagrees with the pattern. *)
+  ?faults:Fault_model.t -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> Mc_kernel.t option
+(** The batch-kernel spec of a question, when the kernel can play it:
+    [Some] exactly when the protocol has a {!Dist_protocol.local_rule}
+    and the pattern sends no message ([Comm_pattern.message_count = 0]),
+    the paper's no-communication game.  [faults]' crash, noise and
+    jitter translate one-to-one; link loss and stale reads have no
+    revealed input to degrade there and are dropped.
+
+    The spec keeps the counters {!run_once} keeps, added once per lease
+    as it finishes: [ddm_engine_plays_total] and, with [faults] given,
+    [ddm_faults_plays_total], crashes, values perturbed (every surviving
+    player when noise is on, whatever the rule reads), jittered plays,
+    [ddm_faults_injected_total] and degraded plays.  [ddm simulate] runs
+    it directly.
+    @raise Invalid_argument when the rule's parameter count disagrees
+    with the pattern or a parameter is not finite. *)
 
 val win_probability_mc :
   ?sampler:(Rng.t -> float) ->
-  ?kernel:bool ->
   ?domains:int ->
   ?leases:int ->
   ?faults:Fault_model.t ->
@@ -136,15 +137,15 @@ val win_probability_mc :
     the estimate is bit-identical for every worker count at a fixed seed
     and fault counters stay exact (they are atomic).
 
-    [~kernel:true] routes the run through the batch kernel
-    ({!Mc_kernel}, via {!kernel_spec}): statistically identical to the
-    closure path at the same seed, several times faster, same [-j]
-    bit-identity contract.  [ddm_engine_plays_total] and
-    [ddm_faults_plays_total] are bumped in aggregate and the per-event
-    fault counters (crashes, perturbations, ...) are not maintained.
-    @raise Invalid_argument when [~kernel:true] is combined with a custom
-    [sampler] or a protocol without a {!Dist_protocol.local_rule}, or on
-    an invalid fault model. *)
+    The sampler follows the question.  Without a custom [sampler], a
+    question {!kernel_spec} accepts is played by the batch kernel
+    ({!Mc_kernel}), several times faster; every other question (the
+    communication patterns, view-reading protocols, custom input
+    distributions) by the per-play closure over {!run_once}.  Both keep
+    the same [ddm_engine_*] / [ddm_faults_*] counts on the
+    no-communication pattern, and their estimates agree statistically at
+    the same seed, not byte-for-byte.
+    @raise Invalid_argument on an invalid fault model. *)
 
 val win_probability_given :
   ?domains:int ->

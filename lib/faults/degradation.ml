@@ -23,21 +23,19 @@ type report = {
   points : point list;
 }
 
-let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~model_of ~delta
-    pattern protocol =
+let sweep ?(grid_points = 64) ?domains ?leases ~rng ~samples ~rates ~model_of ~delta pattern
+    protocol =
   Trace.with_span "faults.degradation_sweep" @@ fun () ->
   (* [domains] (default 1) runs both halves of every point: the MC
      estimate on Mc_par's split-stream leases, the exact grid on Par_fold's
-     index-sharded leases — each bit-identical across worker counts.
-     [kernel] batches every MC half through Mc_kernel's fault variant (the
-     exact grid halves are untouched). *)
+     index-sharded leases — each bit-identical across worker counts. *)
   let baseline_exact =
     Engine.win_probability_grid ~points:grid_points ?domains ?leases ~delta pattern protocol
   in
   (* every sweep point owns a split-off stream: adding a rate or changing
      the sample count of one point never shifts another's randomness *)
   let baseline_mc =
-    Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
+    Engine.win_probability_mc ?domains ?leases ~rng:(Rng.split rng) ~samples
       ~faults:Fault_model.none ~delta pattern protocol
   in
   let points =
@@ -50,8 +48,8 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
             [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("rate", Logx.Float rate);
               ("samples", Logx.Int samples) ];
         let estimate =
-          Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
-            ~faults ~delta pattern protocol
+          Engine.win_probability_mc ?domains ?leases ~rng:(Rng.split rng) ~samples ~faults ~delta
+            pattern protocol
         in
         let exact =
           if Fault_model.crash_foldable faults then

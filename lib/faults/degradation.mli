@@ -34,7 +34,6 @@ val sweep :
   ?grid_points:int ->
   ?domains:int ->
   ?leases:int ->
-  ?kernel:bool ->
   rng:Rng.t ->
   samples:int ->
   rates:float list ->
@@ -53,13 +52,10 @@ val sweep :
     leases and the exact grid fold through {!Par_fold}'s index-sharded
     leases (each sweep point is an independent exact solve whose cells
     go wide).  The report is bit-identical for every worker count at a
-    fixed seed and lease count.
-
-    [~kernel:true] batches every MC half through {!Mc_kernel}'s fault
-    variant (exact halves are untouched): statistically identical curves,
-    several times faster, same [-j] bit-identity.
-    @raise Invalid_argument when the protocol has no
-    {!Dist_protocol.local_rule}. *)
+    fixed seed and lease count.  Each MC half is an
+    {!Engine.win_probability_mc} run, so the sampler follows the question:
+    the batch kernel for a local rule on the no-communication pattern, the
+    closure otherwise. *)
 
 val monotone_nonincreasing : ?slack:float -> report -> bool
 (** Does the win probability degrade monotonically along [points]?

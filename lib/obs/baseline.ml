@@ -191,6 +191,60 @@ let write ~file r =
       output_string oc (Jsonx.to_string (to_json r));
       output_char oc '\n')
 
+(* ----------------------------- recording ----------------------------- *)
+
+(* The span names under which Mc.probability / Mc.expectation record their
+   sampling loops: every Monte-Carlo sample passes through exactly one of
+   them, so their total is the time spent sampling. *)
+let mc_span_names = [ "mc.probability"; "mc.expectation" ]
+
+let measure ~repeat ~id f =
+  if repeat < 1 then invalid_arg "Baseline.measure: repeat must be >= 1";
+  let runs = ref [] and gc = ref None in
+  for k = 0 to repeat - 1 do
+    Metrics.reset ();
+    Trace.clear ();
+    let g0 = Ledger.gc_now () in
+    let t0 = Trace.now_mono_s () in
+    f k;
+    runs := (Trace.now_mono_s () -. t0) :: !runs;
+    gc := Some (Ledger.gc_delta ~before:g0 ~after:(Ledger.gc_now ()))
+  done;
+  (* the counters, spans and GC delta left standing are the final repeat's *)
+  let last = List.hd !runs and runs = List.rev !runs in
+  let mc_samples =
+    match Metrics.find "ddm_mc_samples_total" with
+    | Some { Metrics.value = Metrics.Counter_v v; _ } -> v
+    | _ -> 0
+  in
+  let mc_span =
+    List.fold_left (fun acc name -> acc +. Trace.total_seconds name) 0. mc_span_names
+  in
+  let per_s dt = if dt > 0. then Some (float_of_int mc_samples /. dt) else None in
+  {
+    id;
+    wall_seconds = mean runs;
+    runs;
+    mc_samples;
+    mc_samples_per_sec = Option.value ~default:0. (per_s last);
+    mc_span_seconds = (if mc_span > 0. then Some mc_span else None);
+    mc_samples_per_sec_mc = per_s mc_span;
+    gc = !gc;
+    metrics = Result.to_option (Jsonx.parse (Export.json_of_samples (Metrics.snapshot ())));
+  }
+
+let report ~suite ?seed ?jobs experiments =
+  {
+    version = 2;
+    suite;
+    created_s = Some (Unix.gettimeofday ());
+    rev = Ledger.git_rev ();
+    seed;
+    jobs;
+    total_wall_seconds = List.fold_left (fun acc e -> acc +. e.wall_seconds) 0. experiments;
+    experiments;
+  }
+
 (* --------------------------- classification --------------------------- *)
 
 type noise = { rel_tolerance : float; min_delta_s : float; z : float }

@@ -49,6 +49,22 @@ val to_json : report -> Jsonx.t
 val write : file:string -> report -> unit
 (** Writers emit v2 unless [version <= 1]. *)
 
+(** {1 Recording} *)
+
+val measure : repeat:int -> id:string -> (int -> unit) -> experiment
+(** Record one experiment: [f k] for [k = 0 .. repeat-1], each timed on
+    the monotonic clock under a freshly reset metrics registry and trace
+    buffer.  The per-repeat wall times become [runs]; the MC sample count
+    ([ddm_mc_samples_total]), the time inside the MC sampling spans, the
+    GC delta and the metrics snapshot are the final repeat's.  The
+    attribution reads the live registry and trace buffer, so it is zero
+    unless the caller enabled metrics and tracing.
+    @raise Invalid_argument when [repeat < 1]. *)
+
+val report : suite:string -> ?seed:int -> ?jobs:int -> experiment list -> report
+(** A v2 report of [experiments], stamped with the current time and the
+    git revision. *)
+
 (** {1 Regression classification} *)
 
 type noise = {

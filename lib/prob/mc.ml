@@ -31,11 +31,12 @@ let pp_estimate fmt e =
    are merged on join and the throughput gauge is written once here, on
    the calling domain, so nothing races.
 
-   [?kernel] swaps the sampling loop for the batch kernel: [f] is kept in
-   the signature as the scalar reference but is never called.  The kernel
-   runs inside the same span and feeds the same finish_run counters, so
-   throughput attribution (mc_samples_per_sec in the perf suite) keeps
-   working unchanged. *)
+   [?kernel] swaps the sampling loop for the batch kernel; this is the one
+   place an estimate is built from either sampler.  [f] is kept in the
+   signature as the scalar reference but is never called.  The kernel runs
+   inside the same span and feeds the same finish_run counters, so
+   throughput attribution (mc_samples_per_sec in the perf suite) covers
+   both. *)
 let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.probability: samples";
   Trace.with_span "mc.probability" @@ fun () ->
@@ -52,17 +53,11 @@ let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   let ci95 = Stats.wilson_interval ~successes:hits ~trials:samples () in
   { mean = p; stderr; ci95; samples }
 
-(* With [?kernel] the estimated quantity is the kernel's continuous
-   observable — the expected max bin load — and [f] is never called. *)
-let expectation ?(domains = 1) ?leases ?kernel ~rng ~samples f =
+let expectation ?(domains = 1) ?leases ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.expectation: samples";
   Trace.with_span "mc.expectation" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
-  let acc =
-    match kernel with
-    | Some k -> (Mc_kernel.run ?leases ~loads:true ~domains ~rng ~samples k).Mc_kernel.loads
-    | None -> Mc_par.fold_stats ?leases ~domains ~rng ~samples f
-  in
+  let acc = Mc_par.fold_stats ?leases ~domains ~rng ~samples f in
   if !Metrics.on then finish_run ~t0 ~samples ~hits:0;
   let mean = Stats.mean acc in
   let stderr = Stats.stderr_of_mean acc in

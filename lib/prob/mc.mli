@@ -32,20 +32,20 @@ val probability :
     in a different order than the scalar loop, so its estimate agrees
     with the closure path statistically (same seed, {!agrees}-close), not
     byte-for-byte; the [-j] bit-identity contract above still holds
-    verbatim on the kernel path. *)
+    verbatim on the kernel path.  Callers do not choose the sampler:
+    {!Engine.win_probability_mc} and {!Mc_eval.winning_probability} pass
+    a spec exactly when the question is the paper's no-communication
+    game, which the kernel plays. *)
 
 val expectation :
   ?domains:int ->
   ?leases:int ->
-  ?kernel:Mc_kernel.t ->
   rng:Rng.t ->
   samples:int ->
   (Rng.t -> float) ->
   estimate
 (** Sample-mean estimation with a normal-approximation 95% interval.
-    [?domains]/[?leases] behave as in {!probability}.  With [?kernel] the
-    closure is never called and the estimated quantity is the kernel
-    game's expected {e max bin load}. *)
+    [?domains]/[?leases] behave as in {!probability}. *)
 
 val agrees : estimate -> float -> bool
 (** [agrees e v]: does [v] fall within the (slightly widened) 95% interval?

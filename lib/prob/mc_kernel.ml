@@ -5,8 +5,10 @@
    xoshiro draw for every play.  This kernel amortizes all of that:
    uniform draws are produced chunk-wise into structure-of-arrays Bigarray
    buffers by the alloc-free Rng fill stream, bin assignment reads the
-   buffers with no per-play allocation, and the win / overflow / Welford /
-   histogram statistics are fused into one pass over each chunk.
+   buffers with no per-play allocation, and the win / overflow / crash /
+   Welford / histogram statistics are fused into one pass over each chunk.
+   The crash tallies count draws the pass already makes, so a caller can
+   keep per-event fault telemetry without a single extra draw.
 
    Determinism contract (docs/KERNEL.md): a kernel estimate is a pure
    function of (seed, leases, samples, spec) — worker count never enters.
@@ -23,16 +25,18 @@ type rule =
 
 type fault = { crash_rate : float; crash_bin : int; noise : float; jitter : float }
 
-type t = { n : int; delta : float; rule : rule; fault : fault option }
-
 type result = {
   samples : int;
   wins : int;
   over0 : int;
   over1 : int;
+  crashes : int;
+  crash_plays : int;
   loads : Stats.acc;
   hist : Stats.histogram option;
 }
+
+type t = { n : int; delta : float; rule : rule; fault : fault option; on_lease : result -> unit }
 
 let check_rate what p =
   if not (Float.is_finite p && p >= 0. && p <= 1.) then
@@ -50,7 +54,7 @@ let fault ?(crash_rate = 0.) ?(crash_bin = -1) ?(noise = 0.) ?(jitter = 0.) () =
 
 let fault_is_none f = f.crash_rate = 0. && f.noise = 0. && f.jitter = 0.
 
-let make ?fault ~n ~delta rule =
+let make ?fault ?(on_lease = ignore) ~n ~delta rule =
   if n < 1 then invalid_arg "Mc_kernel.make: n must be >= 1";
   if not (delta > 0.) then invalid_arg "Mc_kernel.make: delta must be positive";
   (match rule with
@@ -69,7 +73,7 @@ let make ?fault ~n ~delta rule =
       a);
   (* A fault spec whose every dimension is off routes to the plain loops. *)
   let fault = match fault with Some f when fault_is_none f -> None | f -> f in
-  { n; delta; rule; fault }
+  { n; delta; rule; fault; on_lease }
 
 let empty_result ?hist () =
   {
@@ -77,6 +81,8 @@ let empty_result ?hist () =
     wins = 0;
     over0 = 0;
     over1 = 0;
+    crashes = 0;
+    crash_plays = 0;
     loads = Stats.empty;
     hist = Option.map (fun (bins, lo, hi) -> Stats.histogram_empty ~bins ~lo ~hi) hist;
   }
@@ -90,6 +96,8 @@ let merge_result a b =
     wins = a.wins + b.wins;
     over0 = a.over0 + b.over0;
     over1 = a.over1 + b.over1;
+    crashes = a.crashes + b.crashes;
+    crash_plays = a.crash_plays + b.crash_plays;
     loads = Stats.merge a.loads b.loads;
     hist =
       (match (a.hist, b.hist) with
@@ -144,6 +152,7 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
   let params = match t.rule with Threshold a | Oblivious a -> a in
   let hist = Option.map (fun (bins, lo, hi) -> Stats.histogram_empty ~bins ~lo ~hi) hist in
   let wins = ref 0 and over0 = ref 0 and over1 = ref 0 in
+  let crashes = ref 0 and crash_plays = ref 0 in
   (* Welford state in local refs (ocamlopt unboxes non-escaping float
      refs); the count is kept as a float so every cell stays unboxed, and
      the update sequence matches Stats.add bit-for-bit (Stats.of_moments). *)
@@ -176,12 +185,14 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
             let x = Bigarray.Array1.unsafe_get u (base + i) in
             if x <= Array.unsafe_get params i then l0 := !l0 +. x else l1 := !l1 +. x
           done
-      else
+      else begin
+        let crashed_before = !crashes in
         for i = 0 to n - 1 do
           let x = Bigarray.Array1.unsafe_get u (base + i) in
           if crash_on && Bigarray.Array1.unsafe_get cb (base + i) < f.crash_rate then begin
             (* Crashed player: its decision is the crash mode, its raw
                input still weighs on whichever bin receives it. *)
+            incr crashes;
             if f.crash_bin = 0 then l0 := !l0 +. x
             else if f.crash_bin = 1 then l1 := !l1 +. x
           end
@@ -201,6 +212,8 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
             if bin0 then l0 := !l0 +. x else l1 := !l1 +. x
           end
         done;
+        if !crashes > crashed_before then incr crash_plays
+      end;
       let de =
         if jitter_on then
           delta *. (1. +. (f.jitter *. ((2. *. Bigarray.Array1.unsafe_get jb p) -. 1.)))
@@ -228,6 +241,8 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
     wins = !wins;
     over0 = !over0;
     over1 = !over1;
+    crashes = !crashes;
+    crash_plays = !crash_plays;
     loads = Stats.of_moments ~count:(int_of_float !wn) ~mean:!wmean ~m2:!wm2;
     hist;
   }
@@ -265,6 +280,9 @@ let run ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ?(domains = 1) 
           let fill = Rng.fill_of streams.(i) in
           let r = run_fill ?hist ~loads ~buffers ~fill ~samples:counts.(i) t in
           give buffers;
+          (* on the worker, as the lease finishes: counters kept from it
+             rise while a long run is still going *)
+          t.on_lease r;
           r
         end)
   in

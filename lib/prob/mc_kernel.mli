@@ -7,10 +7,11 @@
     [delta].  Draws are produced chunk-wise into structure-of-arrays
     [Bigarray] buffers by the alloc-free {!Rng.fill_float01} stream, bin
     assignment runs straight over the buffers, and win counts, overflow
-    counts, a Welford accumulator over the max bin load and an optional
-    histogram are fused into a single pass.  On the repository's perf
-    workloads this is a multiple-times single-core speedup over the
-    closure path (see docs/KERNEL.md and EXPERIMENTS.md X14).
+    counts, crash tallies, a Welford accumulator over the max bin load and
+    an optional histogram are fused into a single pass.  On the
+    repository's perf workloads this is a multiple-times single-core
+    speedup over the closure path (see docs/KERNEL.md and EXPERIMENTS.md
+    X14).
 
     {b Determinism.} A kernel estimate is a pure function of
     [(seed, leases, samples, spec)].  {!run} derives one RNG stream per
@@ -49,25 +50,34 @@ val fault :
     @raise Invalid_argument on a rate outside [[0,1]] or a [crash_bin]
     outside [{-1, 0, 1}]. *)
 
-type t
-
-val make : ?fault:fault -> n:int -> delta:float -> rule -> t
-(** Validated play specification.  A [fault] whose every dimension is off
-    is normalized away, so the plain (fault-free) loops run.
-    @raise Invalid_argument when [n < 1], [delta <= 0], or the rule's
-    parameter array is not of length [n]. *)
-
 type result = {
   samples : int;
   wins : int;  (** plays with both loads within the (jittered) capacity *)
   over0 : int;  (** plays where bin 0 overflowed *)
   over1 : int;  (** plays where bin 1 overflowed *)
+  crashes : int;  (** crashed players, summed over plays; 0 without a crash rate *)
+  crash_plays : int;  (** plays with at least one crashed player *)
   loads : Stats.acc;
       (** Welford over the max bin load per play; [Stats.empty] unless the
           run asked for [~loads:true] *)
   hist : Stats.histogram option;
       (** max-bin-load histogram, present iff the run passed [?hist] *)
 }
+
+type t
+
+val make : ?fault:fault -> ?on_lease:(result -> unit) -> n:int -> delta:float -> rule -> t
+(** Validated play specification.  A [fault] whose every dimension is off
+    is normalized away, so the plain (fault-free) loops run.
+
+    [on_lease] (default: nothing) receives each lease's own result as the
+    lease finishes, on the worker domain that played it, so it must be
+    safe to call from any domain.  It is how a caller keeps its own
+    telemetry from a kernel run: the tallies come from draws the pass
+    already makes, the hot loop stays free of shared state, and the
+    counts rise while a long run is still going.
+    @raise Invalid_argument when [n < 1], [delta <= 0], or the rule's
+    parameter array is not of length [n]. *)
 
 val run :
   ?leases:int ->

@@ -223,11 +223,13 @@ let solve ?domains ~deadline_mono_s r =
     in
     { p; detail = [ ("points", Jsonx.Num (float_of_int points)) ] }
   | (Threshold | Oblivious), Mc { samples; seed } ->
-    (* Batch-kernel estimation at a client-pinned seed: the estimate is a
-       function of (seed, leases, samples) alone, so forwarding ?domains
-       keeps the answer byte-stable across server -j settings.  The sample
-       cap bounds the run well under a second, so like the exact pipelines
-       it only checks the deadline up front. *)
+    (* Estimation at a client-pinned seed.  A local rule on the
+       no-communication pattern is the batch kernel's game, so the engine
+       plays it there.  The estimate is a function of (seed, leases,
+       samples) alone, so forwarding ?domains keeps the answer byte-stable
+       across server -j settings.  The sample cap bounds the run well
+       under a second, so like the exact pipelines it only checks the
+       deadline up front. *)
     check_not_expired ~deadline_mono_s;
     let pattern = Comm_pattern.none ~n:r.n in
     let protocol =
@@ -237,8 +239,7 @@ let solve ?domains ~deadline_mono_s r =
     in
     let rng = Rng.create ~seed in
     let e =
-      Engine.win_probability_mc ~kernel:true ?domains ?faults ~rng ~samples ~delta:delta_f
-        pattern protocol
+      Engine.win_probability_mc ?domains ?faults ~rng ~samples ~delta:delta_f pattern protocol
     in
     let ci_lo, ci_hi = e.Mc.ci95 in
     {

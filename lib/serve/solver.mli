@@ -14,8 +14,9 @@
 
     [threshold]/[oblivious] evaluate the paper's Theorem 5.1 / 4.1 closed
     forms ([exact]), the engine's midpoint-grid integration ([grid]), or a
-    seed-pinned batch-kernel Monte-Carlo estimate ([mc], riding
-    {!Mc_kernel}; [crash > 0] needs [grid] or [mc]); [opt] runs the
+    seed-pinned Monte-Carlo estimate ([mc], which
+    {!Engine.win_probability_mc} plays on the batch kernel {!Mc_kernel},
+    the paper's game; [crash > 0] needs [grid] or [mc]); [opt] runs the
     certified symbolic optimum {!Symbolic.optimal_sym_threshold}.
 
     {!solve} is deadline-aware: grid sweeps get a per-cell cooperative

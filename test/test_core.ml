@@ -747,16 +747,21 @@ let mc_eval_kernel_tests =
     Alcotest.test_case "kernel path agrees with the closed forms" `Quick (fun () ->
       let inst3 = Model.instance ~n:3 ~delta:1. in
       let est =
-        Mc_eval.winning_probability ~kernel:true ~rng:(Rng.create ~seed:91) ~samples:150_000
-          inst3
+        Mc_eval.winning_probability ~rng:(Rng.create ~seed:91) ~samples:150_000 inst3
           (Model.Single_threshold (Array.make 3 0.62))
       in
       Alcotest.(check bool) "threshold" true
         (Mc.agrees est (Threshold.winning_probability_sym ~n:3 ~delta:1. 0.62));
+      (* the default path is the kernel's estimate, bit for bit *)
+      let spec = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold (Array.make 3 0.62)) in
+      let by_kernel =
+        Mc.probability ~kernel:spec ~rng:(Rng.create ~seed:91) ~samples:150_000 (fun _ ->
+            Alcotest.fail "the kernel never calls the closure")
+      in
+      Alcotest.(check (float 0.)) "kernel estimate" by_kernel.Mc.mean est.Mc.mean;
       let inst4 = Model.instance ~n:4 ~delta:(4. /. 3.) in
       let est_o =
-        Mc_eval.winning_probability ~kernel:true ~rng:(Rng.create ~seed:92) ~samples:150_000
-          inst4
+        Mc_eval.winning_probability ~rng:(Rng.create ~seed:92) ~samples:150_000 inst4
           (Model.Oblivious (Array.make 4 0.5))
       in
       Alcotest.(check bool) "oblivious (559/1296)" true (Mc.agrees est_o (559. /. 1296.)));
@@ -764,32 +769,32 @@ let mc_eval_kernel_tests =
       let inst = Model.instance ~n:3 ~delta:1. in
       let rule = Model.Single_threshold (Array.make 3 0.62) in
       let est j =
-        Mc_eval.winning_probability ~domains:j ~kernel:true ~rng:(Rng.create ~seed:93)
-          ~samples:50_000 inst rule
+        Mc_eval.winning_probability ~domains:j ~rng:(Rng.create ~seed:93) ~samples:50_000 inst
+          rule
       in
       let e1 = est 1 in
       List.iter
         (fun j ->
           Alcotest.(check (float 0.)) (Printf.sprintf "mean j=%d" j) e1.Mc.mean (est j).Mc.mean)
         [ 2; 4 ]);
-    Alcotest.test_case "Custom rules reject ~kernel by name" `Quick (fun () ->
+    Alcotest.test_case "Custom rules fall back to the closure" `Quick (fun () ->
+      (* a Custom rule has no kernel form: its estimate is the closure
+         path's, bit for bit at the same seed *)
       let inst = Model.instance ~n:3 ~delta:1. in
-      Alcotest.check_raises "custom"
-        (Invalid_argument
-           "Mc_eval.winning_probability: Custom rules have no batch-kernel form (drop ~kernel)")
-        (fun () ->
-          ignore
-            (Mc_eval.winning_probability ~kernel:true ~rng:(Rng.create ~seed:94) ~samples:100
-               inst
-               (Model.Custom (fun _ x -> x))));
-      (* kernel:false leaves Custom on the scalar path, untouched *)
-      let est =
-        Mc_eval.winning_probability ~kernel:false ~rng:(Rng.create ~seed:94) ~samples:20_000
-          inst
-          (Model.Custom (fun _ _ -> 0.5))
+      let est rule =
+        let e = Mc_eval.winning_probability ~rng:(Rng.create ~seed:94) ~samples:20_000 inst rule in
+        let closure =
+          Mc.probability ~rng:(Rng.create ~seed:94) ~samples:20_000 (fun rng ->
+              (Model.play rng inst rule).Model.win)
+        in
+        Alcotest.(check (float 0.)) "closure estimate" closure.Mc.mean e.Mc.mean;
+        e
       in
-      Alcotest.(check bool) "custom still runs without kernel" true
-        (Mc.agrees est (Oblivious.winning_probability ~delta:1. (Array.make 3 0.5))));
+      ignore (est (Model.Custom (fun _ x -> x)));
+      Alcotest.(check bool) "custom coin agrees with Theorem 4.1" true
+        (Mc.agrees
+           (est (Model.Custom (fun _ _ -> 0.5)))
+           (Oblivious.winning_probability ~delta:1. (Array.make 3 0.5))));
   ]
 
 let () =

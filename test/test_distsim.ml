@@ -438,43 +438,68 @@ let engine_kernel_tests =
       Alcotest.(check bool) "sanitized preserves the local rule" true
         (Dist_protocol.local_rule s <> None));
     Alcotest.test_case "kernel MC agrees with grid and scalar MC" `Quick (fun () ->
-      let protocol = Dist_protocol.common_threshold ~n 0.62 in
+      let kernel = Dist_protocol.common_threshold ~n 0.62 in
+      (* the same rule with its local rule hidden takes the closure *)
+      let closure =
+        Dist_protocol.make ~deterministic:true ~name:"closure" (Dist_protocol.decide kernel)
+      in
       let exact = Threshold.winning_probability_sym ~n ~delta 0.62 in
-      let est =
-        Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:61) ~samples:150_000
-          ~delta pattern protocol
-      in
-      Alcotest.(check bool) "agrees with the closed form" true (Mc.agrees est exact);
-      let est_j j =
-        Engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:62)
-          ~samples:40_000 ~delta pattern protocol
-      in
-      let e1 = est_j 1 in
       List.iter
-        (fun j ->
-          Alcotest.(check (float 0.)) (Printf.sprintf "bit-identical j=%d" j) e1.Mc.mean
-            (est_j j).Mc.mean)
-        [ 2; 4 ]);
-    Alcotest.test_case "kernel requests fail loudly when ineligible" `Quick (fun () ->
-      let custom = Dist_protocol.make ~name:"view-reader" (fun _ -> 0.5) in
-      Alcotest.check_raises "no local rule"
-        (Invalid_argument
-           "Engine.win_probability_mc: protocol \"view-reader\" has no local rule (only the \
-            oblivious/threshold families ride the batch kernel)")
-        (fun () ->
-          ignore
-            (Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:63) ~samples:100
-               ~delta pattern custom));
-      Alcotest.check_raises "custom sampler"
-        (Invalid_argument
-           "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model (drop \
-            the custom sampler)")
-        (fun () ->
-          ignore
-            (Engine.win_probability_mc ~kernel:true
-               ~sampler:(fun rng -> Rng.float01 rng *. 0.5)
-               ~rng:(Rng.create ~seed:64) ~samples:100 ~delta pattern
-               (Dist_protocol.common_threshold ~n 0.62))));
+        (fun protocol ->
+          let name = Dist_protocol.name protocol in
+          let est =
+            Engine.win_probability_mc ~rng:(Rng.create ~seed:61) ~samples:150_000 ~delta pattern
+              protocol
+          in
+          Alcotest.(check bool) (name ^ " agrees with the closed form") true (Mc.agrees est exact);
+          (* only the local rule has a kernel spec, and then the
+             engine's estimate is the kernel's, bit for bit *)
+          let spec = Engine.kernel_spec ~delta pattern protocol in
+          Alcotest.(check bool) (name ^ " has a kernel spec") (protocol == kernel)
+            (Option.is_some spec);
+          Option.iter
+            (fun spec ->
+              let by_kernel =
+                Mc.probability ~kernel:spec ~rng:(Rng.create ~seed:61) ~samples:150_000 (fun _ ->
+                    Alcotest.fail "the kernel never calls the closure")
+              in
+              Alcotest.(check (float 0.)) (name ^ " is the kernel estimate") by_kernel.Mc.mean
+                est.Mc.mean)
+            spec;
+          let est_j j =
+            Engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:62) ~samples:40_000 ~delta
+              pattern protocol
+          in
+          let e1 = est_j 1 in
+          List.iter
+            (fun j ->
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s bit-identical j=%d" name j)
+                e1.Mc.mean (est_j j).Mc.mean)
+            [ 2; 4 ])
+        [ kernel; closure ]);
+    Alcotest.test_case "questions the kernel cannot play take the closure" `Quick (fun () ->
+      (* a view-reading protocol, a custom input sampler, and a local rule
+         on a pattern that sends messages: each estimate is the closure
+         path's, bit for bit at the same seed *)
+      let threshold = Dist_protocol.common_threshold ~n 0.62 in
+      let half rng = Rng.float01 rng *. 0.5 in
+      List.iter
+        (fun (name, sampler, pattern, protocol) ->
+          let est =
+            Engine.win_probability_mc ?sampler ~rng:(Rng.create ~seed:63) ~samples:20_000 ~delta
+              pattern protocol
+          in
+          let closure =
+            Mc.probability ~rng:(Rng.create ~seed:63) ~samples:20_000 (fun rng ->
+                (Engine.run_once ?sampler rng ~delta pattern protocol).Engine.win)
+          in
+          Alcotest.(check (float 0.)) name closure.Mc.mean est.Mc.mean)
+        [
+          ("view reader", None, pattern, Dist_protocol.make ~name:"view-reader" (fun _ -> 0.5));
+          ("custom sampler", Some half, pattern, threshold);
+          ("communication", None, Comm_pattern.full ~n, threshold);
+        ]);
   ]
 
 let engine_props =

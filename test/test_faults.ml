@@ -24,6 +24,12 @@ let counter_value name =
   | Some { Metrics.value = Metrics.Counter_v v; _ } -> v
   | _ -> 0
 
+(* The same decisions with the local rule hidden: the engine can no
+   longer hand the run to the batch kernel, so it takes the closure. *)
+let hide_local_rule p =
+  Dist_protocol.make ~deterministic:(Dist_protocol.is_deterministic p)
+    ~name:(Dist_protocol.name p ^ "/closure") (Dist_protocol.decide p)
+
 (* ------------------------- Fault_model ------------------------- *)
 
 let model_tests =
@@ -228,13 +234,18 @@ let engine_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
       let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3 in
       let exact = Engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
-      let est =
-        Engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults ~delta:1.
-          pattern protocol
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "MC %.4f vs fold %.4f" est.Mc.mean exact)
-        true (Mc.agrees est exact));
+      (* on the kernel, and on the closure the hidden local rule takes *)
+      List.iter
+        (fun protocol ->
+          let est =
+            Engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults
+              ~delta:1. pattern protocol
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: MC %.4f vs fold %.4f" (Dist_protocol.name protocol) est.Mc.mean
+               exact)
+            true (Mc.agrees est exact))
+        [ protocol; hide_local_rule protocol ]);
     Alcotest.test_case "non-foldable model is rejected by the fold" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.fair_coin ~n:3 in
@@ -425,8 +436,8 @@ let kernel_tests =
         (fun mode ->
           let faults = Fault_model.crash_only ~mode 0.2 in
           let est =
-            Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:71) ~samples:120_000
-              ~faults ~delta pattern protocol
+            Engine.win_probability_mc ~rng:(Rng.create ~seed:71) ~samples:120_000 ~faults ~delta
+              pattern protocol
           in
           let fold = Engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol in
           Alcotest.(check bool)
@@ -440,33 +451,115 @@ let kernel_tests =
       let exact = Oblivious.winning_probability_uniform ~n:3 ~delta in
       let faults = Fault_model.make ~noise:0.3 ~link_loss:0.4 ~stale:0.3 () in
       let est =
-        Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:72) ~samples:150_000 ~faults
-          ~delta pattern (Dist_protocol.fair_coin ~n:3)
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:72) ~samples:150_000 ~faults ~delta
+          pattern (Dist_protocol.fair_coin ~n:3)
       in
       Alcotest.(check bool) "fair coin unmoved" true (Mc.agrees est exact));
     Alcotest.test_case "kernel fault estimates are worker-count bit-identical" `Quick (fun () ->
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       let faults = Fault_model.make ~crash:0.15 ~noise:0.1 ~jitter:0.2 () in
       let est j =
-        Engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:73)
-          ~samples:40_000 ~faults ~delta pattern protocol
+        Engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:73) ~samples:40_000 ~faults
+          ~delta pattern protocol
       in
       let e1 = est 1 in
       List.iter
         (fun j ->
           Alcotest.(check (float 0.)) (Printf.sprintf "j=%d" j) e1.Mc.mean (est j).Mc.mean)
         [ 2; 4 ]);
-    Alcotest.test_case "kernel requests reject custom samplers" `Quick (fun () ->
-      Alcotest.check_raises "sampler"
-        (Invalid_argument
-           "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model (drop the \
-            custom sampler)")
-        (fun () ->
+    Alcotest.test_case "custom samplers fall back to the closure" `Quick (fun () ->
+      (* the kernel plays only the paper's U[0,1] inputs: with a custom
+         sampler the estimate is the closure path's, bit for bit *)
+      let sampler rng = Rng.float01 rng *. 0.5 in
+      let faults = Fault_model.crash_only 0.1 in
+      let protocol = Dist_protocol.fair_coin ~n:3 in
+      let est =
+        Engine.win_probability_mc ~sampler ~rng:(Rng.create ~seed:74) ~samples:20_000 ~faults
+          ~delta pattern protocol
+      in
+      let closure =
+        Mc.probability ~rng:(Rng.create ~seed:74) ~samples:20_000 (fun rng ->
+            (Engine.run_once ~sampler ~faults rng ~delta pattern protocol).Engine.win)
+      in
+      Alcotest.(check (float 0.)) "closure estimate" closure.Mc.mean est.Mc.mean);
+    Alcotest.test_case "kernel keeps the closure's fault counters" `Quick (fun () ->
+      let samples = 40_000 in
+      let names =
+        [ "ddm_engine_plays_total"; "ddm_faults_plays_total"; "ddm_faults_crashes_total";
+          "ddm_faults_values_perturbed_total"; "ddm_faults_capacity_jitter_plays_total";
+          "ddm_faults_injected_total"; "ddm_faults_degraded_plays_total" ]
+      in
+      let deltas ~domains ~faults protocol =
+        with_metrics (fun () ->
+          let before = List.map counter_value names in
           ignore
-            (Engine.win_probability_mc ~kernel:true
-               ~sampler:(fun rng -> Rng.float01 rng *. 0.5)
-               ~rng:(Rng.create ~seed:74) ~samples:100 ~faults:Fault_model.none ~delta pattern
-               (Dist_protocol.fair_coin ~n:3))));
+            (Engine.win_probability_mc ~domains ~rng:(Rng.create ~seed:75) ~samples ~faults ~delta
+               pattern protocol);
+          List.map2 (fun name b -> (name, counter_value name - b)) names before)
+      in
+      let exactly label d name v = Alcotest.(check int) (label ^ " " ^ name) v (List.assoc name d) in
+      (* within z = 3.29 binomial standard deviations of its mean *)
+      let near label d name ~trials ~p =
+        let v = float_of_int (List.assoc name d) in
+        let mean = float_of_int trials *. p in
+        let sigma = sqrt (mean *. (1. -. p)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s = %.0f vs %.0f" label name v mean)
+          true
+          (Float.abs (v -. mean) <= 3.29 *. sigma)
+      in
+      let threshold = Dist_protocol.common_threshold ~n:3 0.62 in
+      let cases =
+        [
+          ( Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.2,
+            threshold,
+            fun label d ->
+              near label d "ddm_faults_crashes_total" ~trials:(3 * samples) ~p:0.2;
+              near label d "ddm_faults_degraded_plays_total" ~trials:samples
+                ~p:(1. -. (0.8 ** 3.));
+              exactly label d "ddm_faults_injected_total" (List.assoc "ddm_faults_crashes_total" d)
+          );
+          ( Fault_model.make ~noise:0.1 ~jitter:0.2 (),
+            threshold,
+            fun label d ->
+              exactly label d "ddm_faults_values_perturbed_total" (3 * samples);
+              exactly label d "ddm_faults_capacity_jitter_plays_total" samples;
+              exactly label d "ddm_faults_injected_total" (4 * samples);
+              exactly label d "ddm_faults_degraded_plays_total" samples );
+          ( Fault_model.make ~noise:0.1 (),
+            Dist_protocol.fair_coin ~n:3,
+            fun label d -> exactly label d "ddm_faults_values_perturbed_total" (3 * samples) );
+          ( Fault_model.make ~jitter:0.2 (),
+            threshold,
+            fun label d ->
+              exactly label d "ddm_faults_values_perturbed_total" 0;
+              exactly label d "ddm_faults_injected_total" samples;
+              exactly label d "ddm_faults_degraded_plays_total" samples );
+        ]
+      in
+      List.iter
+        (fun (faults, protocol, check) ->
+          List.iter
+            (fun protocol ->
+              let runs =
+                List.map
+                  (fun domains ->
+                    let label =
+                      Printf.sprintf "%s, %s, domains %d" (Dist_protocol.name protocol)
+                        (Fault_model.to_string faults) domains
+                    in
+                    let d = deltas ~domains ~faults protocol in
+                    exactly label d "ddm_engine_plays_total" samples;
+                    exactly label d "ddm_faults_plays_total" samples;
+                    check label d;
+                    d)
+                  [ 1; 4 ]
+              in
+              Alcotest.(check (list (pair string int)))
+                (Dist_protocol.name protocol ^ ": same deltas at domains 1 and 4")
+                (List.hd runs) (List.nth runs 1))
+            [ protocol; hide_local_rule protocol ])
+        cases);
   ]
 
 (* ------------------------- Degradation ------------------------- *)
@@ -476,18 +569,21 @@ let degradation_tests =
     Alcotest.test_case "sweep: baseline agrees, exact present, monotone" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
-      let report =
+      let sweep () =
         Degradation.sweep ~grid_points:64 ~rng:(Rng.create ~seed:42) ~samples:30_000
           ~rates:[ 0.; 0.1; 0.25 ]
           ~model_of:(fun r -> Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
           ~delta:1. pattern protocol
       in
+      let report = sweep () in
       Alcotest.(check bool) "baseline agrees" true report.Degradation.baseline_agrees;
       Alcotest.(check int) "three points" 3 (List.length report.Degradation.points);
       List.iter
         (fun (p : Degradation.point) ->
           Alcotest.(check bool) "exact fold present" true (Option.is_some p.Degradation.exact);
-          Alcotest.(check bool) "MC within CI of its own exact fold" true
+          Alcotest.(check bool)
+            (Printf.sprintf "rate %.2f within CI of its exact fold" p.Degradation.rate)
+            true
             (Mc.agrees p.Degradation.estimate (Option.get p.Degradation.exact)))
         report.Degradation.points;
       (match report.Degradation.points with
@@ -496,38 +592,13 @@ let degradation_tests =
           report.Degradation.baseline_exact
           (Option.get p0.Degradation.exact)
       | [] -> Alcotest.fail "no points");
-      Alcotest.(check bool) "monotone" true (Degradation.monotone_nonincreasing report));
-    Alcotest.test_case "kernel sweep: baseline agrees, points match their folds" `Quick
-      (fun () ->
-      let pattern = Comm_pattern.none ~n:3 in
-      let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
-      let report =
-        Degradation.sweep ~kernel:true ~grid_points:64 ~rng:(Rng.create ~seed:42)
-          ~samples:30_000 ~rates:[ 0.; 0.1; 0.25 ]
-          ~model_of:(fun r -> Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
-          ~delta:1. pattern protocol
-      in
-      Alcotest.(check bool) "baseline agrees" true report.Degradation.baseline_agrees;
-      List.iter
-        (fun (p : Degradation.point) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "rate %.2f within CI of its exact fold" p.Degradation.rate)
-            true
-            (Mc.agrees p.Degradation.estimate (Option.get p.Degradation.exact)))
-        report.Degradation.points;
       Alcotest.(check bool) "monotone" true (Degradation.monotone_nonincreasing report);
-      (* a kernel sweep is reproducible per seed like any other *)
-      let report' =
-        Degradation.sweep ~kernel:true ~grid_points:64 ~rng:(Rng.create ~seed:42)
-          ~samples:30_000 ~rates:[ 0.; 0.1; 0.25 ]
-          ~model_of:(fun r -> Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
-          ~delta:1. pattern protocol
-      in
+      (* the kernel-played sweep is reproducible per seed like any other *)
       List.iter2
         (fun (x : Degradation.point) (y : Degradation.point) ->
           Alcotest.(check (float 0.)) "identical MC means" x.Degradation.estimate.Mc.mean
             y.Degradation.estimate.Mc.mean)
-        report.Degradation.points report'.Degradation.points);
+        report.Degradation.points (sweep ()).Degradation.points);
     Alcotest.test_case "sweep is reproducible per seed" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.fair_coin ~n:3 in

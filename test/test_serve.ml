@@ -491,22 +491,34 @@ let solver_tests =
     Alcotest.test_case "one cache key, one answer at every domains" `Quick (fun () ->
       (* the answer cached under a key must not depend on the server's
          --solver-jobs: the default and every domains value agree bit for
-         bit on the threshold fold and the crash grid *)
+         bit on the threshold fold, the crash grid and the mc kernel; the
+         mc answers are pinned, because a v2| key promises them unchanged *)
       let far = Trace.now_mono_s () +. 60. in
       List.iter
-        (fun body ->
+        (fun (body, pinned) ->
           let r = parse_ok body in
           let p0 = (Solver.solve ~deadline_mono_s:far r).Solver.p in
+          Option.iter
+            (fun v -> checkb (Printf.sprintf "%s pinned: %.17g" body p0) true (p0 = v))
+            pinned;
           List.iter
             (fun domains ->
               let p = (Solver.solve ~domains ~deadline_mono_s:far r).Solver.p in
               checkb (Printf.sprintf "%s at domains %d: %h = %h" body domains p p0) true
                 (Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float p0)))
             [ 1; 2; 4 ])
-        [ {|{"rule":"threshold","n":8,"delta":"3/2",|}
-          ^ {|"params":[0.31,0.62,0.44,0.7,0.52,0.28,0.66,0.41]}|};
-          {|{"rule":"oblivious","n":3,"delta":"1","params":[0.41,0.62,0.55],|}
-          ^ {|"mode":"grid","points":24,"crash":0.1}|} ]);
+        [ ( {|{"rule":"threshold","n":8,"delta":"3/2",|}
+            ^ {|"params":[0.31,0.62,0.44,0.7,0.52,0.28,0.66,0.41]}|},
+            None );
+          ( {|{"rule":"oblivious","n":3,"delta":"1","params":[0.41,0.62,0.55],|}
+            ^ {|"mode":"grid","points":24,"crash":0.1}|},
+            None );
+          ( {|{"rule":"threshold","n":3,"delta":"1","params":[0.62,0.62,0.62],|}
+            ^ {|"mode":"mc","samples":200000,"seed":42}|},
+            Some 0.542825 );
+          ( {|{"rule":"oblivious","n":5,"delta":"5/3","params":[0.5,0.5,0.5,0.5,0.5],|}
+            ^ {|"mode":"mc","samples":100000,"seed":7,"crash":0.1}|},
+            Some 0.56881999999999999 ) ]);
     Alcotest.test_case "answer json roundtrip" `Quick (fun () ->
       let a = { Solver.p = 0.625; detail = [ ("beta_star", Jsonx.Num 0.5) ] } in
       match Solver.answer_of_json (Solver.answer_to_json a) with
