@@ -640,7 +640,7 @@ let x10 () =
      stream; workers steal whole leases and results merge in lease order, so the\n\
      estimate depends on (seed, leases, samples) but never on the worker count:\n\
      every row below must be bit-identical to -j 1.\n\n"
-    Mc_par.default_leases;
+    Par_fold.default_leases;
   let est1, dt1 = run 1 in
   Printf.printf "%-4s %-14s %-14s %-9s %s\n" "j" "P(win) MC" "samples/sec" "speedup"
     "bit-identical to -j 1";
@@ -656,7 +656,7 @@ let x10 () =
         (Printf.sprintf "%.2fx" (dt1 /. Float.max 1e-9 dt))
         (est.Mc.mean = est1.Mc.mean))
     js;
-  Printf.printf "\nrecommended -j on this machine: %d\n" (Mc_par.recommended_domains ())
+  Printf.printf "\nrecommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* x11: serve soak — the evaluation service end to end over real HTTP   *)
@@ -829,7 +829,7 @@ let x12 () =
   table "Engine.win_probability_given ~faults" "n = 12, 2^12 = 4,096 crash masks"
     (time (fun j ->
          Engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs));
-  Printf.printf "recommended -j on this machine: %d\n" (Mc_par.recommended_domains ())
+  Printf.printf "recommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* X13: latency telemetry soak — per-outcome histograms reconcile      *)

@@ -28,12 +28,14 @@ let () =
   (* 2. Why: a common threshold sends every large input to bin 1 together. *)
   let rng = Rng.create ~seed:4 in
   let inst = Model.instance ~n ~delta in
+  let pattern = Comm_pattern.none ~n in
   let overflow_rate rule =
+    let protocol = Mc_eval.protocol rule in
     let over1 = ref 0 in
     let samples = 200_000 in
     for _ = 1 to samples do
-      let o = Model.play rng inst rule in
-      if o.Model.load1 > delta then incr over1
+      let o = Engine.run_once rng ~delta pattern protocol in
+      if o.Engine.load1 > delta then incr over1
     done;
     float_of_int !over1 /. float_of_int samples
   in

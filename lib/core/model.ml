@@ -21,51 +21,8 @@ type rule =
   | Single_threshold of float array
   | Custom of (int -> float -> float)
 
-let rule_arity_ok rule ~n =
-  match rule with
-  | Oblivious a | Single_threshold a -> Array.length a = n
-  | Custom _ -> true
-
 let prob_bin0 rule i x =
   match rule with
   | Oblivious a -> a.(i)
   | Single_threshold a -> if x <= a.(i) then 1. else 0.
   | Custom f -> f i x
-
-let decide rng rule i x =
-  let p = prob_bin0 rule i x in
-  if p >= 1. then 0
-  else if p <= 0. then 1
-  else if Rng.bernoulli rng p then 0
-  else 1
-
-type outcome = {
-  inputs : float array;
-  decisions : int array;
-  load0 : float;
-  load1 : float;
-  win : bool;
-}
-
-let wins inst ~inputs ~decisions =
-  let load0 = ref 0. and load1 = ref 0. in
-  Array.iteri
-    (fun i d -> if d = 0 then load0 := !load0 +. inputs.(i) else load1 := !load1 +. inputs.(i))
-    decisions;
-  !load0 <= inst.delta && !load1 <= inst.delta
-
-let play rng inst rule =
-  if not (rule_arity_ok rule ~n:inst.n) then invalid_arg "Model.play: rule arity mismatch";
-  let inputs = Array.init inst.n (fun _ -> Rng.float01 rng) in
-  let decisions = Array.mapi (fun i x -> decide rng rule i x) inputs in
-  let load0 = ref 0. and load1 = ref 0. in
-  Array.iteri
-    (fun i d -> if d = 0 then load0 := !load0 +. inputs.(i) else load1 := !load1 +. inputs.(i))
-    decisions;
-  {
-    inputs;
-    decisions;
-    load0 = !load0;
-    load1 = !load1;
-    win = !load0 <= inst.delta && !load1 <= inst.delta;
-  }

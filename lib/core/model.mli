@@ -39,27 +39,9 @@ type rule =
   | Custom of (int -> float -> float)
       (** [Custom f]: player [i] picks bin 0 with probability [f i x_i]. *)
 
-val rule_arity_ok : rule -> n:int -> bool
-(** Whether the rule provides a decision for each of [n] players. *)
-
 val prob_bin0 : rule -> int -> float -> float
 (** [prob_bin0 rule i x]: probability that player [i] chooses bin 0 on
     input [x]. *)
 
-val decide : Rng.t -> rule -> int -> float -> int
-(** Sample player [i]'s bin (0 or 1) on input [x]. *)
-
-(** {1 One-shot plays} *)
-
-type outcome = {
-  inputs : float array;
-  decisions : int array;  (** bin per player *)
-  load0 : float;
-  load1 : float;
-  win : bool;
-}
-
-val play : Rng.t -> instance -> rule -> outcome
-(** Draw inputs, apply the rule, and check both bins against [δ]. *)
-
-val wins : instance -> inputs:float array -> decisions:int array -> bool
+(** One-shot plays are {!Engine.run_once}'s: {!Mc_eval.protocol} turns a
+    rule into the protocol it plays on the no-communication pattern. *)

@@ -4,17 +4,15 @@ let view_input v j =
   if j = v.me then Some v.own else List.assoc_opt j v.others
 
 (* Local rules depend only on the deciding player's own input; recording
-   which standard family built the protocol lets the batch kernel
-   (Mc_kernel, via Engine.kernel_spec) replay it without calling
-   [decide] per sample.  The closure stays authoritative — [local_rule] is
-   an introspection hint that must describe the same decision function. *)
-type local_rule = Local_threshold of float array | Local_oblivious of float array
-
+   the standard family's rule lets the batch kernel (Mc_kernel, via
+   Engine.kernel_spec) replay it without calling [decide] per sample.  The
+   closure stays authoritative — [local_rule] is an introspection hint
+   that must describe the same decision function. *)
 type t = {
   name : string;
   decide : view -> float;
   deterministic : bool;
-  local_rule : local_rule option;
+  local_rule : Mc_kernel.rule option;
 }
 
 let name t = t.name
@@ -58,7 +56,7 @@ let oblivious alphas =
        check_player "oblivious" len v;
        alphas.(v.me)))
     with
-    local_rule = Some (Local_oblivious (Array.copy alphas));
+    local_rule = Some (Mc_kernel.Oblivious (Array.copy alphas));
   }
 
 let fair_coin ~n = { (oblivious (Array.make n 0.5)) with name = "fair-coin" }
@@ -71,7 +69,7 @@ let single_threshold a =
        check_player "single_threshold" len v;
        if v.own <= a.(v.me) then 1. else 0.))
     with
-    local_rule = Some (Local_threshold (Array.copy a));
+    local_rule = Some (Mc_kernel.Threshold (Array.copy a));
   }
 
 let common_threshold ~n beta =

@@ -26,15 +26,10 @@ val is_deterministic : t -> bool
 (** [true] when every decision probability is 0 or 1; enables the exact grid
     integrator in {!Engine}. *)
 
-(** Introspection for the batch-kernel fast path: a protocol whose
-    decision depends only on the deciding player's own input, tagged with
-    the standard family that built it. *)
-type local_rule =
-  | Local_threshold of float array  (** bin 0 iff [own <= a.(me)] *)
-  | Local_oblivious of float array  (** bin 0 with probability [alpha.(me)] *)
-
-val local_rule : t -> local_rule option
-(** [Some] for the {!oblivious} / {!fair_coin} / {!single_threshold} /
+val local_rule : t -> Mc_kernel.rule option
+(** The batch kernel's form of the protocol, when its decision depends
+    only on the deciding player's own input: [Some] for the
+    {!oblivious} / {!fair_coin} / {!single_threshold} /
     {!common_threshold} families (preserved by {!sanitized}, which cannot
     change their already-clamped outputs); [None] for {!make},
     {!weighted_threshold} and {!with_fallback}, whose decisions can read

@@ -133,14 +133,16 @@ let retry_under ~deadline_s ?(attempts = 3) ?(default = 0.5) ?backoff ?jitter pr
       in
       go 0)
 
-let views pattern inputs =
-  let n = Comm_pattern.n pattern in
-  Array.init n (fun i ->
-    {
-      Dist_protocol.me = i;
-      own = inputs.(i);
-      others = List.map (fun j -> (j, inputs.(j))) (Comm_pattern.sees pattern i);
-    })
+let view pattern inputs i =
+  let others =
+    (* no closure for a player who sees no one, as on the paper's pattern *)
+    match Comm_pattern.sees pattern i with
+    | [] -> []
+    | seen -> List.map (fun j -> (j, inputs.(j))) seen
+  in
+  { Dist_protocol.me = i; own = inputs.(i); others }
+
+let views pattern inputs = Array.init (Comm_pattern.n pattern) (view pattern inputs)
 
 (* A NaN here would otherwise poison every downstream aggregate (grid
    integrals average thousands of cells; one NaN cell wipes the sum), so a
@@ -198,71 +200,58 @@ let degrade_view rng (m : Fault_model.t) (v : Dist_protocol.view) =
   in
   (v, !count)
 
-(* A play's loads and verdict; a dropped player's input ([-1]) reaches
-   neither bin. *)
-let settle ~inputs ~crashed ~decisions ~delta_eff ~faults =
-  let load0 = ref 0. and load1 = ref 0. in
-  Array.iteri
-    (fun i d ->
-      if d = 0 then load0 := !load0 +. inputs.(i)
-      else if d = 1 then load1 := !load1 +. inputs.(i))
-    decisions;
-  let load0 = !load0 and load1 = !load1 in
-  {
-    inputs;
-    crashed;
-    decisions;
-    load0;
-    load1;
-    delta_eff;
-    win = load0 <= delta_eff && load1 <= delta_eff;
-    faults;
-  }
-
 (* Every fault dimension draws only when its rate is nonzero, so a play
    under a zero-rate model consumes exactly the fault-free play's draws:
-   the inputs, then each player's decision coin in player order. *)
+   the inputs, then each player's decision coin in player order.  Crash
+   flags and the jittered capacity are drawn before anyone decides; then
+   each player is played in one pass (view, decision, load), and a
+   dropped player's input ([-1]) reaches neither bin. *)
 let run_once ?(sampler = Rng.float01) ?faults rng ~delta pattern protocol =
   Metrics.incr plays;
   let n = Comm_pattern.n pattern in
   let inputs = Array.init n (fun _ -> sampler rng) in
-  let decide v =
-    let p = checked_decide ~where:"run_once" protocol v in
-    if p >= 1. then 0 else if p <= 0. then 1 else if Rng.bernoulli rng p then 0 else 1
+  let faulty = Option.is_some faults in
+  let m = Option.value faults ~default:Fault_model.none in
+  let crash_on = m.crash > 0. and jitter_on = m.jitter > 0. in
+  if faulty then Metrics.incr fault_plays;
+  let crashed = if crash_on then Array.init n (fun _ -> Rng.bernoulli rng m.crash) else [||] in
+  let delta_eff =
+    if jitter_on then delta *. (1. +. Rng.uniform rng (-.m.jitter) m.jitter) else delta
   in
-  match faults with
-  | None ->
-    settle ~inputs ~crashed:[||] ~decisions:(Array.map decide (views pattern inputs))
-      ~delta_eff:delta ~faults:0
-  | Some (m : Fault_model.t) ->
-    Metrics.incr fault_plays;
-    let crash_on = m.crash > 0. and jitter_on = m.jitter > 0. in
-    let crashed = if crash_on then Array.init n (fun _ -> Rng.bernoulli rng m.crash) else [||] in
-    let delta_eff =
-      if jitter_on then delta *. (1. +. Rng.uniform rng (-.m.jitter) m.jitter) else delta
-    in
-    let view_events = ref 0 in
-    let decisions =
-      Array.mapi
-        (fun i v ->
-          if crash_on && crashed.(i) then
-            match m.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b
+  let decisions = Array.make n 0 in
+  let load0 = ref 0. and load1 = ref 0. and view_events = ref 0 in
+  for i = 0 to n - 1 do
+    let d =
+      if crash_on && crashed.(i) then
+        match m.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b
+      else begin
+        let v = view pattern inputs i in
+        let v =
+          if not faulty then v
           else begin
             let v, k = degrade_view rng m v in
             view_events := !view_events + k;
-            decide v
-          end)
-        (views pattern inputs)
+            v
+          end
+        in
+        let p = checked_decide ~where:"run_once" protocol v in
+        if p >= 1. then 0 else if p <= 0. then 1 else if Rng.bernoulli rng p then 0 else 1
+      end
     in
-    let n_crashed = Array.fold_left (fun k c -> if c then k + 1 else k) 0 crashed in
-    let events = n_crashed + !view_events + if jitter_on then 1 else 0 in
-    if events > 0 then begin
-      Metrics.add crashes n_crashed;
-      if jitter_on then Metrics.incr jittered_plays;
-      Metrics.add injected events;
-      Metrics.incr degraded_plays
-    end;
-    settle ~inputs ~crashed ~decisions ~delta_eff ~faults:events
+    decisions.(i) <- d;
+    if d = 0 then load0 := !load0 +. inputs.(i) else if d = 1 then load1 := !load1 +. inputs.(i)
+  done;
+  let n_crashed = Array.fold_left (fun k c -> if c then k + 1 else k) 0 crashed in
+  let events = n_crashed + !view_events + if jitter_on then 1 else 0 in
+  if events > 0 then begin
+    Metrics.add crashes n_crashed;
+    if jitter_on then Metrics.incr jittered_plays;
+    Metrics.add injected events;
+    Metrics.incr degraded_plays
+  end;
+  let load0 = !load0 and load1 = !load1 in
+  let win = load0 <= delta_eff && load1 <= delta_eff in
+  { inputs; crashed; decisions; load0; load1; delta_eff; win; faults = events }
 
 (* A kernel run keeps the counters run_once keeps, once per lease.  Besides
    its plays, a lease tallies crashes and crashed plays from draws it
@@ -291,12 +280,7 @@ let count_lease ~n faults (r : Mc_kernel.result) =
    crash / noise / jitter translate one-to-one. *)
 let kernel_spec ?faults ~delta pattern protocol =
   match Dist_protocol.local_rule protocol with
-  | Some lr when Comm_pattern.message_count pattern = 0 ->
-    let rule =
-      match lr with
-      | Dist_protocol.Local_threshold a -> Mc_kernel.Threshold a
-      | Dist_protocol.Local_oblivious a -> Mc_kernel.Oblivious a
-    in
+  | Some rule when Comm_pattern.message_count pattern = 0 ->
     let fault =
       Option.map
         (fun (m : Fault_model.t) ->

@@ -18,9 +18,13 @@
     across all dimensions, and degraded plays (at least one fault).
 
     Every exact and Monte-Carlo evaluator runs on the lease-sharded path
-    ({!Par_fold} / {!Mc_par}) with [?domains] defaulting to 1: a result
-    depends on its inputs and lease count, never on the worker count (see
-    docs/PARALLELISM.md). *)
+    ({!Par_fold.fold} / {!Par_fold.sample}) with [?domains] defaulting to
+    1: a result depends on its inputs and lease count, never on the worker
+    count (see docs/PARALLELISM.md).
+
+    This is also the Monte-Carlo path of the paper's own game:
+    {!Mc_eval.winning_probability} plays a {!Model.rule} as a protocol on
+    the no-communication pattern through {!win_probability_mc}. *)
 
 type outcome = {
   inputs : float array;  (** true inputs (noise perturbs views only) *)
@@ -97,10 +101,13 @@ val run_once :
   Comm_pattern.t ->
   Dist_protocol.t ->
   outcome
-(** One distributed play. [sampler] draws each player's private input
-    (default [Rng.float01], the paper's U[0,1] model); supplying another
-    sampler exercises the paper's Section 6 direction of "more realistic
-    assumptions on the distribution of inputs".  [faults] injects crashes
+(** One distributed play, and the only per-play closure in the
+    repository: after the inputs (and any crash and capacity draws) each
+    player is played in one pass — its view is built, it decides, and its
+    input joins its bin's load.  [sampler] draws each player's private
+    input (default [Rng.float01], the paper's U[0,1] model); supplying
+    another sampler exercises the paper's Section 6 direction of "more
+    realistic assumptions on the distribution of inputs".  [faults] injects crashes
     (drawn after the inputs), capacity jitter, and per-view link loss,
     stale reads and noise; passing it also counts the play in
     [ddm_faults_plays_total].
@@ -140,8 +147,9 @@ val win_probability_mc :
     The sampler follows the question.  Without a custom [sampler], a
     question {!kernel_spec} accepts is played by the batch kernel
     ({!Mc_kernel}), several times faster; every other question (the
-    communication patterns, view-reading protocols, custom input
-    distributions) by the per-play closure over {!run_once}.  Both keep
+    communication patterns, view-reading protocols such as a
+    {!Model.Custom} rule's, custom input distributions) by the per-play
+    closure over {!run_once}.  Both keep
     the same [ddm_engine_*] / [ddm_faults_*] counts on the
     no-communication pattern, and their estimates agree statistically at
     the same seed, not byte-for-byte.

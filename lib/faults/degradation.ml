@@ -27,7 +27,7 @@ let sweep ?(grid_points = 64) ?domains ?leases ~rng ~samples ~rates ~model_of ~d
     protocol =
   Trace.with_span "faults.degradation_sweep" @@ fun () ->
   (* [domains] (default 1) runs both halves of every point: the MC
-     estimate on Mc_par's split-stream leases, the exact grid on Par_fold's
+     estimate on Par_fold's split-stream leases, the exact grid on its
      index-sharded leases — each bit-identical across worker counts. *)
   let baseline_exact =
     Engine.win_probability_grid ~points:grid_points ?domains ?leases ~delta pattern protocol

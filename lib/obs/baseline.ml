@@ -230,7 +230,7 @@ let measure ~repeat ~id f =
     mc_span_seconds = (if mc_span > 0. then Some mc_span else None);
     mc_samples_per_sec_mc = per_s mc_span;
     gc = !gc;
-    metrics = Result.to_option (Jsonx.parse (Export.json_of_samples (Metrics.snapshot ())));
+    metrics = Some (Export.moved_json (Metrics.snapshot ()));
   }
 
 let report ~suite ?seed ?jobs experiments =

@@ -22,7 +22,9 @@ type experiment = {
   mc_span_seconds : float option;  (** v2: time spent inside MC sampling spans *)
   mc_samples_per_sec_mc : float option;  (** v2: throughput over the MC span only *)
   gc : Ledger.gc_stats option;  (** v2: allocation delta over the experiment *)
-  metrics : Jsonx.t option;  (** grouped metrics snapshot, passed through *)
+  metrics : Jsonx.t option;
+      (** grouped metrics, passed through; {!measure} keeps only what
+          moved ({!Export.moved_json}) *)
 }
 
 type report = {
@@ -56,7 +58,7 @@ val measure : repeat:int -> id:string -> (int -> unit) -> experiment
     the monotonic clock under a freshly reset metrics registry and trace
     buffer.  The per-repeat wall times become [runs]; the MC sample count
     ([ddm_mc_samples_total]), the time inside the MC sampling spans, the
-    GC delta and the metrics snapshot are the final repeat's.  The
+    GC delta and the metrics that moved are the final repeat's.  The
     attribution reads the live registry and trace buffer, so it is zero
     unless the caller enabled metrics and tracing.
     @raise Invalid_argument when [repeat < 1]. *)

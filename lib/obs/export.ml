@@ -156,6 +156,40 @@ let json_of_samples samples =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
+(* What a run record keeps of the registry: the grouping of
+   json_of_samples as a Jsonx value, built directly rather than printed
+   and parsed back, holding only the metrics that moved. *)
+let moved_json samples =
+  let group pick =
+    Jsonx.Obj
+      (List.filter_map
+         (fun { Metrics.name; value; _ } -> Option.map (fun v -> (name, v)) (pick value))
+         samples)
+  in
+  let int v = Jsonx.Num (float_of_int v) in
+  let histogram bounds counts sum count =
+    let bucket i c =
+      let le = if i < Array.length bounds then Jsonx.Num bounds.(i) else Jsonx.Str "+Inf" in
+      Jsonx.Obj [ ("le", le); ("count", int c) ]
+    in
+    Jsonx.Obj
+      [
+        ("count", int count);
+        ("sum", Jsonx.Num sum);
+        ("buckets", Jsonx.Arr (Array.to_list (Array.mapi bucket (cumulative counts))));
+      ]
+  in
+  Jsonx.Obj
+    [
+      ("counters", group (function Metrics.Counter_v v when v <> 0 -> Some (int v) | _ -> None));
+      ("gauges", group (function Metrics.Gauge_v v when v <> 0. -> Some (Jsonx.Num v) | _ -> None));
+      ( "histograms",
+        group (function
+          | Metrics.Histogram_v { bounds; counts; sum; count } when count > 0 ->
+            Some (histogram bounds counts sum count)
+          | _ -> None) );
+    ]
+
 (* ---------------------------- Prometheus ---------------------------- *)
 
 let prom_escape_help s =

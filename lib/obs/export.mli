@@ -41,8 +41,15 @@ val prom_escape_label : string -> string
 
 val json_of_samples : Metrics.sample list -> string
 (** A single JSON object grouping the snapshot by kind:
-    [{"counters":{...},"gauges":{...},"histograms":{...}}].  Used by
-    [bench --report]. *)
+    [{"counters":{...},"gauges":{...},"histograms":{...}}].  Used by the
+    [/snapshot] endpoint. *)
+
+val moved_json : Metrics.sample list -> Jsonx.t
+(** {!json_of_samples}'s grouping as a {!Jsonx.t}, keeping only the
+    metrics that moved: counters and gauges other than 0, histograms
+    with at least one observation.  Run records ({!Ledger} entries and
+    perf-report experiments) carry this; [/metrics] and [/snapshot]
+    render the full registry. *)
 
 val histogram_quantile : bounds:float array -> counts:int array -> float -> float
 (** Prometheus-style quantile estimate from per-bucket (non-cumulative)

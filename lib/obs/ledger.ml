@@ -1,7 +1,7 @@
 (* Append-only JSONL run ledger.  Every instrumented ddm/bench invocation
    appends one schema-versioned line recording what ran (command, argv,
    seed), where (git revision), and what it cost (monotonic wall time, GC
-   allocation stats, full metrics snapshot).  Append-only JSONL makes the
+   allocation stats, the metrics that moved).  Append-only JSONL makes the
    ledger crash-tolerant: a torn final line is skipped on load, never
    poisoning the history before it. *)
 
@@ -275,10 +275,7 @@ let entry_of_run ~command ~argv ?seed ~wall_seconds ~gc () =
     rev = git_rev ();
     wall_seconds;
     gc;
-    metrics = (
-      match Jsonx.parse (Export.json_of_samples (Metrics.snapshot ())) with
-      | Ok j -> j
-      | Error _ -> Jsonx.Null);
+    metrics = Export.moved_json (Metrics.snapshot ());
   }
 
 let recording ~file ~command ~argv ?seed f =

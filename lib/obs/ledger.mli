@@ -1,8 +1,8 @@
 (** Append-only JSONL run ledger ([ddm.ledger/v1]).
 
     One line per instrumented invocation: command, argv, seed, git
-    revision, monotonic wall time, GC allocation stats, and the full
-    metrics snapshot.  Loads tolerate a torn (truncated) final line — the
+    revision, monotonic wall time, GC allocation stats, and the metrics
+    that moved.  Loads tolerate a torn (truncated) final line — the
     crash-consistency property of append-only JSONL — by skipping
     unparseable lines and reporting how many were skipped. *)
 
@@ -50,7 +50,9 @@ type entry = {
   rev : string option;  (** git revision, when resolvable *)
   wall_seconds : float;  (** monotonic wall time of the run *)
   gc : gc_stats;  (** allocation delta over the run *)
-  metrics : Jsonx.t;  (** grouped metrics snapshot (see {!Export.json_of_samples}) *)
+  metrics : Jsonx.t;
+      (** grouped metrics; new entries keep only what moved
+          ({!Export.moved_json}), older ones the whole registry *)
 }
 
 val to_json : entry -> Jsonx.t
@@ -85,8 +87,8 @@ val entry_of_run :
   gc:gc_stats ->
   unit ->
   entry
-(** Build an entry stamped with the current time, git revision, and
-    metrics snapshot. *)
+(** Build an entry stamped with the current time, git revision, and the
+    metrics that moved ({!Export.moved_json}). *)
 
 val recording : file:string -> command:string -> argv:string list -> ?seed:int -> (unit -> 'a) -> 'a
 (** Run the thunk, then append one entry covering it (monotonic wall time,

@@ -23,7 +23,7 @@ let now_mono_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 let max_recorded = 10_000
 
 (* Span storage is domain-local: each domain records into its own buffer so
-   Monte-Carlo workers (Mc_par) can trace without synchronization.  A worker
+   lease workers (Par_fold) can trace without synchronization.  A worker
    [drain]s its buffer before joining and the main domain [absorb]s the
    result into its own profile. *)
 type buffer = {

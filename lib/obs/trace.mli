@@ -9,7 +9,7 @@
     no GC stats, no allocation.
 
     Span storage is domain-local: each domain records into its own buffer,
-    so worker domains (see [Mc_par]) can trace without synchronization.
+    so worker domains (see [Par_fold]) can trace without synchronization.
     Before a worker finishes it calls {!drain}; the main domain folds the
     result into its own buffer with {!absorb}.  The enable switch stays
     process-global. *)

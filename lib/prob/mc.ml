@@ -26,12 +26,23 @@ let pp_estimate fmt e =
   Format.fprintf fmt "%.6f ± %.6f [%.6f, %.6f] (n=%d)" e.mean e.stderr lo hi e.samples
 
 (* Every estimate is lease-sharded: the sample budget is split over
-   [leases] Rng.split streams (Mc_par), so an estimate depends on (seed,
-   leases, samples) but never on [domains], which defaults to 1.  Counters
-   are merged on join and the throughput gauge is written once here, on
-   the calling domain, so nothing races.
+   [leases] Rng.split streams (Par_fold.sample), so an estimate depends on
+   (seed, leases, samples) but never on [domains], which defaults to 1.
+   Counters are merged on join and the throughput gauge is written once
+   here, on the calling domain, so nothing races.
 
-   [?kernel] swaps the sampling loop for the batch kernel; this is the one
+   The closure sampler: each lease folds [step] over its share of draws
+   from its own stream, and the lease accumulators merge in lease order. *)
+let fold_draws ?leases ~domains ~rng ~samples ~init ~step ~merge =
+  Par_fold.sample ?leases ~span:"mc.par.lease" ~domains ~rng ~samples (fun rng share ->
+      let acc = ref init in
+      for _ = 1 to share do
+        acc := step !acc rng
+      done;
+      !acc)
+  |> Array.fold_left merge init
+
+(* [?kernel] swaps the sampling loop for the batch kernel; this is the one
    place an estimate is built from either sampler.  [f] is kept in the
    signature as the scalar reference but is never called.  The kernel runs
    inside the same span and feeds the same finish_run counters, so
@@ -44,7 +55,9 @@ let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   let hits =
     match kernel with
     | Some k -> (Mc_kernel.run ?leases ~domains ~rng ~samples k).Mc_kernel.wins
-    | None -> Mc_par.count ?leases ~domains ~rng ~samples f
+    | None ->
+      fold_draws ?leases ~domains ~rng ~samples ~init:0 ~merge:( + ) ~step:(fun k rng ->
+          if f rng then k + 1 else k)
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits;
   let n = float_of_int samples in
@@ -57,7 +70,10 @@ let expectation ?(domains = 1) ?leases ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.expectation: samples";
   Trace.with_span "mc.expectation" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
-  let acc = Mc_par.fold_stats ?leases ~domains ~rng ~samples f in
+  let acc =
+    fold_draws ?leases ~domains ~rng ~samples ~init:Stats.empty ~merge:Stats.merge
+      ~step:(fun acc rng -> Stats.add acc (f rng))
+  in
   if !Metrics.on then finish_run ~t0 ~samples ~hits:0;
   let mean = Stats.mean acc in
   let stderr = Stats.stderr_of_mean acc in

@@ -20,10 +20,10 @@ val probability :
   estimate
 (** Bernoulli estimation with a Wilson 95% interval.
 
-    The run is sharded over [?leases] (default {!Mc_par.default_leases})
-    lease-owned [Rng.split] streams executed by [?domains] (default 1)
-    domains; the estimate is a function of [(seed, leases, samples)] and
-    bit-identical for every [domains >= 1].  The sampling closure must
+    The run is sharded over [?leases] (default {!Par_fold.default_leases})
+    lease-owned [Rng.split] streams ({!Par_fold.sample}) executed by
+    [?domains] (default 1) domains; the estimate is a function of
+    [(seed, leases, samples)] and bit-identical for every [domains >= 1].  The sampling closure must
     be safe to run on other domains (pure up to its own [Rng.t] draws —
     all closures in this repository qualify).
 
@@ -33,9 +33,9 @@ val probability :
     with the closure path statistically (same seed, {!agrees}-close), not
     byte-for-byte; the [-j] bit-identity contract above still holds
     verbatim on the kernel path.  Callers do not choose the sampler:
-    {!Engine.win_probability_mc} and {!Mc_eval.winning_probability} pass
-    a spec exactly when the question is the paper's no-communication
-    game, which the kernel plays. *)
+    {!Engine.win_probability_mc} (which {!Mc_eval.winning_probability}
+    calls) passes a spec exactly when the question is the paper's
+    no-communication game, which the kernel plays. *)
 
 val expectation :
   ?domains:int ->

@@ -1,6 +1,6 @@
 (* Batch Monte-Carlo kernel for the 2-bin load game.
 
-   The per-sample closure path (Mc / Mc_par) pays one closure call, one
+   The per-sample closure path (Mc) pays one closure call, one
    inputs array, one decisions array and ~8 boxed Int64 intermediates per
    xoshiro draw for every play.  This kernel amortizes all of that:
    uniform draws are produced chunk-wise into structure-of-arrays Bigarray
@@ -12,9 +12,9 @@
 
    Determinism contract (docs/KERNEL.md): a kernel estimate is a pure
    function of (seed, leases, samples, spec) — worker count never enters.
-   [run] derives one stream per lease exactly as Mc_par does and merges
-   per-lease results in lease order, so [-j k] is bit-identical to
-   [-j 1].  The kernel draws in a different order than the scalar path
+   [run] samples through Par_fold.sample, one split stream per lease as
+   the closure path, and merges per-lease results in lease order, so
+   [-j k] is bit-identical to [-j 1].  The kernel draws in a different order than the scalar path
    (inputs for a whole chunk first, then decision / fault draws), so
    kernel and scalar estimates agree statistically, not byte-for-byte;
    tests pin the agreement through Mc.agrees. *)
@@ -174,8 +174,9 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
         if oblivious then
           for i = 0 to n - 1 do
             let x = Bigarray.Array1.unsafe_get u (base + i) in
-            (* u2 < alpha matches Model.decide for every alpha: alpha <= 0
-               never fires, alpha >= 1 always does (u2 < 1 is certain). *)
+            (* u2 < alpha matches Engine.run_once's coin for every alpha:
+               alpha <= 0 never fires, alpha >= 1 always does (u2 < 1 is
+               certain). *)
             if Bigarray.Array1.unsafe_get db (base + i) < Array.unsafe_get params i then
               l0 := !l0 +. x
             else l1 := !l1 +. x
@@ -247,21 +248,13 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
     hist;
   }
 
-let run ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ?(domains = 1) ~rng ~samples t
-    =
-  if domains < 1 then invalid_arg "Mc_kernel.run: domains must be >= 1";
-  if leases < 1 then invalid_arg "Mc_kernel.run: leases must be >= 1";
-  if samples < 0 then invalid_arg "Mc_kernel.run: samples must be >= 0";
-  (* Same stream-derivation discipline as Mc_par.fold: every lease stream
-     is split off sequentially, in lease order, before any worker runs, so
-     lease i's draws depend only on (root seed, leases, i). *)
-  let streams = Array.init leases (fun _ -> Rng.split rng) in
-  let counts = Mc_par.lease_counts ~leases ~samples in
+let run ?(leases = Par_fold.default_leases) ?hist ?(loads = false) ?(domains = 1) ~rng ~samples
+    t =
   (* Chunk buffers live for this call only: a lease takes a set off the
      free list (allocating one when every set is in use) and returns it,
      so a call allocates one set per worker rather than one per lease.
-     Lease 0 has the largest share, so its size fits every lease. *)
-  let cap = min counts.(0) chunk_plays in
+     A set fits the largest share, ceil (samples / leases); it is sized
+     inside a lease, after Par_fold.sample has validated [leases]. *)
   let free = ref [] and mu = Mutex.create () in
   let take () =
     Mutex.protect mu (fun () ->
@@ -269,16 +262,15 @@ let run ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ?(domains = 1) 
         | b :: rest ->
           free := rest;
           b
-        | [] -> alloc_buffers ~cap t)
+        | [] -> alloc_buffers ~cap:(min ((samples + leases - 1) / leases) chunk_plays) t)
   in
   let give b = Mutex.protect mu (fun () -> free := b :: !free) in
   let parts =
-    Par_fold.run_leases ~span:"mc.kernel.lease" ~domains ~leases (fun i ->
-        if counts.(i) = 0 then empty_result ?hist ()
+    Par_fold.sample ~leases ~span:"mc.kernel.lease" ~domains ~rng ~samples (fun stream share ->
+        if share = 0 then empty_result ?hist ()
         else begin
           let buffers = take () in
-          let fill = Rng.fill_of streams.(i) in
-          let r = run_fill ?hist ~loads ~buffers ~fill ~samples:counts.(i) t in
+          let r = run_fill ?hist ~loads ~buffers ~fill:(Rng.fill_of stream) ~samples:share t in
           give buffers;
           (* on the worker, as the lease finishes: counters kept from it
              rise while a long run is still going *)

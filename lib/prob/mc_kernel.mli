@@ -1,6 +1,6 @@
 (** Batch Monte-Carlo kernel for the 2-bin load game.
 
-    The scalar harness ({!Mc}, {!Mc_par}) estimates by calling a closure
+    The scalar harness ({!Mc}) estimates by calling a closure
     once per play; this module replaces that inner loop for the game the
     paper studies — [n] players with uniform inputs each pick one of two
     bins, and the play wins when both bin loads stay within the capacity
@@ -14,9 +14,9 @@
     X14).
 
     {b Determinism.} A kernel estimate is a pure function of
-    [(seed, leases, samples, spec)].  {!run} derives one RNG stream per
-    lease (exactly {!Mc_par}'s discipline) and merges per-lease results
-    in lease order, so the result is bit-identical for every worker
+    [(seed, leases, samples, spec)].  {!run} samples through
+    {!Par_fold.sample}, the closure path's split-stream discipline, and
+    merges per-lease results in lease order, so the result is bit-identical for every worker
     count [>= 1].  The kernel consumes randomness in a different
     order than the scalar path, so kernel estimates agree with scalar
     estimates {e statistically} (pinned through {!Mc.agrees} in tests),
@@ -25,13 +25,15 @@
 type rule =
   | Threshold of float array
       (** [Threshold tau]: player [i] picks bin 0 iff its input
-          [x <= tau.(i)] — {!Model.Single_threshold} /
-          [Dist_protocol.single_threshold] semantics. *)
+          [x <= tau.(i)] — the rule of
+          [Dist_protocol.single_threshold] and
+          {!Model.Single_threshold}. *)
   | Oblivious of float array
       (** [Oblivious alpha]: player [i] picks bin 0 with probability
-          [alpha.(i)], ignoring its input — {!Model.Oblivious} /
-          [Dist_protocol.oblivious] semantics (values outside [[0,1]]
-          behave as the scalar path: clamped in effect). *)
+          [alpha.(i)], ignoring its input — the rule of
+          [Dist_protocol.oblivious] and {!Model.Oblivious} (values
+          outside [[0,1]] behave as the scalar path: clamped in
+          effect). *)
 
 type fault = private { crash_rate : float; crash_bin : int; noise : float; jitter : float }
 
@@ -88,17 +90,16 @@ val run :
   samples:int ->
   t ->
   result
-(** Lease-sharded batch run on a {!Par_fold} domain pool of [domains]
-    (default 1) workers: [rng] is advanced by exactly [leases] (default
-    {!Mc_par.default_leases}) splits, lease [i] plays its share of
-    [samples] ({!Mc_par.lease_counts}) from a fill stream derived from
-    its own split, and per-lease results merge in lease order
-    ({!Stats.merge} / [histogram_merge]) — bit-identical for every
-    [domains >= 1] at fixed [(seed, leases, samples)], the same contract
-    as {!Mc_par}.  [?hist:(bins, lo, hi)] requests the fused histogram;
-    [~loads:true] (default false) requests the Welford accumulator — both
-    are fused into the same pass, costing only their own arithmetic.
-    Chunk buffers are allocated once per worker for the call and dropped
-    with it.
-    @raise Invalid_argument when [domains < 1], [leases < 1], or
-    [samples < 0]. *)
+(** Lease-sharded batch run through {!Par_fold.sample} on a pool of
+    [domains] (default 1) workers: [rng] is advanced by exactly [leases]
+    (default {!Par_fold.default_leases}) splits, lease [i] plays its share
+    of [samples] from a fill stream derived from its own split, and
+    per-lease results merge in lease order ({!Stats.merge} /
+    [histogram_merge]) — bit-identical for every [domains >= 1] at fixed
+    [(seed, leases, samples)], the same contract as the closure path.
+    [?hist:(bins, lo, hi)] requests the fused histogram; [~loads:true]
+    (default false) requests the Welford accumulator — both are fused
+    into the same pass, costing only their own arithmetic.  Chunk buffers
+    are allocated once per worker for the call and dropped with it.
+    @raise Invalid_argument ({!Par_fold.sample}'s) when [domains < 1],
+    [leases < 1], or [samples < 0]. *)

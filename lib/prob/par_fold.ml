@@ -60,6 +60,27 @@ let run_leases ?(span = "par.lease") ~domains ~leases run =
       results
   end
 
+(* Lease i of [leases] owns [items / leases] indices plus one of the
+   remainder, so the shares differ by at most one and every index is owned
+   by exactly one lease.  Ranges are contiguous and in index order: lease i
+   covers [lease_start i, lease_start (i + 1)). *)
+let lease_start ~leases ~items i =
+  let base = items / leases and extra = items mod leases in
+  (i * base) + if i < extra then i else extra
+
+(* Debug start/done records around one pool run, for both entry points. *)
+let logged event ~domains ~leases (what, count) run =
+  if not (Logx.would_log Logx.Debug) then run ()
+  else begin
+    Logx.debug (event ^ ".start")
+      [ ("domains", Logx.Int domains); ("leases", Logx.Int leases); (what, Logx.Int count) ];
+    let t0 = Trace.now_mono_s () in
+    let r = run () in
+    Logx.debug (event ^ ".done")
+      [ (what, Logx.Int count); ("wall_s", Logx.Float (Trace.now_mono_s () -. t0)) ];
+    r
+  end
+
 let fold_ranges ?(leases = default_leases) ?span ~domains ~items ~init ~range ~merge () =
   if domains < 1 then invalid_arg "Par_fold.fold: domains must be >= 1";
   if leases < 1 then invalid_arg "Par_fold.fold: leases must be >= 1";
@@ -68,24 +89,24 @@ let fold_ranges ?(leases = default_leases) ?span ~domains ~items ~init ~range ~m
      the identity, so capping the count changes no result — it only spares
      small folds the empty slots. *)
   let leases = if items < 1 then 1 else if leases < items then leases else items in
-  let logging = Logx.would_log Logx.Debug in
-  if logging then
-    Logx.debug "par.fold.start"
-      [ ("domains", Logx.Int domains); ("leases", Logx.Int leases); ("items", Logx.Int items) ];
-  let t0 = if logging then Trace.now_mono_s () else 0. in
-  (* Lease i gets [items / leases] indices plus one of the remainder, so
-     the shares differ by at most one and every index is owned by exactly
-     one lease.  Ranges are contiguous and in index order: lease i covers
-     [start i, start (i + 1)). *)
-  let base = items / leases and extra = items mod leases in
-  let start i = (i * base) + if i < extra then i else extra in
+  logged "par.fold" ~domains ~leases ("items", items) @@ fun () ->
+  let start = lease_start ~leases ~items in
   let parts =
     run_leases ?span ~domains ~leases (fun i -> range (init ()) ~lo:(start i) ~hi:(start (i + 1)))
   in
-  if logging then
-    Logx.debug "par.fold.done"
-      [ ("items", Logx.Int items); ("wall_s", Logx.Float (Trace.now_mono_s () -. t0)) ];
   Array.fold_left merge (init ()) parts
+
+let sample ?(leases = default_leases) ?span ~domains ~rng ~samples run =
+  if domains < 1 then invalid_arg "Par_fold.sample: domains must be >= 1";
+  if leases < 1 then invalid_arg "Par_fold.sample: leases must be >= 1";
+  if samples < 0 then invalid_arg "Par_fold.sample: samples must be >= 0";
+  logged "par.sample" ~domains ~leases ("samples", samples) @@ fun () ->
+  (* Every stream is split off up front, in lease order, so lease i's draws
+     depend only on (root seed, leases, i), never on scheduling.  The lease
+     count is not capped: the root always advances by [leases] splits. *)
+  let streams = Array.init leases (fun _ -> Rng.split rng) in
+  let start = lease_start ~leases ~items:samples in
+  run_leases ?span ~domains ~leases (fun i -> run streams.(i) (start (i + 1) - start i))
 
 let fold ?leases ?span ~domains ~items ~init ~step ~merge () =
   fold_ranges ?leases ?span ~domains ~items ~init ~merge

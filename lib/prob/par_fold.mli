@@ -1,8 +1,7 @@
-(** Lease-sharded deterministic parallelism for {e indexed pure} folds —
-    the exact-path counterpart of {!Mc_par}.
+(** Lease-sharded deterministic parallelism: one domain pool under every
+    parallel path, with two entry points.
 
-    Where {!Mc_par} shards a stochastic fold over split RNG streams, this
-    module shards a pure fold over the index range [0 .. items-1]: the
+    {!fold} shards a pure fold over the index range [0 .. items-1]: the
     range is partitioned into a fixed number of {e leases} (contiguous,
     in index order), worker domains steal whole leases from an atomic
     cursor, each lease folds its own range sequentially, and the main
@@ -12,15 +11,22 @@
     bit-identical values — including for floating-point accumulators,
     because the summation order is a function of the lease partition
     alone.  Changing [leases] regroups the partial sums and may move the
-    result by float roundoff (exactly the MC contract, where changing
-    [leases] re-derives the split streams).
+    result by float roundoff.
 
-    Exceptions raised by [step] (including cooperative-cancellation
+    {!sample} is the Monte-Carlo form: the same partition shares a
+    sample budget out over the leases, and each lease draws from its own
+    stream split off the root generator.  A Monte-Carlo estimate is then
+    a function of [(seed, leases, samples)], never of [domains]; changing
+    [leases] selects different split streams and so a different (equally
+    valid) estimate.  {!Mc.probability}, {!Mc.expectation} and
+    {!Mc_kernel.run} all sample through it.
+
+    Exceptions raised by a lease (including cooperative-cancellation
     raises such as [Engine.Cancelled]) park the pool — no new lease
     starts, in-flight leases run to their own completion or raise — and
     propagate to the caller after every worker domain has been joined.
 
-    Observability: [step] may bump {!Metrics} counters (they are
+    Observability: a lease may bump {!Metrics} counters (they are
     atomic).  When tracing is enabled and the leases run on a spawned
     pool ([domains > 1]), each lease is recorded as a span (default name
     ["par.lease"]; callers pass [?span] to label their workload) in its
@@ -28,12 +34,11 @@
     on join ({!Trace.drain}/{!Trace.absorb}).  An inline run
     ([domains = 1]) records no lease spans: it already sits under its
     caller's span, and a span per lease would cost more than a small
-    fold's work. *)
+    fold's work.  See docs/PARALLELISM.md for the full contract. *)
 
 val default_leases : int
 (** 64 — comfortably more leases than any realistic worker count, so the
-    pool load-balances even when per-index cost is uneven (shared with
-    {!Mc_par.default_leases}). *)
+    pool load-balances even when per-index or per-sample cost is uneven. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible [-j] value for this
@@ -44,11 +49,10 @@ val run_leases : ?span:string -> domains:int -> leases:int -> (int -> 'a) -> 'a 
     jobs [run 0 .. run (leases-1)] on a pool of [domains] worker domains
     (the calling domain is one of them, so [domains:1] spawns nothing)
     and returns their results in lease order.  This is the shared
-    domain-pool core under {!fold}, {!Mc_par.fold} and {!Mc_kernel.run};
-    use it directly
-    when per-lease work is not an indexed fold (e.g. {!Mc_par}'s
-    per-lease RNG streams).  [run] and the closures it captures must be
-    safe to call from another domain.
+    domain-pool core under {!fold} and {!sample}; use it directly when
+    per-lease work is neither an indexed fold nor a sample share.  [run]
+    and the closures it captures must be safe to call from another
+    domain.
     @raise Invalid_argument when [domains < 1] or [leases < 0].
     @raise e re-raises the first exception any lease raised (main
     domain's first), after all workers are joined. *)
@@ -97,3 +101,23 @@ val sum : ?leases:int -> ?span:string -> domains:int -> items:int -> (int -> flo
     per-lease partial sums merged in lease order — the worker-count-
     invariant building block under the parallel grid integrators and the
     2^n subset folds. *)
+
+val sample :
+  ?leases:int ->
+  ?span:string ->
+  domains:int ->
+  rng:Rng.t ->
+  samples:int ->
+  (Rng.t -> int -> 'a) ->
+  'a array
+(** [sample ~domains ~rng ~samples run] splits [leases] (default
+    {!default_leases}) streams off [rng], in lease order, before any
+    lease runs, then calls [run stream share] for each lease on a pool of
+    [domains] workers and returns the results in lease order.  Lease [i]
+    gets the [i]-th stream and the [i]-th share of [samples] in
+    {!fold_ranges}' partition: shares differ by at most one and sum to
+    [samples].  Unlike {!fold}, the lease count is never capped: [rng]
+    advances by exactly [leases] splits, and a lease past the last sample
+    runs with share 0.  [run] must be safe to call from another domain.
+    @raise Invalid_argument when [domains < 1], [leases < 1], or
+    [samples < 0]. *)

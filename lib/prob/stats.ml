@@ -29,7 +29,7 @@ let of_moments ~count ~mean ~m2 =
 
 (* Chan et al. pairwise combination: exact for the merged mean and M2 up to
    rounding, independent of how the samples were sharded.  Merging in a
-   fixed order (Mc_par merges in lease order) keeps the result bit-stable
+   fixed order (the samplers merge in lease order) keeps the result bit-stable
    across worker counts. *)
 let merge a b =
   if a.n = 0 then b

@@ -344,9 +344,14 @@ let respond_once t job ~outcome resp =
       ~total_s
       (job_phase_fields job ~now);
     (* count before writing: a client that has seen its terminal response
-       must find it already reflected in the stats *)
+       must find it already reflected in the stats.  A deadline expiry is
+       counted here, by the branch that won the 504, and nowhere else. *)
     Atomic.incr t.c_deferred;
     Metrics.incr m_responses;
+    if outcome = Timeout || outcome = Expired_queued then begin
+      Atomic.incr t.c_deadline;
+      Metrics.incr m_deadline
+    end;
     Httpd.send_response job.client resp;
     true
   end
@@ -361,8 +366,6 @@ let run_job t job =
   let now = Trace.now_mono_s () in
   if now >= job.deadline_mono_s then begin
     (* expired while queued: terminal 504 without starting the solve *)
-    Atomic.incr t.c_deadline;
-    Metrics.incr m_deadline;
     ignore
       (respond_once t job ~outcome:Expired_queued
          (Httpd.json ~status:504
@@ -402,8 +405,6 @@ let run_job t job =
       ledger_note t job ~wall_s
     | exception Engine.Cancelled { cells_done; cells_total } ->
       solve_done ();
-      Atomic.incr t.c_deadline;
-      Metrics.incr m_deadline;
       ignore
         (respond_once t job ~outcome:Timeout
            (Httpd.json ~status:504
@@ -461,10 +462,6 @@ let spawn_worker t =
 (* ------------------------------ watchdog ---------------------------- *)
 
 let orphan_response t job ~reason ~status =
-  if status = 504 then begin
-    Atomic.incr t.c_deadline;
-    Metrics.incr m_deadline
-  end;
   let outcome = if status = 504 then Timeout else Failed in
   ignore
     (respond_once t job ~outcome
@@ -863,7 +860,6 @@ let stop ?drain_deadline_s t =
         match Atomic.get w.current with
         | Some job ->
           Atomic.set w.current None;
-          Atomic.incr t.c_deadline;
           ignore
             (respond_once t job ~outcome:Timeout
                (Httpd.json ~status:504 (error_body "deadline" ~extra:[ ("stage", Jsonx.Str "drain") ])))

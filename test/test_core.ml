@@ -39,33 +39,40 @@ let model_tests =
       let e4 = Model.scaled_exact ~n:4 in
       Alcotest.check rat "scaled exact" (R.of_ints 4 3) e4.Model.delta_exact);
     Alcotest.test_case "play consistency" `Quick (fun () ->
+      (* a rule plays as its protocol on the no-communication pattern *)
       let rng = Rng.create ~seed:3 in
-      let inst = Model.instance ~n:5 ~delta:1.4 in
+      let a = [| 0.6; 0.5; 0.7; 0.3; 0.9 |] in
+      let protocol = Mc_eval.protocol (Model.Single_threshold a) in
+      let pattern = Comm_pattern.none ~n:5 in
       for _ = 1 to 200 do
-        let o = Model.play rng inst (Model.Single_threshold [| 0.6; 0.5; 0.7; 0.3; 0.9 |]) in
+        let o = Engine.run_once rng ~delta:1.4 pattern protocol in
         let s0 = ref 0. and s1 = ref 0. in
         Array.iteri
-          (fun i d -> if d = 0 then s0 := !s0 +. o.Model.inputs.(i) else s1 := !s1 +. o.Model.inputs.(i))
-          o.Model.decisions;
-        Alcotest.(check (float 1e-12)) "load0" !s0 o.Model.load0;
-        Alcotest.(check (float 1e-12)) "load1" !s1 o.Model.load1;
-        Alcotest.(check bool) "win" (!s0 <= 1.4 && !s1 <= 1.4) o.Model.win;
-        Alcotest.(check bool) "wins fn" o.Model.win
-          (Model.wins inst ~inputs:o.Model.inputs ~decisions:o.Model.decisions)
+          (fun i d ->
+            let expect = if o.Engine.inputs.(i) <= a.(i) then 0 else 1 in
+            Alcotest.(check int) "threshold decision" expect d;
+            if d = 0 then s0 := !s0 +. o.Engine.inputs.(i) else s1 := !s1 +. o.Engine.inputs.(i))
+          o.Engine.decisions;
+        Alcotest.(check (float 1e-12)) "load0" !s0 o.Engine.load0;
+        Alcotest.(check (float 1e-12)) "load1" !s1 o.Engine.load1;
+        Alcotest.(check bool) "win" (!s0 <= 1.4 && !s1 <= 1.4) o.Engine.win
       done);
     Alcotest.test_case "threshold rule is deterministic" `Quick (fun () ->
-      let rng = Rng.create ~seed:4 in
-      let rule = Model.Single_threshold [| 0.5 |] in
-      Alcotest.(check int) "below" 0 (Model.decide rng rule 0 0.4);
-      Alcotest.(check int) "at" 0 (Model.decide rng rule 0 0.5);
-      Alcotest.(check int) "above" 1 (Model.decide rng rule 0 0.51));
+      let p = Mc_eval.protocol (Model.Single_threshold [| 0.5 |]) in
+      let at own = Dist_protocol.decide p { Dist_protocol.me = 0; own; others = [] } in
+      Alcotest.(check bool) "deterministic" true (Dist_protocol.is_deterministic p);
+      Alcotest.(check (float 0.)) "below" 1. (at 0.4);
+      Alcotest.(check (float 0.)) "at" 1. (at 0.5);
+      Alcotest.(check (float 0.)) "above" 0. (at 0.51));
     Alcotest.test_case "custom rule probabilities" `Quick (fun () ->
       let rng = Rng.create ~seed:5 in
-      let rule = Model.Custom (fun _ x -> x) in
+      let p = Mc_eval.protocol (Model.Custom (fun _ x -> x)) in
+      let pattern = Comm_pattern.none ~n:1 in
       (* decision 0 with probability x: check frequency at x = 0.8 *)
       let zeros = ref 0 in
       for _ = 1 to 20_000 do
-        if Model.decide rng rule 0 0.8 = 0 then incr zeros
+        let o = Engine.run_once ~sampler:(fun _ -> 0.8) rng ~delta:1. pattern p in
+        if o.Engine.decisions.(0) = 0 then incr zeros
       done;
       Alcotest.(check bool) "freq" true (abs (!zeros - 16_000) < 400));
   ]
@@ -785,7 +792,8 @@ let mc_eval_kernel_tests =
         let e = Mc_eval.winning_probability ~rng:(Rng.create ~seed:94) ~samples:20_000 inst rule in
         let closure =
           Mc.probability ~rng:(Rng.create ~seed:94) ~samples:20_000 (fun rng ->
-              (Model.play rng inst rule).Model.win)
+              (Engine.run_once rng ~delta:1. (Comm_pattern.none ~n:3) (Mc_eval.protocol rule))
+                .Engine.win)
         in
         Alcotest.(check (float 0.)) "closure estimate" closure.Mc.mean e.Mc.mean;
         e
@@ -795,6 +803,21 @@ let mc_eval_kernel_tests =
         (Mc.agrees
            (est (Model.Custom (fun _ _ -> 0.5)))
            (Oblivious.winning_probability ~delta:1. (Array.make 3 0.5))));
+    Alcotest.test_case "banded closure estimate is pinned at every -j" `Quick (fun () ->
+      (* the Custom rule of `ddm banded --params 0.3,0.7,0.5 --seed 7`
+         plays on the closure; its estimate is a function of (seed,
+         leases, samples), so the win count is pinned at every -j *)
+      let inst = Model.instance ~n:3 ~delta:1. in
+      let rule = Banded.to_rule { Banded.t1 = 0.3; t2 = 0.7; q = 0.5 } in
+      List.iter
+        (fun j ->
+          let e =
+            Mc_eval.winning_probability ~domains:j ~rng:(Rng.create ~seed:7) ~samples:50_000 inst
+              rule
+          in
+          Alcotest.(check (float 0.)) (Printf.sprintf "wins j=%d" j) 22_908.
+            (Float.round (e.Mc.mean *. 50_000.)))
+        [ 1; 2; 4 ]);
   ]
 
 let () =

@@ -114,6 +114,19 @@ let engine_tests =
         Alcotest.(check bool) "win consistent" o.Engine.win
           (o.Engine.load0 <= 1.2 && o.Engine.load1 <= 1.2)
       done);
+    Alcotest.test_case "full-pattern closure estimate is pinned" `Quick (fun () ->
+      (* a view-reading protocol plays on the closure over run_once; its
+         estimate is a function of (seed, leases, samples), so the win
+         count is pinned *)
+      let p =
+        Dist_protocol.weighted_threshold ~weights:(Array.make 3 (Array.make 3 0.5))
+          ~thresholds:(Array.make 3 0.6)
+      in
+      let e =
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:7) ~samples:50_000 ~delta:1.
+          (Comm_pattern.full ~n:3) p
+      in
+      Alcotest.(check (float 0.)) "wins" 8_609. (Float.round (e.Mc.mean *. 50_000.)));
     Alcotest.test_case "no-comm engine matches core closed form (threshold)" `Quick (fun () ->
       let n = 3 and delta = 1. in
       let exact = Threshold.winning_probability_sym ~n ~delta 0.622 in
@@ -411,15 +424,15 @@ let engine_kernel_tests =
   [
     Alcotest.test_case "protocol constructors carry their local rule" `Quick (fun () ->
       (match Dist_protocol.local_rule (Dist_protocol.single_threshold [| 0.1; 0.2; 0.3 |]) with
-      | Some (Dist_protocol.Local_threshold a) ->
+      | Some (Mc_kernel.Threshold a) ->
         Alcotest.(check (array (float 0.))) "thresholds" [| 0.1; 0.2; 0.3 |] a
       | _ -> Alcotest.fail "single_threshold lost its local rule");
       (match Dist_protocol.local_rule (Dist_protocol.fair_coin ~n) with
-      | Some (Dist_protocol.Local_oblivious a) ->
+      | Some (Mc_kernel.Oblivious a) ->
         Alcotest.(check (array (float 0.))) "alphas" [| 0.5; 0.5; 0.5 |] a
       | _ -> Alcotest.fail "fair_coin lost its local rule");
       (match Dist_protocol.local_rule (Dist_protocol.common_threshold ~n 0.62) with
-      | Some (Dist_protocol.Local_threshold _) -> ()
+      | Some (Mc_kernel.Threshold _) -> ()
       | _ -> Alcotest.fail "common_threshold lost its local rule");
       (* protocols whose decisions read the view have no local-rule form *)
       let custom = Dist_protocol.make ~name:"custom" (fun _ -> 0.5) in

@@ -871,9 +871,12 @@ let concurrency_tests =
             (!n, !bad))
         in
         let total =
-          Mc_par.count ~domains:3 ~rng:(Rng.create ~seed:99) ~samples (fun _rng ->
-            Metrics.incr c;
-            true)
+          Par_fold.sample ~domains:3 ~rng:(Rng.create ~seed:99) ~samples (fun _rng share ->
+              for _ = 1 to share do
+                Metrics.incr c
+              done;
+              share)
+          |> Array.fold_left ( + ) 0
         in
         Atomic.set stop true;
         let scrapes, bad = Domain.join scraper in
@@ -886,9 +889,13 @@ let concurrency_tests =
         let c = Metrics.counter ~help:"scraped live" "test_obs_live_total" in
         with_server (fun port ->
           let total =
-            Mc_par.count ~domains:2 ~rng:(Rng.create ~seed:7) ~samples:50_000 (fun _rng ->
-              Metrics.incr c;
-              true)
+            Par_fold.sample ~domains:2 ~rng:(Rng.create ~seed:7) ~samples:50_000
+              (fun _rng share ->
+                for _ = 1 to share do
+                  Metrics.incr c
+                done;
+                share)
+            |> Array.fold_left ( + ) 0
           in
           Alcotest.(check int) "all samples" 50_000 total;
           let status, body = http_request port "/metrics" in
@@ -961,7 +968,7 @@ let concurrency_tests =
     Alcotest.test_case "live_spans sees spans from joined workers" `Quick (fun () ->
       with_tracing (fun () ->
         let rng = Rng.create ~seed:3 in
-        ignore (Mc_par.count ~domains:2 ~leases:4 ~rng ~samples:100 (fun rng ->
+        ignore (Mc.probability ~domains:2 ~leases:4 ~rng ~samples:100 (fun rng ->
           Rng.float01 rng < 0.5));
         let rows = Trace.profile_of (Trace.live_spans ()) in
         match List.find_opt (fun r -> r.Trace.p_name = "mc.par.lease") rows with

@@ -89,6 +89,27 @@ let sample_entry ?(command = "test") () =
 
 let ledger_tests =
   [
+    Alcotest.test_case "run records keep only metrics that moved" `Quick (fun () ->
+      let sample name value = { Metrics.name; help = ""; value } in
+      let hist counts sum =
+        Metrics.Histogram_v
+          { bounds = [| 1. |]; counts; sum; count = Array.fold_left ( + ) 0 counts }
+      in
+      let moved =
+        [ sample "c_moved" (Metrics.Counter_v 3); sample "g_moved" (Metrics.Gauge_v 2.5);
+          sample "h_moved" (hist [| 1; 2 |] 4.5) ]
+      in
+      let still =
+        [ sample "c_zero" (Metrics.Counter_v 0); sample "g_zero" (Metrics.Gauge_v 0.);
+          sample "h_empty" (hist [| 0; 0 |] 0.) ]
+      in
+      let j = Jsonx.to_string (Export.moved_json (still @ moved)) in
+      Alcotest.(check string) "what moved, in the full snapshot's shape"
+        (Jsonx.to_string (Jsonx.parse_exn (Export.json_of_samples moved)))
+        j;
+      Alcotest.(check string) "an idle registry records empty groups"
+        "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+        (Jsonx.to_string (Export.moved_json still)));
     Alcotest.test_case "entry JSON round-trip" `Quick (fun () ->
       let e = sample_entry () in
       match Ledger.of_json (Ledger.to_json e) with
@@ -395,6 +416,43 @@ let integration_tests =
             Alcotest.(check string) "id" "perf-ih-cdf-m20" e.Baseline.id;
             Alcotest.(check int) "kept both repeats" 2 (List.length e.Baseline.runs);
             Alcotest.(check bool) "gc delta recorded" true (e.Baseline.gc <> None)));
+    Alcotest.test_case "perf record keeps only moved metrics" `Quick (fun () ->
+      let rep = tmp_file ".json" and log = tmp_file ".log" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ rep; log ])
+        (fun () ->
+          Alcotest.(check int) "record exits 0" 0
+            (run_out
+               (Printf.sprintf
+                  "perf record --out %s --repeat 1 --seed 3 --experiments perf-mc-100k-n3" rep)
+               log);
+          match Baseline.load rep with
+          | Error msg -> Alcotest.fail msg
+          | Ok r ->
+            let e = List.hd r.Baseline.experiments in
+            let group name =
+              match Option.bind e.Baseline.metrics (Jsonx.member name) with
+              | Some (Jsonx.Obj l) -> l
+              | _ -> Alcotest.fail ("no " ^ name ^ " group")
+            in
+            let counters = group "counters" in
+            Alcotest.(check (option (float 0.))) "the run's samples" (Some 100_000.)
+              (Option.bind (List.assoc_opt "ddm_mc_samples_total" counters) Jsonx.to_float_opt);
+            List.iter
+              (fun (name, v) -> Alcotest.(check bool) (name ^ " moved") true (v <> Jsonx.Num 0.))
+              (counters @ group "gauges");
+            List.iter
+              (fun (name, h) ->
+                Alcotest.(check bool) (name ^ " observed") true
+                  (Option.value ~default:0 (Jsonx.int_member "count" h) > 0))
+              (group "histograms");
+            (* the committed baseline carries whole-registry dumps: it still
+               loads, and diffs against a lean record *)
+            Alcotest.(check bool) "committed baseline loads" true
+              (Result.is_ok (Baseline.load "../BENCH_baseline.json"));
+            Alcotest.(check int) "diff against the committed baseline exits 0" 0
+              (run_out (Printf.sprintf "perf diff ../BENCH_baseline.json %s" rep) log)));
     Alcotest.test_case "perf check passes against itself and fails when doctored" `Quick
       (fun () ->
       let base = tmp_file ".json" and bad = tmp_file ".json" and log = tmp_file ".log" in

@@ -569,18 +569,19 @@ let kernel_tests =
         (Invalid_argument "Mc_kernel.fault: crash_bin = 2 (-1 drops the input, 0/1 reroute it)")
         (fun () -> ignore (Mc_kernel.fault ~crash_bin:2 ()));
       let k = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold tau3) in
+      (* run validates through the sampler it shares with the closure path *)
       Alcotest.check_raises "negative samples"
-        (Invalid_argument "Mc_kernel.run: samples must be >= 0") (fun () ->
+        (Invalid_argument "Par_fold.sample: samples must be >= 0") (fun () ->
           ignore (Mc_kernel.run ~rng:(Rng.create ~seed:1) ~samples:(-1) k));
       Alcotest.check_raises "domains < 1"
-        (Invalid_argument "Mc_kernel.run: domains must be >= 1") (fun () ->
+        (Invalid_argument "Par_fold.sample: domains must be >= 1") (fun () ->
           ignore (Mc_kernel.run ~domains:0 ~rng:(Rng.create ~seed:1) ~samples:10 k));
       let z = Mc_kernel.run ~rng:(Rng.create ~seed:1) ~samples:0 k in
       Alcotest.(check int) "samples:0 is empty" 0 z.Mc_kernel.samples;
       Alcotest.(check int) "samples:0 has no wins" 0 z.Mc_kernel.wins);
   ]
 
-(* ------------------------- Mc_par ------------------------- *)
+(* ------------------- Mc on Par_fold.sample ------------------- *)
 
 (* The determinism contract under test: for a fixed (seed, leases, samples)
    the estimate must not depend on how many domains executed the leases. *)
@@ -644,14 +645,13 @@ let mc_par_tests =
             (int_of_float (Float.round (est.Mc.mean *. 10_000.)))
             par_wins));
     Alcotest.test_case "zero samples and one domain edge cases" `Quick (fun () ->
-      (* an empty parallel fold is just the init value *)
+      (* an empty sample run still runs every lease, each with share 0 *)
       let zero =
-        Mc_par.fold ~domains:4 ~rng:(Rng.create ~seed:1) ~samples:0
-          ~init:(fun () -> 0)
-          ~step:(fun acc _ -> acc + 1)
-          ~merge:( + ) ()
+        Par_fold.sample ~domains:4 ~rng:(Rng.create ~seed:1) ~samples:0 (fun _ share -> share)
       in
-      Alcotest.(check int) "samples:0 folds to init" 0 zero;
+      Alcotest.(check int) "samples:0 runs every lease" Par_fold.default_leases
+        (Array.length zero);
+      Alcotest.(check int) "samples:0 shares nothing" 0 (Array.fold_left ( + ) 0 zero);
       (* fewer samples than leases: only some leases draw at all *)
       let tiny =
         Mc.probability ~domains:4 ~rng:(Rng.create ~seed:2) ~samples:3 (fun _ -> true)
@@ -664,11 +664,11 @@ let mc_par_tests =
       in
       Alcotest.(check (float 0.)) "domains > leases" 1. wide.Mc.mean;
       Alcotest.check_raises "domains:0 rejected"
-        (Invalid_argument "Mc_par.fold: domains must be >= 1") (fun () ->
+        (Invalid_argument "Par_fold.sample: domains must be >= 1") (fun () ->
           ignore
             (Mc.probability ~domains:0 ~rng:(Rng.create ~seed:4) ~samples:10 (fun _ -> true)));
       Alcotest.check_raises "leases:0 rejected"
-        (Invalid_argument "Mc_par.fold: leases must be >= 1") (fun () ->
+        (Invalid_argument "Par_fold.sample: leases must be >= 1") (fun () ->
           ignore
             (Mc.probability ~domains:1 ~leases:0 ~rng:(Rng.create ~seed:4) ~samples:10
                (fun _ -> true)));
@@ -677,12 +677,69 @@ let mc_par_tests =
           ignore
             (Mc.probability ~domains:1 ~rng:(Rng.create ~seed:4) ~samples:0 (fun _ -> true))));
     Alcotest.test_case "worker exceptions propagate after the join" `Quick (fun () ->
-      Alcotest.check_raises "step exception surfaces" (Failure "boom") (fun () ->
+      Alcotest.check_raises "lease exception surfaces" (Failure "boom") (fun () ->
         ignore
-          (Mc_par.fold ~domains:3 ~rng:(Rng.create ~seed:6) ~samples:1_000
-             ~init:(fun () -> 0)
-             ~step:(fun _ _ -> failwith "boom")
-             ~merge:( + ) ())));
+          (Par_fold.sample ~domains:3 ~rng:(Rng.create ~seed:6) ~samples:1_000 (fun _ _ ->
+               failwith "boom"))));
+  ]
+
+(* ------------------- one sampling runner, as a property ------------------- *)
+
+(* Every Monte-Carlo sampler shares Par_fold.sample: for any (samples,
+   leases) the lease shares partition the budget, and the kernel (plain and
+   crash-faulted, with the fused loads and histogram) and the closure
+   estimators are bit-identical at every worker count.  The draws mix the
+   general range with leases > samples and with a largest share past the
+   kernel's 4096-play chunk. *)
+let sampler_props =
+  let open QCheck.Gen in
+  let general = pair (int_range 0 20_000) (int_range 1 300) in
+  let sparse = int_range 0 50 >>= fun s -> map (fun l -> (s, l)) (int_range (s + 1) 300) in
+  let long_lease = int_range 1 4 >>= fun l -> map (fun s -> (s, l)) (int_range (4097 * l) 20_000) in
+  let gen = pair (frequency [ (3, general); (1, sparse); (1, long_lease) ]) (int_range 0 10_000) in
+  let arb =
+    QCheck.make gen ~print:(fun ((samples, leases), seed) ->
+        Printf.sprintf "samples=%d leases=%d seed=%d" samples leases seed)
+  in
+  let tau = [| 0.6; 0.62; 0.65 |] in
+  let plain = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold tau) in
+  let faulty =
+    Mc_kernel.make
+      ~fault:(Mc_kernel.fault ~crash_rate:0.1 ~crash_bin:0 ~noise:0.05 ~jitter:0.1 ())
+      ~n:3 ~delta:1. (Mc_kernel.Threshold tau)
+  in
+  let same_at_every_j run = List.for_all (fun j -> compare (run 1) (run j) = 0) [ 2; 3 ] in
+  let bernoulli rng = Rng.float01 rng < 0.3 in
+  let holds ((samples, leases), seed) =
+    let rng () = Rng.create ~seed in
+    let shares j = Par_fold.sample ~leases ~domains:j ~rng:(rng ()) ~samples (fun _ s -> s) in
+    let s = shares 1 in
+    let kernel spec j =
+      Mc_kernel.run ~hist:(10, 0., 2.) ~loads:true ~leases ~domains:j ~rng:(rng ()) ~samples spec
+    in
+    Array.length s = leases
+    && Array.fold_left ( + ) 0 s = samples
+    && Array.fold_left max 0 s - Array.fold_left min max_int s <= 1
+    && same_at_every_j shares
+    && (kernel plain 1).Mc_kernel.samples = samples
+    && same_at_every_j (kernel plain)
+    && same_at_every_j (kernel faulty)
+    && (samples = 0
+       || same_at_every_j (fun j ->
+              Mc.probability ~leases ~domains:j ~rng:(rng ()) ~samples bernoulli)
+          && same_at_every_j (fun j ->
+                 Mc.expectation ~leases ~domains:j ~rng:(rng ()) ~samples Rng.float01))
+  in
+  [
+    Alcotest.test_case "edge cases: empty, sparse and long-lease runs" `Quick (fun () ->
+      List.iter
+        (fun (samples, leases) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "samples=%d leases=%d" samples leases)
+            true
+            (holds ((samples, leases), 7)))
+        [ (0, 64); (0, 1); (3, 300); (299, 300); (4096, 1); (4097, 1); (8193, 2); (20_000, 4) ]);
+    qtest ~count:60 "shares partition and every -j agrees" arb holds;
   ]
 
 (* ------------------------- Par_fold ------------------------- *)
@@ -777,5 +834,6 @@ let () =
       ("rng-fill", fill_tests);
       ("mc-kernel", kernel_tests);
       ("mc-par", mc_par_tests);
+      ("sampler-prop", sampler_props);
       ("par-fold", par_fold_tests);
     ]

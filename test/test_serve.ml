@@ -1150,6 +1150,51 @@ let serve_tests =
             let j = json_exn body in
             checkb "answered cold" true (Jsonx.member "cached" j = Some (Jsonx.Bool false));
             checkb "not the stale v1 value" true (Jsonx.float_member "p" j <> Some 0.125))));
+    Alcotest.test_case "a drained 504 counts its deadline expiry once" `Quick (fun () ->
+      (* the per-instance counter, the process-global counter and the
+         timeout histogram all see the drain's 504, once each *)
+      Metrics.reset ();
+      Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Metrics.set_enabled false)
+        (fun () ->
+          let cfg =
+            {
+              Serve.default_config with
+              Serve.workers = 1;
+              chaos =
+                Some
+                  { Serve.slow_rate = 1.0; slow_s = 2.0; panic_rate = 0.; diskfail_rate = 0.;
+                    seed = 5 };
+            }
+          in
+          match Serve.start cfg with
+          | Error e -> Alcotest.fail e
+          | Ok t ->
+            let fd = http_open ~body:eval_req (Serve.port t) "/eval" in
+            Unix.sleepf 0.1;
+            Serve.stop ~drain_deadline_s:0.3 t;
+            check Alcotest.int "the in-flight job answers 504" 504 (fst (http_read fd));
+            (* the superseded worker wakes from its stall, solves and loses
+               the terminal CAS: wait for that late attempt to land here *)
+            let rec await k =
+              if k > 0 && stat_int [ "terminal"; "suppressed" ] (stats t) < 1 then begin
+                Unix.sleepf 0.05;
+                await (k - 1)
+              end
+            in
+            await 100;
+            check Alcotest.int "late attempt suppressed" 1
+              (stat_int [ "terminal"; "suppressed" ] (stats t));
+            check Alcotest.int "deadline_expired" 1 (stat_int [ "deadline_expired" ] (stats t));
+            (match Metrics.find "ddm_serve_deadline_expired_total" with
+            | Some { Metrics.value = Metrics.Counter_v v; _ } ->
+              check Alcotest.int "ddm_serve_deadline_expired_total" 1 v
+            | _ -> Alcotest.fail "deadline counter not registered");
+            match Metrics.find "ddm_serve_request_seconds_timeout" with
+            | Some { Metrics.value = Metrics.Histogram_v { count; _ }; _ } ->
+              check Alcotest.int "timeout histogram count" 1 count
+            | _ -> Alcotest.fail "timeout histogram not registered"));
   ]
 
 let () =
