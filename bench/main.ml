@@ -174,7 +174,7 @@ let t3 () =
     "interior stationary pts of P(alpha)";
   for n = 2 to 10 do
     let delta = Rat.of_ints n 3 in
-    let exact = Oblivious.winning_probability_uniform_rat ~n ~delta in
+    let exact = Oblivious.Q.winning_probability_uniform ~n ~delta in
     let sp = Oblivious.symmetric_poly ~n ~delta in
     let stationary =
       List.filter
@@ -197,7 +197,7 @@ let t4 () =
     "P_threshold" "beta*" "winner" "gap";
   for n = 2 to 10 do
     let delta = Rat.of_ints n 3 in
-    let obl = Oblivious.winning_probability_uniform_rat ~n ~delta in
+    let obl = Oblivious.Q.winning_probability_uniform ~n ~delta in
     let res = Symbolic.optimal_sym_threshold ~n ~delta () in
     let gap = Rat.sub res.Piecewise.value obl in
     Printf.printf "%-4d %-8s %-14.8f %-14.8f %-12.8f %-10s %+.6f\n" n (Rat.to_string delta)
@@ -237,11 +237,11 @@ let l1 () =
       let exact, est =
         match law with
         | `Cdf widths ->
-          ( Uniform_sum.cdf_float ~widths t,
+          ( Uniform_sum.cdf ~widths t,
             Mc.probability ~rng ~samples:200_000 (fun rng ->
               Array.fold_left (fun acc w -> acc +. (Rng.float01 rng *. w)) 0. widths <= t) )
         | `Shifted lowers ->
-          ( Uniform_sum.cdf_shifted_float ~lowers t,
+          ( Uniform_sum.cdf_shifted ~lowers t,
             Mc.probability ~rng ~samples:200_000 (fun rng ->
               Array.fold_left (fun acc l -> acc +. Rng.uniform rng l 1.) 0. lowers <= t) )
       in
@@ -254,7 +254,7 @@ let l1 () =
   Printf.printf "\nLemma 2.5 density for U[0,1/4]+U[0,1/2]+U[0,1] (exact rationals):\n";
   List.iter
     (fun t ->
-      let d = Uniform_sum.pdf ~widths:(Array.map Rat.of_float widths) (Rat.of_float t) in
+      let d = Uniform_sum.Q.pdf ~widths:(Array.map Rat.of_float widths) (Rat.of_float t) in
       Printf.printf "  f(%.3f) = %-12s = %.6f\n" t (Rat.to_string d) (Rat.to_float d))
     [ 0.125; 0.5; 0.875; 1.25; 1.6 ]
 
@@ -266,8 +266,8 @@ let p1 () =
   List.iter
     (fun (sigma, pi) ->
       let sr = Array.map Rat.of_float sigma and pr = Array.map Rat.of_float pi in
-      let exact = Geometry.sigma_pi_volume ~sigma:sr ~pi:pr in
-      let fl = Geometry.sigma_pi_volume_float ~sigma ~pi in
+      let exact = Geometry.Q.sigma_pi_volume ~sigma:sr ~pi:pr in
+      let fl = Geometry.sigma_pi_volume ~sigma ~pi in
       let mc =
         Geometry.mc_volume
           ~rand:(fun () -> Rng.float01 rng)
@@ -366,7 +366,7 @@ let x2 () =
   List.iter
     (fun n ->
       let delta = Rat.of_ints n 3 in
-      let exact = Oblivious.winning_probability_uniform_rat ~n ~delta in
+      let exact = Oblivious.Q.winning_probability_uniform ~n ~delta in
       let fl = Oblivious.winning_probability_uniform ~n ~delta:(Rat.to_float delta) in
       Printf.printf "%-4d %-26.16f %-16.10f %.3e\n" n (Rat.to_float exact) fl
         (abs_float (fl -. Rat.to_float exact)))
@@ -400,9 +400,12 @@ let x3 () =
   (* double-check the optimal banded value in exact rational arithmetic and
      by simulation *)
   let exact_rat =
-    Banded.winning_probability_rat ~n ~delta:(Rat.of_ints 4 3)
-      ~t1:(Rat.of_float best.Banded.t1) ~t2:(Rat.of_float best.Banded.t2)
-      ~q:(Rat.of_float best.Banded.q)
+    Banded.Q.winning_probability ~n ~delta:(Rat.of_ints 4 3)
+      {
+        Banded.t1 = Rat.of_float best.Banded.t1;
+        t2 = Rat.of_float best.Banded.t2;
+        q = Rat.of_float best.Banded.q;
+      }
   in
   let rng = Rng.create ~seed:51 in
   let inst = Model.instance ~n ~delta in
@@ -438,7 +441,7 @@ let x5 () =
       for i = 2 to 12 do
         let delta = Rat.of_ints (i * n) 24 in
         (* delta = n * i/24, sweeping i/24 in [1/12, 1/2] per-player capacity *)
-        let obl = Oblivious.winning_probability_uniform_rat ~n ~delta in
+        let obl = Oblivious.Q.winning_probability_uniform ~n ~delta in
         let res = Symbolic.optimal_sym_threshold ~n ~delta () in
         Printf.printf "%-8s %-14.8f %-14.8f %-12.6f %s\n" (Rat.to_string delta)
           (Rat.to_float obl)
@@ -512,11 +515,11 @@ let x4 () =
   List.iter
     (fun n ->
       let delta = Rat.of_ints n 3 in
-      let k, p = Oblivious.optimal_partition_rat ~n ~delta in
+      let k, p = Oblivious.Q.optimal_partition ~n ~delta in
       Printf.printf
         "n=%d: best partition sends %d players to bin 1 -> P = %s = %.6f (coin: %.6f)\n" n k
         (Rat.to_string p) (Rat.to_float p)
-        (Rat.to_float (Oblivious.winning_probability_uniform_rat ~n ~delta)))
+        (Rat.to_float (Oblivious.Q.winning_probability_uniform ~n ~delta)))
     [ 3; 4; 5 ];
   Printf.printf
     "\nAt n = 3, delta = 1 every start converges to the symmetric beta* = 0.622: the\n";
@@ -1022,20 +1025,20 @@ let bechamel () =
            ignore (Symbolic.optimal_sym_threshold ~n:4 ~delta:(Rat.of_ints 4 3) ())));
       Test.make ~name:"t3-oblivious-exact-n10"
         (Staged.stage (fun () ->
-           ignore (Oblivious.winning_probability_uniform_rat ~n:10 ~delta:(Rat.of_ints 10 3))));
+           ignore (Oblivious.Q.winning_probability_uniform ~n:10 ~delta:(Rat.of_ints 10 3))));
       Test.make ~name:"t3-oblivious-float-n10"
         (Staged.stage (fun () ->
            ignore (Oblivious.winning_probability_uniform ~n:10 ~delta:(10. /. 3.))));
       Test.make ~name:"l1-ih-cdf-float-m20"
-        (Staged.stage (fun () -> ignore (Uniform_sum.irwin_hall_cdf_float ~m:20 7.1)));
+        (Staged.stage (fun () -> ignore (Uniform_sum.irwin_hall_cdf ~m:20 7.1)));
       Test.make ~name:"l1-cdf-general-m10 (O(2^m))"
         (Staged.stage
            (let widths = Array.init 10 (fun i -> 0.3 +. (0.07 *. float_of_int i)) in
-            fun () -> ignore (Uniform_sum.cdf_float ~widths 2.5)));
+            fun () -> ignore (Uniform_sum.cdf ~widths 2.5)));
       Test.make ~name:"p1-volume-exact-dim6"
         (Staged.stage
            (let sigma = Array.make 6 (Rat.of_ints 3 2) and pi = Array.make 6 (Rat.of_ints 4 5) in
-            fun () -> ignore (Geometry.sigma_pi_volume ~sigma ~pi)));
+            fun () -> ignore (Geometry.Q.sigma_pi_volume ~sigma ~pi)));
       Test.make ~name:"x1-grid-integrator-n3-48"
         (Staged.stage
            (let pat = Comm_pattern.none ~n:3 in

@@ -30,6 +30,18 @@ let pos_int what =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Values in [0,1]: fault rates, thresholds, bin-0 probabilities.  Junk
+   (nan included) is rejected at parse time, a usage error, instead of
+   surfacing a library validation exception as an internal error. *)
+let rate_conv what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= 0. && v <= 1. -> Ok v
+    | Some v -> Error (`Msg (Printf.sprintf "%s must be in [0,1] (got %g)" what v))
+    | None -> Error (`Msg (Printf.sprintf "bad %s %S: expected a value in [0,1]" what s))
+  in
+  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+
 let n_arg =
   Arg.(value & opt (pos_int "player count") 3 & info [ "n" ] ~docv:"N" ~doc:"Number of players.")
 
@@ -225,7 +237,7 @@ let obs_term run_term =
 let oblivious_cmd =
   let run n delta () =
     let delta = resolve_delta n delta in
-    let p = Oblivious.winning_probability_uniform_rat ~n ~delta in
+    let p = Oblivious.Q.winning_probability_uniform ~n ~delta in
     Printf.printf "instance: n = %d, delta = %s\n" n (Rat.to_string delta);
     Printf.printf "optimal oblivious algorithm: alpha_i = 1/2 for all players (Theorem 4.3)\n";
     Printf.printf "winning probability: %s = %.10f\n" (Rat.to_string p) (Rat.to_float p);
@@ -314,14 +326,16 @@ let certify_cmd =
 
 (* ------------------------- curve ------------------------- *)
 
+(* Each row is the exact ℚ value at β = i/steps, printed as a float: the
+   float collapse cancels catastrophically from n ≈ 12 on (at n = 60 it
+   reads 1.2e-5 where the exact value is 0.6057). *)
 let curve_cmd =
   let run n delta steps () =
     let delta = resolve_delta n delta in
-    let deltaf = Rat.to_float delta in
     Printf.printf "beta,P\n";
     for i = 0 to steps do
-      let beta = float_of_int i /. float_of_int steps in
-      Printf.printf "%.6f,%.10f\n" beta (Threshold.winning_probability_sym ~n ~delta:deltaf beta)
+      let p = Threshold.Q.winning_probability_sym ~n ~delta (Rat.of_ints i steps) in
+      Printf.printf "%.6f,%.10f\n" (float_of_int i /. float_of_int steps) (Rat.to_float p)
     done
   in
   let steps_arg =
@@ -329,7 +343,11 @@ let curve_cmd =
       value & opt (pos_int "step count") 100 & info [ "steps" ] ~docv:"S" ~doc:"Grid resolution.")
   in
   Cmd.v
-    (Cmd.info "curve" ~doc:"CSV of the symmetric-threshold winning-probability curve.")
+    (Cmd.info "curve"
+       ~doc:
+         "CSV of the symmetric-threshold winning-probability curve, each row evaluated exactly \
+          over the rationals and printed as a float. Exact rows cost time that grows with n: \
+          about 1.4 s for $(b,-n 60 --steps 10) and half a minute at the default 100 steps.")
     (obs_term Term.(const run $ n_arg $ delta_arg $ steps_arg))
 
 (* ------------------------- eval ------------------------- *)
@@ -337,10 +355,20 @@ let curve_cmd =
 let params_arg =
   Arg.(
     value
-    & opt (list float) []
+    & opt (list (rate_conv "parameter")) []
     & info [ "params" ] ~docv:"P1,P2,..."
-        ~doc:"Per-player parameters (threshold or bin-0 probability). A single value is \
-              replicated to all players.")
+        ~doc:"Per-player parameters in [0,1] (threshold or bin-0 probability). A single value \
+              is replicated to all players.")
+
+(* --params checked against the player count: a length other than 0, 1
+   or n is a usage error. *)
+let player_params_arg =
+  let check n params =
+    match List.length params with
+    | len when len <= 1 || len = n -> Ok params
+    | len -> Error (`Msg (Printf.sprintf "--params has %d values; give 1 or n = %d" len n))
+  in
+  Term.(term_result ~usage:true (const check $ n_arg $ params_arg))
 
 let rule_arg =
   Arg.(
@@ -351,8 +379,7 @@ let rule_arg =
 let expand_params n = function
   | [] -> Array.make n 0.5
   | [ v ] -> Array.make n v
-  | l when List.length l = n -> Array.of_list l
-  | _ -> failwith "params length must be 1 or n"
+  | l -> Array.of_list l
 
 let eval_cmd =
   let run n delta rule params samples seed jobs () =
@@ -381,7 +408,7 @@ let eval_cmd =
     (Cmd.info "eval" ~doc:"Evaluate a decision rule exactly and by simulation.")
     (obs_term
        Term.(
-         const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg))
+         const run $ n_arg $ delta_arg $ rule_arg $ player_params_arg $ samples_arg $ seed_arg $ jobs_arg))
 
 (* ------------------------- simulate ------------------------- *)
 
@@ -438,25 +465,39 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run the distributed system and report outcome statistics.")
     (obs_term
        Term.(
-         const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg
+         const run $ n_arg $ delta_arg $ rule_arg $ player_params_arg $ samples_arg $ seed_arg $ jobs_arg
          $ hist_arg))
 
 (* ------------------------- banded ------------------------- *)
 
+(* --params t1,t2,q, or none to optimize; a malformed band is a usage
+   error. *)
+let banded_rule_arg =
+  let check = function
+    | [] -> Ok None
+    | [ t1; t2; q ] -> (
+      let r = { Banded.t1; t2; q } in
+      match Banded.validate r with
+      | () -> Ok (Some r)
+      | exception Invalid_argument msg -> Error (`Msg msg))
+    | l ->
+      Error
+        (`Msg
+           (Printf.sprintf "banded expects --params t1,t2,q (got %d values), or none to optimize"
+              (List.length l)))
+  in
+  Term.(term_result ~usage:true (const check $ params_arg))
+
 let banded_cmd =
-  let run n delta params samples seed jobs () =
+  let run n delta rule samples seed jobs () =
     let delta_r = resolve_delta n delta in
     let delta = Rat.to_float delta_r in
     let rule, p =
-      match params with
-      | [ t1; t2; q ] ->
-        let r = { Banded.t1; t2; q } in
-        Banded.validate r;
-        (r, Banded.winning_probability ~n ~delta r)
-      | [] ->
+      match rule with
+      | Some r -> (r, Banded.winning_probability ~n ~delta r)
+      | None ->
         Printf.printf "optimizing the banded family (exact evaluator, multistart)...\n";
         Banded.optimum ~n ~delta ()
-      | _ -> failwith "banded expects --params t1,t2,q (or nothing, to optimize)"
     in
     Printf.printf "instance: n = %d, delta = %s\n" n (Rat.to_string delta_r);
     Printf.printf "banded rule: bin 0 w.p. 1 below %.6f, w.p. %.6f up to %.6f, 0 above\n"
@@ -476,7 +517,7 @@ let banded_cmd =
          "Evaluate or optimize banded randomized rules (the family behind experiment X3), \
           with the exact mixture-of-uniforms evaluator.")
     (obs_term
-       Term.(const run $ n_arg $ delta_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg))
+       Term.(const run $ n_arg $ delta_arg $ banded_rule_arg $ samples_arg $ seed_arg $ jobs_arg))
 
 (* ------------------------- chaos ------------------------- *)
 
@@ -537,17 +578,6 @@ let chaos_cmd =
       Printf.printf "degradation monotone (within MC noise): %b\n"
         (Degradation.monotone_nonincreasing report)
   in
-  (* fault rates live in [0,1]; reject junk at parse time instead of
-     surfacing Fault_model.validate's exception as an internal error *)
-  let rate_conv what =
-    let parse s =
-      match float_of_string_opt s with
-      | Some v when Float.is_finite v && v >= 0. && v <= 1. -> Ok v
-      | Some v -> Error (`Msg (Printf.sprintf "%s must be in [0,1] (got %g)" what v))
-      | None -> Error (`Msg (Printf.sprintf "bad %s %S: expected a rate in [0,1]" what s))
-    in
-    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-  in
   let crash_arg =
     Arg.(
       value
@@ -600,7 +630,7 @@ let chaos_cmd =
           paper's optimal algorithms against their fault-free baselines.")
     (obs_term
        Term.(
-         const run $ n_arg $ delta_arg $ rule_arg $ params_arg $ samples_arg $ seed_arg $ jobs_arg
+         const run $ n_arg $ delta_arg $ rule_arg $ player_params_arg $ samples_arg $ seed_arg $ jobs_arg
          $ crash_arg $ crash_mode_arg $ loss_arg $ stale_arg $ noise_arg $ jitter_arg $ sweep_arg
          $ points_arg $ csv_arg))
 
@@ -635,7 +665,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
     ( "perf-oblivious-exact-n10",
       fun _ ->
         for _ = 1 to 20 do
-          ignore (Oblivious.winning_probability_uniform_rat ~n:10 ~delta:(Rat.of_ints 10 3))
+          ignore (Oblivious.Q.winning_probability_uniform ~n:10 ~delta:(Rat.of_ints 10 3))
         done );
     ( "perf-grid-n3-32",
       fun _ ->
@@ -688,7 +718,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
     ( "perf-ih-cdf-m20",
       fun _ ->
         for _ = 1 to 2000 do
-          ignore (Uniform_sum.irwin_hall_cdf_float ~m:20 7.1)
+          ignore (Uniform_sum.irwin_hall_cdf ~m:20 7.1)
         done );
     ( "perf-bigint-pow-500",
       fun _ ->
@@ -906,7 +936,7 @@ let tradeoff_cmd =
       "beta*" "winner";
     for n = 2 to max_n do
       let delta = Rat.of_ints n 3 in
-      let obl = Oblivious.winning_probability_uniform_rat ~n ~delta in
+      let obl = Oblivious.Q.winning_probability_uniform ~n ~delta in
       let res = Symbolic.optimal_sym_threshold ~n ~delta () in
       Printf.printf "%-4d %-8s %-14.8f %-14.8f %-12.8f %s\n" n (Rat.to_string delta)
         (Rat.to_float obl)

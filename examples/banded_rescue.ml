@@ -15,7 +15,7 @@ let () =
   print_endline "=== n = 4, delta = 4/3: the inversion and its rescue ===\n";
 
   (* 1. The two protagonists of the paper's comparison. *)
-  let coin = Oblivious.winning_probability_uniform_rat ~n ~delta:delta_r in
+  let coin = Oblivious.Q.winning_probability_uniform ~n ~delta:delta_r in
   Printf.printf "fair coin (Thm 4.3 optimum):            P = %s = %.8f\n" (Rat.to_string coin)
     (Rat.to_float coin);
   let res = Symbolic.optimal_sym_threshold ~n ~delta:delta_r () in

@@ -8,7 +8,7 @@ let () =
   print_endline "Instance: n = 3 players, two bins of capacity delta = 1\n";
 
   (* 1. The optimal oblivious algorithm (Theorem 4.3): fair coins. *)
-  let p_coin = Oblivious.winning_probability_uniform_rat ~n:3 ~delta:Rat.one in
+  let p_coin = Oblivious.Q.winning_probability_uniform ~n:3 ~delta:Rat.one in
   Printf.printf "Oblivious optimum (alpha = 1/2):      P = %s = %.6f\n"
     (Rat.to_string p_coin) (Rat.to_float p_coin);
 

@@ -28,13 +28,13 @@ let () =
   (* compare *)
   let max_density =
     List.fold_left Float.max 0.
-      (List.init bins (fun i -> Uniform_sum.pdf_float ~widths (Stats.bin_center h i)))
+      (List.init bins (fun i -> Uniform_sum.pdf ~widths (Stats.bin_center h i)))
   in
   Printf.printf "%8s %10s %10s   (# = formula, o = simulation)\n" "t" "formula" "simulated";
   let bar_width = 46 in
   for i = 0 to bins - 1 do
     let t = Stats.bin_center h i in
-    let thy = Uniform_sum.pdf_float ~widths t in
+    let thy = Uniform_sum.pdf ~widths t in
     let emp = Stats.histogram_density h i in
     let pos v = int_of_float (v /. max_density *. float_of_int (bar_width - 1)) in
     let line = Bytes.make bar_width ' ' in
@@ -45,6 +45,6 @@ let () =
 
   (* the exact rational value at the midpoint, for good measure *)
   let mid = Rat.of_float (total /. 2.) in
-  let exact = Uniform_sum.pdf ~widths:(Array.map Rat.of_float widths) mid in
+  let exact = Uniform_sum.Q.pdf ~widths:(Array.map Rat.of_float widths) mid in
   Printf.printf "\nExact density at t = %.3f: %s = %.8f\n" (total /. 2.) (Rat.to_string exact)
     (Rat.to_float exact)

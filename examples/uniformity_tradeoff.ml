@@ -17,7 +17,7 @@ let () =
   for n = 2 to max_n do
     let delta = Rat.of_ints n 3 in
     (* oblivious: certified via the symmetric polynomial's stationary point *)
-    let p_obl = Oblivious.winning_probability_uniform_rat ~n ~delta in
+    let p_obl = Oblivious.Q.winning_probability_uniform ~n ~delta in
     let sp = Oblivious.symmetric_poly ~n ~delta in
     let alpha_star =
       match

@@ -18,8 +18,6 @@ let factorial n =
     t'.(n)
   end
 
-let factorial_float n = B.to_float (factorial n)
-
 let falling_factorial n k =
   if k < 0 then invalid_arg "Combinat.falling_factorial: negative k";
   let rec go acc i = if i >= k then acc else go (B.mul acc (B.of_int (n - i))) (i + 1) in
@@ -32,8 +30,6 @@ let binomial n k =
     let k = if k > n - k then n - k else k in
     B.div (falling_factorial n k) (factorial k)
   end
-
-let binomial_float n k = B.to_float (binomial n k)
 
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
@@ -86,9 +82,6 @@ let fold_subset_sums_gen ~add ~sub ~zero arr ~init ~f =
     acc := f !acc ~size:!size ~sum:!sum
   done;
   !acc
-
-let fold_subset_sums arr ~init ~f =
-  fold_subset_sums_gen ~add:( +. ) ~sub:( -. ) ~zero:0. arr ~init ~f
 
 let subsets_of_size n k =
   let rec go start k =

@@ -1,19 +1,16 @@
 (** Combinatorial primitives used by the inclusion-exclusion machinery:
-    factorials, binomial coefficients (exact and floating point), and
-    subset-enumeration folds. *)
+    factorials, binomial coefficients, and subset-enumeration folds.  A
+    closed form that wants them in a number field maps them through
+    {!Field.S.of_bigint}. *)
 
 (** {1 Counting} *)
 
 val factorial : int -> Bigint.t
 (** Memoized. @raise Invalid_argument on negative input. *)
 
-val factorial_float : int -> float
-
 val binomial : int -> int -> Bigint.t
 (** [binomial n k] is [n choose k]; zero when [k < 0] or [k > n].
     @raise Invalid_argument when [n < 0]. *)
-
-val binomial_float : int -> int -> float
 
 val falling_factorial : int -> int -> Bigint.t
 (** [falling_factorial n k] is [n (n-1) ... (n-k+1)]. *)
@@ -30,13 +27,6 @@ val int_pow : float -> int -> float
     [{0, ..., n-1}] in increasing mask order. *)
 val fold_subsets : n:int -> init:'a -> f:('a -> int -> 'a) -> 'a
 
-val fold_subset_sums :
-  float array -> init:'a -> f:('a -> size:int -> sum:float -> 'a) -> 'a
-(** Folds over all subsets of the array's index set, presenting the subset
-    cardinality and the sum of the selected elements. Subset sums are
-    maintained incrementally along a Gray-code walk, so the total cost is
-    [O(2^n)] rather than [O(n 2^n)]. *)
-
 val fold_subset_sums_gen :
   add:('v -> 'v -> 'v) ->
   sub:('v -> 'v -> 'v) ->
@@ -45,8 +35,11 @@ val fold_subset_sums_gen :
   init:'a ->
   f:('a -> size:int -> sum:'v -> 'a) ->
   'a
-(** Generic version of {!fold_subset_sums} for any commutative group, e.g.
-    {!Rat.t} values. *)
+(** Folds over all subsets of the array's index set, over any commutative
+    group (e.g. {!Rat.t} or [float] with [( +. )]/[( -. )]), presenting the
+    subset cardinality and the sum of the selected elements.  Subset sums
+    are maintained incrementally along a Gray-code walk, so the total cost
+    is [O(2^n)] rather than [O(n 2^n)]. *)
 
 val subsets_of_size : int -> int -> int list list
 (** [subsets_of_size n k]: all [k]-subsets of [{0, ..., n-1}] as sorted

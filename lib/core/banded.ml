@@ -4,108 +4,72 @@
    probability t1/pi0 and U[t1,t2] with probability q(t2-t1)/pi0; a bin-1
    input is U[t1,t2] with probability (1-q)(t2-t1)/pi1 and U[t2,1] with
    probability (1-t2)/pi1. Expanding the m-fold mixture gives a binomial sum
-   whose terms are uniform-sum CDFs at shifted arguments. *)
+   whose terms are uniform-sum CDFs at shifted arguments.  Written once
+   over a field, with a fixed float operation order (pinned by test_core's
+   float-bits suite). *)
 
-type rule = { t1 : float; t2 : float; q : float }
+type 'a band = { t1 : 'a; t2 : 'a; q : 'a }
+type rule = float band
 
-let validate r =
-  if not (0. <= r.t1 && r.t1 <= r.t2 && r.t2 <= 1.) then
-    invalid_arg "Banded.validate: need 0 <= t1 <= t2 <= 1";
-  if not (0. <= r.q && r.q <= 1.) then invalid_arg "Banded.validate: need 0 <= q <= 1"
+module Make (F : Field.S) = struct
+  module U = Uniform_sum.Make (F)
+
+  let validate r =
+    if not (F.leq F.zero r.t1 && F.leq r.t1 r.t2 && F.leq r.t2 F.one) then
+      invalid_arg "Banded.validate: need 0 <= t1 <= t2 <= 1";
+    if not (F.leq F.zero r.q && F.leq r.q F.one) then
+      invalid_arg "Banded.validate: need 0 <= q <= 1"
+
+  (* P(sum of [m] iid mixture variables <= t), where the variable is
+     U[l1, l1+w1] with probability a and U[l2, l2+w2] with probability 1-a.
+     At m = 0 the one term is the empty sum's step at t = 0. *)
+  let mixture_sum_cdf ~m ~a ~l1 ~w1 ~l2 ~w2 t =
+    let co_a = F.sub F.one a in
+    let acc = ref F.zero in
+    for j = 0 to m do
+      let weight =
+        F.mul (F.mul (F.of_bigint (Combinat.binomial m j)) (F.pow a j)) (F.pow co_a (m - j))
+      in
+      if F.lt F.zero weight then begin
+        let widths = Array.init m (fun i -> if i < j then w1 else w2) in
+        let shift = F.add (F.mul (F.of_int j) l1) (F.mul (F.of_int (m - j)) l2) in
+        acc := F.add !acc (F.mul weight (U.cdf ~widths (F.sub t shift)))
+      end
+    done;
+    !acc
+
+  let winning_probability ~n ~delta r =
+    validate r;
+    let band = F.sub r.t2 r.t1 in
+    let pi0 = F.add r.t1 (F.mul r.q band) in
+    let pi1 = F.sub F.one pi0 in
+    (* mixture weights inside each bin (guarded against 0/0) *)
+    let a0 = if F.lt F.zero pi0 then F.div r.t1 pi0 else F.zero in
+    let a1 = if F.lt F.zero pi1 then F.div (F.mul (F.sub F.one r.q) band) pi1 else F.zero in
+    let acc = ref F.zero in
+    for k = 0 to n do
+      let m = n - k in
+      let weight =
+        F.mul (F.mul (F.of_bigint (Combinat.binomial n k)) (F.pow pi0 m)) (F.pow pi1 k)
+      in
+      if F.lt F.zero weight then begin
+        let f0 = mixture_sum_cdf ~m ~a:a0 ~l1:F.zero ~w1:r.t1 ~l2:r.t1 ~w2:band delta in
+        let f1 =
+          mixture_sum_cdf ~m:k ~a:a1 ~l1:r.t1 ~w1:band ~l2:r.t2 ~w2:(F.sub F.one r.t2) delta
+        in
+        acc := F.add !acc (F.mul (F.mul weight f0) f1)
+      end
+    done;
+    !acc
+end
+
+include Make (Field.Float)
+module Q = Make (Field.Q)
 
 let of_threshold t = { t1 = t; t2 = t; q = 1. }
 let fair_coin = { t1 = 0.; t2 = 1.; q = 0.5 }
 
 let prob_bin0 r x = if x <= r.t1 then 1. else if x <= r.t2 then r.q else 0.
-
-(* P(sum of [m] iid mixture variables <= t), where the variable is
-   U[l1, l1+w1] with probability a and U[l2, l2+w2] with probability 1-a. *)
-let mixture_sum_cdf_float ~m ~a ~l1 ~w1 ~l2 ~w2 t =
-  if m = 0 then if t >= 0. then 1. else 0.
-  else begin
-    let acc = ref 0. in
-    for j = 0 to m do
-      let weight = Combinat.binomial_float m j *. Combinat.int_pow a j *. Combinat.int_pow (1. -. a) (m - j) in
-      if weight > 0. then begin
-        let widths = Array.init m (fun i -> if i < j then w1 else w2) in
-        let shift = (float_of_int j *. l1) +. (float_of_int (m - j) *. l2) in
-        acc := !acc +. (weight *. Uniform_sum.cdf_float ~widths (t -. shift))
-      end
-    done;
-    !acc
-  end
-
-let winning_probability ~n ~delta r =
-  validate r;
-  let pi0 = r.t1 +. (r.q *. (r.t2 -. r.t1)) in
-  let pi1 = 1. -. pi0 in
-  (* mixture weights inside each bin (guarded against 0/0) *)
-  let a0 = if pi0 > 0. then r.t1 /. pi0 else 0. in
-  let a1 = if pi1 > 0. then (1. -. r.q) *. (r.t2 -. r.t1) /. pi1 else 0. in
-  let acc = ref 0. in
-  for k = 0 to n do
-    let m = n - k in
-    let weight = Combinat.binomial_float n k *. Combinat.int_pow pi0 m *. Combinat.int_pow pi1 k in
-    if weight > 0. then begin
-      let f0 =
-        mixture_sum_cdf_float ~m ~a:a0 ~l1:0. ~w1:r.t1 ~l2:r.t1 ~w2:(r.t2 -. r.t1) delta
-      in
-      let f1 =
-        mixture_sum_cdf_float ~m:k ~a:a1 ~l1:r.t1 ~w1:(r.t2 -. r.t1) ~l2:r.t2 ~w2:(1. -. r.t2)
-          delta
-      in
-      acc := !acc +. (weight *. f0 *. f1)
-    end
-  done;
-  !acc
-
-let mixture_sum_cdf_rat ~m ~a ~l1 ~w1 ~l2 ~w2 t =
-  if m = 0 then if Rat.sign t >= 0 then Rat.one else Rat.zero
-  else begin
-    let co_a = Rat.sub Rat.one a in
-    let acc = ref Rat.zero in
-    for j = 0 to m do
-      let weight =
-        Rat.mul (Rat.of_bigint (Combinat.binomial m j)) (Rat.mul (Rat.pow a j) (Rat.pow co_a (m - j)))
-      in
-      if not (Rat.is_zero weight) then begin
-        let widths = Array.init m (fun i -> if i < j then w1 else w2) in
-        let shift = Rat.add (Rat.mul_int l1 j) (Rat.mul_int l2 (m - j)) in
-        acc := Rat.add !acc (Rat.mul weight (Uniform_sum.cdf ~widths (Rat.sub t shift)))
-      end
-    done;
-    !acc
-  end
-
-let winning_probability_rat ~n ~delta ~t1 ~t2 ~q =
-  if Rat.sign t1 < 0 || Rat.compare t1 t2 > 0 || Rat.compare t2 Rat.one > 0 then
-    invalid_arg "Banded.winning_probability_rat: need 0 <= t1 <= t2 <= 1";
-  if Rat.sign q < 0 || Rat.compare q Rat.one > 0 then
-    invalid_arg "Banded.winning_probability_rat: need 0 <= q <= 1";
-  let band = Rat.sub t2 t1 in
-  let pi0 = Rat.add t1 (Rat.mul q band) in
-  let pi1 = Rat.sub Rat.one pi0 in
-  let a0 = if Rat.sign pi0 > 0 then Rat.div t1 pi0 else Rat.zero in
-  let a1 =
-    if Rat.sign pi1 > 0 then Rat.div (Rat.mul (Rat.sub Rat.one q) band) pi1 else Rat.zero
-  in
-  let acc = ref Rat.zero in
-  for k = 0 to n do
-    let m = n - k in
-    let weight =
-      Rat.mul
-        (Rat.of_bigint (Combinat.binomial n k))
-        (Rat.mul (Rat.pow pi0 m) (Rat.pow pi1 k))
-    in
-    if not (Rat.is_zero weight) then begin
-      let f0 = mixture_sum_cdf_rat ~m ~a:a0 ~l1:Rat.zero ~w1:t1 ~l2:t1 ~w2:band delta in
-      let f1 =
-        mixture_sum_cdf_rat ~m:k ~a:a1 ~l1:t1 ~w1:band ~l2:t2 ~w2:(Rat.sub Rat.one t2) delta
-      in
-      acc := Rat.add !acc (Rat.mul weight (Rat.mul f0 f1))
-    end
-  done;
-  !acc
 
 let to_rule r = Model.Custom (fun _ x -> prob_bin0 r x)
 
@@ -113,19 +77,18 @@ let to_rule r = Model.Custom (fun _ x -> prob_bin0 r x)
    conditional normalizers, leaving q^(m-j) (1-q)^l monomials with constant
    (q-free) uniform-sum CDF coefficients. *)
 let q_polynomial ~n ~delta ~t1 ~t2 =
-  if Rat.sign t1 < 0 || Rat.compare t1 t2 > 0 || Rat.compare t2 Rat.one > 0 then
-    invalid_arg "Banded.q_polynomial: need 0 <= t1 <= t2 <= 1";
+  Q.validate { t1; t2; q = Rat.zero };
   let band = Rat.sub t2 t1 in
   let co_t2 = Rat.sub Rat.one t2 in
   (* F0 j r = P(j U[0,t1] + r U[t1,t2] <= delta) *)
   let f0 j r =
     let widths = Array.init (j + r) (fun i -> if i < j then t1 else band) in
-    Uniform_sum.cdf ~widths (Rat.sub delta (Rat.mul_int t1 r))
+    Uniform_sum.Q.cdf ~widths (Rat.sub delta (Rat.mul_int t1 r))
   in
   (* F1 l r = P(l U[t1,t2] + r U[t2,1] <= delta) *)
   let f1 l r =
     let widths = Array.init (l + r) (fun i -> if i < l then band else co_t2) in
-    Uniform_sum.cdf ~widths (Rat.sub delta (Rat.add (Rat.mul_int t1 l) (Rat.mul_int t2 r)))
+    Uniform_sum.Q.cdf ~widths (Rat.sub delta (Rat.add (Rat.mul_int t1 l) (Rat.mul_int t2 r)))
   in
   let q = Poly.x in
   let co_q = Poly.linear Rat.one Rat.minus_one in

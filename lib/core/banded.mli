@@ -18,23 +18,34 @@
     sum over mixture components whose inner terms are {!Uniform_sum.cdf}
     evaluations at shifted arguments — still exact. This is the evaluator
     behind experiment X3: at [(n=4, δ=4/3)] the optimal banded rule beats the
-    fair coin even though the optimal deterministic threshold loses to it. *)
+    fair coin even though the optimal deterministic threshold loses to it.
+    It is written once over a {!Field.S}: the top level is the float
+    instance, {!Q} the exact one. *)
 
-type rule = { t1 : float; t2 : float; q : float }
+type 'a band = { t1 : 'a; t2 : 'a; q : 'a }
+(** A banded rule over a number type. *)
 
-val validate : rule -> unit
-(** @raise Invalid_argument unless [0 <= t1 <= t2 <= 1] and [0 <= q <= 1]. *)
+type rule = float band
+
+module Make (F : Field.S) : sig
+  val validate : F.t band -> unit
+  (** @raise Invalid_argument unless [0 <= t1 <= t2 <= 1] and
+      [0 <= q <= 1] ([nan] included). *)
+
+  val winning_probability : n:int -> delta:F.t -> F.t band -> F.t
+  (** Exact (up to the field's rounding), via the mixture decomposition. *)
+end
+
+include module type of Make (Field.Float)
+(** Float answers. *)
+
+module Q : module type of Make (Field.Q)
+(** Exact answers over ℚ. *)
 
 val of_threshold : float -> rule
 val fair_coin : rule
 val prob_bin0 : rule -> float -> float
 (** The decision probability [p(x)]. *)
-
-val winning_probability : n:int -> delta:float -> rule -> float
-(** Exact (up to float rounding), via the mixture decomposition. *)
-
-val winning_probability_rat : n:int -> delta:Rat.t -> t1:Rat.t -> t2:Rat.t -> q:Rat.t -> Rat.t
-(** Fully exact rational version. *)
 
 val to_rule : rule -> Model.rule
 (** The banded rule as a {!Model.rule} for simulation with {!Mc_eval}. *)

@@ -6,112 +6,89 @@
 let phi_evals =
   Metrics.counter ~help:"Theorem 4.1 phi(k) overflow-law evaluations" "ddm_oblivious_phi_evals_total"
 
-let phi_caps ~n ~delta0 ~delta1 k =
-  if k < 0 || k > n then invalid_arg "Oblivious.phi_caps: k out of range";
-  Metrics.incr phi_evals;
-  Uniform_sum.irwin_hall_cdf_float ~m:(n - k) delta0
-  *. Uniform_sum.irwin_hall_cdf_float ~m:k delta1
+module Make (F : Field.S) = struct
+  module U = Uniform_sum.Make (F)
 
-let phi ~n ~delta k =
-  if k < 0 || k > n then invalid_arg "Oblivious.phi: k out of range";
-  phi_caps ~n ~delta0:delta ~delta1:delta k
+  let check_alphas alphas =
+    Array.iter
+      (fun v ->
+        if not (F.leq F.zero v && F.leq v F.one) then
+          invalid_arg "Oblivious: probabilities must lie in [0,1]")
+      alphas
 
-let phi_rat ~n ~delta k =
-  if k < 0 || k > n then invalid_arg "Oblivious.phi_rat: k out of range";
-  Metrics.incr phi_evals;
-  Rat.mul (Uniform_sum.irwin_hall_cdf ~m:k delta) (Uniform_sum.irwin_hall_cdf ~m:(n - k) delta)
+  let phi_caps ~n ~delta0 ~delta1 k =
+    if k < 0 || k > n then invalid_arg "Oblivious.phi: k out of range";
+    Metrics.incr phi_evals;
+    F.mul (U.irwin_hall_cdf ~m:(n - k) delta0) (U.irwin_hall_cdf ~m:k delta1)
 
-(* Coefficients of prod_i (alpha_i + (1 - alpha_i) z): index k holds
-   P(|b| = k), i.e. the probability that exactly k players pick bin 1. *)
-let ones_distribution alphas =
-  let n = Array.length alphas in
-  let dist = Array.make (n + 1) 0. in
-  dist.(0) <- 1.;
-  Array.iteri
-    (fun i alpha ->
-      for k = i + 1 downto 1 do
-        dist.(k) <- (dist.(k) *. alpha) +. (dist.(k - 1) *. (1. -. alpha))
-      done;
-      dist.(0) <- dist.(0) *. alpha)
-    alphas;
-  dist
+  let phi ~n ~delta k = phi_caps ~n ~delta0:delta ~delta1:delta k
 
-let ones_distribution_rat alphas =
-  let n = Array.length alphas in
-  let dist = Array.make (n + 1) Rat.zero in
-  dist.(0) <- Rat.one;
-  Array.iteri
-    (fun i alpha ->
-      let co_alpha = Rat.sub Rat.one alpha in
-      for k = i + 1 downto 1 do
-        dist.(k) <- Rat.add (Rat.mul dist.(k) alpha) (Rat.mul dist.(k - 1) co_alpha)
-      done;
-      dist.(0) <- Rat.mul dist.(0) alpha)
-    alphas;
-  dist
+  (* Coefficients of prod_i (alpha_i + (1 - alpha_i) z): index k holds
+     P(|b| = k), i.e. the probability that exactly k players pick bin 1. *)
+  let ones_distribution alphas =
+    let n = Array.length alphas in
+    let dist = Array.make (n + 1) F.zero in
+    dist.(0) <- F.one;
+    Array.iteri
+      (fun i alpha ->
+        let co_alpha = F.sub F.one alpha in
+        for k = i + 1 downto 1 do
+          dist.(k) <- F.add (F.mul dist.(k) alpha) (F.mul dist.(k - 1) co_alpha)
+        done;
+        dist.(0) <- F.mul dist.(0) alpha)
+      alphas;
+    dist
 
-let winning_probability_caps ~delta0 ~delta1 alphas =
-  let n = Array.length alphas in
-  let dist = ones_distribution alphas in
-  let acc = ref 0. in
-  for k = 0 to n do
-    acc := !acc +. (dist.(k) *. phi_caps ~n ~delta0 ~delta1 k)
-  done;
-  !acc
+  let winning_probability_caps ~delta0 ~delta1 alphas =
+    check_alphas alphas;
+    let n = Array.length alphas in
+    let dist = ones_distribution alphas in
+    let acc = ref F.zero in
+    for k = 0 to n do
+      acc := F.add !acc (F.mul dist.(k) (phi_caps ~n ~delta0 ~delta1 k))
+    done;
+    !acc
 
-let winning_probability ~delta alphas =
-  winning_probability_caps ~delta0:delta ~delta1:delta alphas
+  let winning_probability ~delta alphas =
+    winning_probability_caps ~delta0:delta ~delta1:delta alphas
 
-let winning_probability_rat ~delta alphas =
-  let n = Array.length alphas in
-  let dist = ones_distribution_rat alphas in
-  let acc = ref Rat.zero in
-  for k = 0 to n do
-    acc := Rat.add !acc (Rat.mul dist.(k) (phi_rat ~n ~delta k))
-  done;
-  !acc
+  let winning_probability_uniform ~n ~delta =
+    let acc = ref F.zero in
+    for k = 0 to n do
+      acc := F.add !acc (F.mul (F.of_bigint (Combinat.binomial n k)) (phi ~n ~delta k))
+    done;
+    F.div !acc (F.pow (F.of_int 2) n)
 
-let winning_probability_uniform ~n ~delta =
-  let acc = ref 0. in
-  for k = 0 to n do
-    acc := !acc +. (Combinat.binomial_float n k *. phi ~n ~delta k)
-  done;
-  !acc /. Combinat.int_pow 2. n
+  (* dP/dalpha_k = sum_j P(j others pick bin 1) * (phi(j) - phi(j+1)):
+     conditioning on the other players' count, moving player k from bin 1
+     to bin 0 trades phi(j+1) for phi(j). *)
+  let optimality_residual ~delta alphas k =
+    check_alphas alphas;
+    let n = Array.length alphas in
+    if k < 0 || k >= n then invalid_arg "Oblivious.optimality_residual: index";
+    let others = Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list alphas)) in
+    let dist = ones_distribution others in
+    let acc = ref F.zero in
+    for j = 0 to n - 1 do
+      acc := F.add !acc (F.mul dist.(j) (F.sub (phi ~n ~delta j) (phi ~n ~delta (j + 1))))
+    done;
+    !acc
 
-let winning_probability_uniform_rat ~n ~delta =
-  let acc = ref Rat.zero in
-  for k = 0 to n do
-    acc := Rat.add !acc (Rat.mul (Rat.of_bigint (Combinat.binomial n k)) (phi_rat ~n ~delta k))
-  done;
-  Rat.div !acc (Rat.pow Rat.two n)
+  (* The winning probability is multilinear in alpha, so its maximum over
+     the cube [0,1]^n is attained at a vertex; vertices with the same
+     number of ones are equivalent, so the global (non-anonymous)
+     oblivious optimum is the best deterministic partition max_k phi(k). *)
+  let optimal_partition ~n ~delta =
+    let best = ref (0, phi ~n ~delta 0) in
+    for k = 1 to n do
+      let p = phi ~n ~delta k in
+      if F.lt (snd !best) p then best := (k, p)
+    done;
+    !best
+end
 
-(* dP/dalpha_k = sum_j P(j others pick bin 1) * (phi(j) - phi(j+1)):
-   conditioning on the other players' count, moving player k from bin 1 to
-   bin 0 trades phi(j+1) for phi(j). *)
-let others_distribution alphas k =
-  let others = Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list alphas)) in
-  ones_distribution others
-
-let optimality_residual ~delta alphas k =
-  let n = Array.length alphas in
-  if k < 0 || k >= n then invalid_arg "Oblivious.optimality_residual: index";
-  let dist = others_distribution alphas k in
-  let acc = ref 0. in
-  for j = 0 to n - 1 do
-    acc := !acc +. (dist.(j) *. (phi ~n ~delta j -. phi ~n ~delta (j + 1)))
-  done;
-  !acc
-
-let optimality_residual_rat ~delta alphas k =
-  let n = Array.length alphas in
-  if k < 0 || k >= n then invalid_arg "Oblivious.optimality_residual_rat: index";
-  let others = Array.of_list (List.filteri (fun i _ -> i <> k) (Array.to_list alphas)) in
-  let dist = ones_distribution_rat others in
-  let acc = ref Rat.zero in
-  for j = 0 to n - 1 do
-    acc := Rat.add !acc (Rat.mul dist.(j) (Rat.sub (phi_rat ~n ~delta j) (phi_rat ~n ~delta (j + 1))))
-  done;
-  !acc
+include Make (Field.Float)
+module Q = Make (Field.Q)
 
 let symmetric_poly ~n ~delta =
   (* P(alpha) = sum_k C(n,k) phi(k) alpha^(n-k) (1-alpha)^k *)
@@ -119,35 +96,15 @@ let symmetric_poly ~n ~delta =
   let co_alpha = Poly.linear Rat.one Rat.minus_one in
   let acc = ref Poly.zero in
   for k = 0 to n do
-    let coeff = Rat.mul (Rat.of_bigint (Combinat.binomial n k)) (phi_rat ~n ~delta k) in
+    let coeff = Rat.mul (Rat.of_bigint (Combinat.binomial n k)) (Q.phi ~n ~delta k) in
     let term = Poly.mul (Poly.pow alpha (n - k)) (Poly.pow co_alpha k) in
     acc := Poly.add !acc (Poly.scale coeff term)
   done;
   !acc
-
-(* The winning probability is multilinear in alpha, so its maximum over the
-   cube [0,1]^n is attained at a vertex; vertices with the same number of
-   ones are equivalent, so the global (non-anonymous) oblivious optimum is
-   the best deterministic partition max_k phi(k). *)
-let optimal_partition ~n ~delta =
-  let best = ref (0, phi ~n ~delta 0) in
-  for k = 1 to n do
-    let p = phi ~n ~delta k in
-    if p > snd !best then best := (k, p)
-  done;
-  !best
-
-let optimal_partition_rat ~n ~delta =
-  let best = ref (0, phi_rat ~n ~delta 0) in
-  for k = 1 to n do
-    let p = phi_rat ~n ~delta k in
-    if Rat.compare p (snd !best) > 0 then best := (k, p)
-  done;
-  !best
 
 let rho_condition_poly ~n ~delta =
   Poly.of_list
     (List.init n (fun r ->
        Rat.mul
          (Rat.of_bigint (Combinat.binomial (n - 1) r))
-         (Rat.sub (phi_rat ~n ~delta (r + 1)) (phi_rat ~n ~delta r))))
+         (Rat.sub (Q.phi ~n ~delta (r + 1)) (Q.phi ~n ~delta r))))

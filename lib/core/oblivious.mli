@@ -10,43 +10,45 @@
     Irwin-Hall CDF of the sum of [m] iid [U[0,1]] inputs. Grouping the [2^n]
     decision vectors by their number of ones through the generating
     polynomial [Π_i (α_i + (1-α_i) z)] evaluates this in [O(n²)] arithmetic
-    operations. *)
+    operations.  Written once over a {!Field.S}: the top level is the
+    float instance, {!Q} the exact one; the two polynomials at the end are
+    exact by construction. *)
 
-val phi : n:int -> delta:float -> int -> float
-(** [φ_δ(k)] for [0 <= k <= n]; symmetric: [phi k = phi (n-k)] (Lemma 4.4). *)
+module Make (F : Field.S) : sig
+  val phi : n:int -> delta:F.t -> int -> F.t
+  (** [φ_δ(k)] for [0 <= k <= n]; symmetric: [phi k = phi (n-k)] (Lemma 4.4). *)
 
-val phi_rat : n:int -> delta:Rat.t -> int -> Rat.t
+  val winning_probability : delta:F.t -> F.t array -> F.t
+  (** Theorem 4.1 for an arbitrary probability vector [α].
+      @raise Invalid_argument unless every [α_i] is in [[0, 1]] ([nan]
+      included). *)
 
-val winning_probability : delta:float -> float array -> float
-(** Theorem 4.1 for an arbitrary probability vector [α]. *)
+  val winning_probability_caps : delta0:F.t -> delta1:F.t -> F.t array -> F.t
+  (** Generalization to bins of unequal capacities. *)
 
-val phi_caps : n:int -> delta0:float -> delta1:float -> int -> float
-val winning_probability_caps : delta0:float -> delta1:float -> float array -> float
-(** Generalization to bins of unequal capacities. *)
+  val winning_probability_uniform : n:int -> delta:F.t -> F.t
+  (** Theorem 4.3: the winning probability of the optimal oblivious
+      algorithm [α = (1/2, ..., 1/2)]. *)
 
-val winning_probability_rat : delta:Rat.t -> Rat.t array -> Rat.t
+  val optimality_residual : delta:F.t -> F.t array -> int -> F.t
+  (** [∂P_A/∂α_k] (Corollary 4.2); vanishes at every interior optimum
+      (exactly so over ℚ). *)
 
-val winning_probability_uniform : n:int -> delta:float -> float
-(** Theorem 4.3: the winning probability of the optimal oblivious algorithm
-    [α = (1/2, ..., 1/2)]. *)
+  val optimal_partition : n:int -> delta:F.t -> int * F.t
+  (** The global (non-anonymous) oblivious optimum. [P_A] is {e
+      multilinear} in [α], so its maximum over the cube [[0,1]^n] sits at
+      a vertex — a deterministic partition — and vertices are equivalent
+      up to their number of bin-1 players: the optimum is [max_k φ_δ(k)],
+      returned as [(k_star, φ_δ(k_star))]. This is the anonymity caveat of
+      DESIGN.md §7: when players may act asymmetrically, the best hard
+      partition dominates the fair coin whenever [δ] is generous. *)
+end
 
-val winning_probability_uniform_rat : n:int -> delta:Rat.t -> Rat.t
+include module type of Make (Field.Float)
+(** Float answers. *)
 
-val optimality_residual : delta:float -> float array -> int -> float
-(** [∂P_A/∂α_k] (Corollary 4.2); vanishes at every interior optimum. *)
-
-val optimality_residual_rat : delta:Rat.t -> Rat.t array -> int -> Rat.t
-
-val optimal_partition : n:int -> delta:float -> int * float
-(** The global (non-anonymous) oblivious optimum. [P_A] is {e multilinear}
-    in [α], so its maximum over the cube [[0,1]^n] sits at a vertex — a
-    deterministic partition — and vertices are equivalent up to their number
-    of bin-1 players: the optimum is [max_k φ_δ(k)], returned as
-    [(k_star, φ_δ(k_star))]. This is the anonymity caveat of DESIGN.md §7: when
-    players may act asymmetrically, the best hard partition dominates the
-    fair coin whenever [δ] is generous. *)
-
-val optimal_partition_rat : n:int -> delta:Rat.t -> int * Rat.t
+module Q : module type of Make (Field.Q)
+(** Exact answers over ℚ. *)
 
 val symmetric_poly : n:int -> delta:Rat.t -> Poly.t
 (** The winning probability of the symmetric oblivious algorithm as an exact

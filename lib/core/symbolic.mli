@@ -16,7 +16,7 @@ val breakpoints : n:int -> delta:Rat.t -> Rat.t list
 
 val sym_threshold_curve : n:int -> delta:Rat.t -> Piecewise.t
 (** The exact piecewise polynomial equal to
-    [Threshold.winning_probability_sym_rat] on [[0,1]]. Guaranteed
+    [Threshold.Q.winning_probability_sym] on [[0,1]]. Guaranteed
     continuous; each piece has degree at most [n]. *)
 
 val optimal_sym_threshold : ?eps:Rat.t -> n:int -> delta:Rat.t -> unit -> Piecewise.max_result

@@ -1,115 +1,79 @@
-(* Theorem 5.1: exact winning probability of single-threshold algorithms. *)
+(* Theorem 5.1: exact winning probability of single-threshold algorithms,
+   once over a field.  The float operation order is part of the contract
+   (test_core's float-bits pins it): (p_b f0) f1, not p_b (f0 f1). *)
 
 let subset_terms =
   Metrics.counter
     ~help:"Decision-vector terms expanded by Theorem 5.1 evaluations (2^n general, n+1 symmetric)"
     "ddm_threshold_subset_terms_total"
 
-let check_thresholds a =
-  Array.iter
-    (fun v -> if v < 0. || v > 1. then invalid_arg "Threshold: thresholds must lie in [0,1]")
-    a
+module Make (F : Field.S) = struct
+  module U = Uniform_sum.Make (F)
 
-let winning_probability_caps ?(domains = 1) ?leases ~delta0 ~delta1 a =
-  check_thresholds a;
-  let n = Array.length a in
-  Metrics.add subset_terms (1 lsl n);
-  (* mask bit i set <=> player i picks bin 1 (x_i > a_i).  [term] is one
-     decision vector's contribution. *)
-  let term mask =
-    let p_b = ref 1. in
-    for i = 0 to n - 1 do
-      p_b := !p_b *. (if mask land (1 lsl i) <> 0 then 1. -. a.(i) else a.(i))
-    done;
-    if !p_b = 0. then 0.
-    else begin
-      let bin0 = ref [] and bin1 = ref [] in
-      for i = n - 1 downto 0 do
-        if mask land (1 lsl i) <> 0 then bin1 := a.(i) :: !bin1 else bin0 := a.(i) :: !bin0
+  let check_unit what v =
+    if not (F.leq F.zero v && F.leq v F.one) then
+      invalid_arg ("Threshold: " ^ what ^ " must lie in [0,1]")
+
+  let winning_probability_caps ?(domains = 1) ?leases ~delta0 ~delta1 a =
+    Array.iter (check_unit "thresholds") a;
+    let n = Array.length a in
+    Metrics.add subset_terms (1 lsl n);
+    (* mask bit i set <=> player i picks bin 1 (x_i > a_i).  [term] is one
+       decision vector's contribution. *)
+    let term mask =
+      let p_b = ref F.one in
+      for i = 0 to n - 1 do
+        p_b := F.mul !p_b (if mask land (1 lsl i) <> 0 then F.sub F.one a.(i) else a.(i))
       done;
-      let f0 = Uniform_sum.cdf_float ~widths:(Array.of_list !bin0) delta0 in
-      let f1 = Uniform_sum.cdf_shifted_float ~lowers:(Array.of_list !bin1) delta1 in
-      !p_b *. f0 *. f1
-    end
-  in
-  (* 2^n decision vectors sharded by index range; partial sums merge in
-     lease order, so the value is worker-count invariant. *)
-  Par_fold.sum ?leases ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n) term
+      (* p_b >= 0, so this is p_b = 0 *)
+      if F.leq !p_b F.zero then F.zero
+      else begin
+        let bin0 = ref [] and bin1 = ref [] in
+        for i = n - 1 downto 0 do
+          if mask land (1 lsl i) <> 0 then bin1 := a.(i) :: !bin1 else bin0 := a.(i) :: !bin0
+        done;
+        let f0 = U.cdf ~widths:(Array.of_list !bin0) delta0 in
+        let f1 = U.cdf_shifted ~lowers:(Array.of_list !bin1) delta1 in
+        F.mul (F.mul !p_b f0) f1
+      end
+    in
+    (* 2^n decision vectors sharded by index range; partial sums merge in
+       lease order, so the value is worker-count invariant. *)
+    Par_fold.fold ?leases ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n)
+      ~init:(fun () -> F.zero)
+      ~step:(fun acc mask -> F.add acc (term mask))
+      ~merge:F.add ()
 
-let winning_probability ?domains ?leases ~delta a =
-  winning_probability_caps ?domains ?leases ~delta0:delta ~delta1:delta a
+  let winning_probability ?domains ?leases ~delta a =
+    winning_probability_caps ?domains ?leases ~delta0:delta ~delta1:delta a
 
-let winning_probability_rat ~delta a =
-  let n = Array.length a in
-  Array.iter
-    (fun v ->
-      if Rat.sign v < 0 || Rat.compare v Rat.one > 0 then
-        invalid_arg "Threshold.winning_probability_rat: thresholds must lie in [0,1]")
-    a;
-  Metrics.add subset_terms (1 lsl n);
-  Combinat.fold_subsets ~n ~init:Rat.zero ~f:(fun acc mask ->
-    let p_b = ref Rat.one in
-    for i = 0 to n - 1 do
-      let factor = if mask land (1 lsl i) <> 0 then Rat.sub Rat.one a.(i) else a.(i) in
-      p_b := Rat.mul !p_b factor
+  (* Symmetric collapse: group decision vectors by the number k of bin-1
+     players. P(y has k ones) = C(n,k) β^(n-k) (1-β)^k and the conditional
+     laws depend only on counts. *)
+  let winning_probability_sym_caps ~n ~delta0 ~delta1 beta =
+    check_unit "beta" beta;
+    Metrics.add subset_terms (n + 1);
+    let co_beta = F.sub F.one beta in
+    let acc = ref F.zero in
+    for k = 0 to n do
+      let m = n - k in
+      let weight =
+        F.mul (F.mul (F.of_bigint (Combinat.binomial n k)) (F.pow beta m)) (F.pow co_beta k)
+      in
+      if F.lt F.zero weight then begin
+        let f0 = U.cdf_equal ~m ~width:beta delta0 in
+        let f1 = U.cdf_equal_shifted ~m:k ~lower:beta delta1 in
+        acc := F.add !acc (F.mul (F.mul weight f0) f1)
+      end
     done;
-    if Rat.is_zero !p_b then acc
-    else begin
-      let bin0 = ref [] and bin1 = ref [] in
-      for i = n - 1 downto 0 do
-        if mask land (1 lsl i) <> 0 then bin1 := a.(i) :: !bin1 else bin0 := a.(i) :: !bin0
-      done;
-      let f0 = Uniform_sum.cdf ~widths:(Array.of_list !bin0) delta in
-      let f1 = Uniform_sum.cdf_shifted ~lowers:(Array.of_list !bin1) delta in
-      Rat.add acc (Rat.mul !p_b (Rat.mul f0 f1))
-    end)
+    !acc
 
-(* Symmetric collapse: group decision vectors by the number k of bin-1
-   players. P(y has k ones) = C(n,k) β^(n-k) (1-β)^k and the conditional
-   laws depend only on counts. *)
-let winning_probability_sym_caps ~n ~delta0 ~delta1 beta =
-  if beta < 0. || beta > 1. then invalid_arg "Threshold.winning_probability_sym_caps: beta";
-  Metrics.add subset_terms (n + 1);
-  let acc = ref 0. in
-  for k = 0 to n do
-    let m = n - k in
-    let weight =
-      Combinat.binomial_float n k *. Combinat.int_pow beta m *. Combinat.int_pow (1. -. beta) k
-    in
-    if weight > 0. then begin
-      let f0 = Uniform_sum.cdf_equal_float ~m ~width:beta delta0 in
-      let f1 = Uniform_sum.cdf_equal_shifted_float ~m:k ~lower:beta delta1 in
-      acc := !acc +. (weight *. f0 *. f1)
-    end
-  done;
-  !acc
+  let winning_probability_sym ~n ~delta beta =
+    winning_probability_sym_caps ~n ~delta0:delta ~delta1:delta beta
+end
 
-let winning_probability_sym ~n ~delta beta =
-  winning_probability_sym_caps ~n ~delta0:delta ~delta1:delta beta
-
-let winning_probability_sym_rat_caps ~n ~delta0 ~delta1 beta =
-  if Rat.sign beta < 0 || Rat.compare beta Rat.one > 0 then
-    invalid_arg "Threshold.winning_probability_sym_rat_caps: beta";
-  Metrics.add subset_terms (n + 1);
-  let co_beta = Rat.sub Rat.one beta in
-  let acc = ref Rat.zero in
-  for k = 0 to n do
-    let m = n - k in
-    let weight =
-      Rat.mul
-        (Rat.of_bigint (Combinat.binomial n k))
-        (Rat.mul (Rat.pow beta m) (Rat.pow co_beta k))
-    in
-    if not (Rat.is_zero weight) then begin
-      let f0 = Uniform_sum.cdf_equal ~m ~width:beta delta0 in
-      let f1 = Uniform_sum.cdf_equal_shifted ~m:k ~lower:beta delta1 in
-      acc := Rat.add !acc (Rat.mul weight (Rat.mul f0 f1))
-    end
-  done;
-  !acc
-
-let winning_probability_sym_rat ~n ~delta beta =
-  winning_probability_sym_rat_caps ~n ~delta0:delta ~delta1:delta beta
+include Make (Field.Float)
+module Q = Make (Field.Q)
 
 let optimum_sym ?(points = 201) ~n ~delta () =
   Opt.grid_then_golden ~f:(fun beta -> winning_probability_sym ~n ~delta beta) ~lo:0. ~hi:1. ~points ()

@@ -9,39 +9,47 @@
 
     The general evaluator enumerates the [2^n] decision vectors and pays an
     inner inclusion-exclusion each — [O(3^n)] total — while the symmetric
-    (common-threshold) evaluator collapses to [O(n²)] terms. *)
+    (common-threshold) evaluator collapses to [O(n²)] terms.  Both are
+    written once over a {!Field.S}: the top level is the float instance,
+    {!Q} the exact one. *)
 
-val winning_probability : ?domains:int -> ?leases:int -> delta:float -> float array -> float
-(** Theorem 5.1 for an arbitrary threshold vector [a], [0 <= a_i <= 1].
+module Make (F : Field.S) : sig
+  val winning_probability : ?domains:int -> ?leases:int -> delta:F.t -> F.t array -> F.t
+  (** Theorem 5.1 for an arbitrary threshold vector [a].
 
-    The [2^n] decision vectors are sharded by index range over [leases]
-    leases (default {!Par_fold.default_leases}, capped at [2^n]) run on
-    [domains] workers (default 1) by {!Par_fold.sum}; partial sums merge
-    in lease order, so the value is bit-identical for every worker count
-    at fixed [leases] — this is the exact path behind [ddm eval -j].  For
-    [n <= 6] every lease holds one vector and the value is the plain
-    left-to-right sum.  The symmetric evaluators below stay sequential:
-    they are [O(n²)] and not worth a domain spawn. *)
+      The [2^n] decision vectors are sharded by index range over [leases]
+      leases (default {!Par_fold.default_leases}, capped at [2^n]) run on
+      [domains] workers (default 1) by {!Par_fold.fold}; partial sums
+      merge in lease order, so the value is bit-identical for every worker
+      count at fixed [leases] — this is the exact path behind [ddm eval
+      -j].  For [n <= 6] every lease holds one vector and the value is the
+      plain left-to-right sum.  The symmetric evaluators below stay
+      sequential: they are [O(n²)] and not worth a domain spawn.
+      @raise Invalid_argument unless every [a_i] is in [[0, 1]] ([nan]
+      included). *)
 
-val winning_probability_caps :
-  ?domains:int -> ?leases:int -> delta0:float -> delta1:float -> float array -> float
-(** Generalization to bins of unequal capacities [delta0] (bin 0) and
-    [delta1] (bin 1) — the paper's framework supports this directly since
-    the two conditional overflow events stay independent.  Same
-    [domains]/[leases] contract as {!winning_probability}. *)
+  val winning_probability_caps :
+    ?domains:int -> ?leases:int -> delta0:F.t -> delta1:F.t -> F.t array -> F.t
+  (** Generalization to bins of unequal capacities [delta0] (bin 0) and
+      [delta1] (bin 1) — the paper's framework supports this directly since
+      the two conditional overflow events stay independent.  Same
+      [domains]/[leases] contract as {!winning_probability}. *)
 
-val winning_probability_sym_caps : n:int -> delta0:float -> delta1:float -> float -> float
+  val winning_probability_sym : n:int -> delta:F.t -> F.t -> F.t
+  (** [winning_probability_sym ~n ~delta β]: all players share the threshold
+      [β]; [O(n²)] terms.  This is the function plotted in the paper's
+      Figures 1-2.  @raise Invalid_argument unless [β] is in [[0, 1]]. *)
 
-val winning_probability_rat : delta:Rat.t -> Rat.t array -> Rat.t
+  val winning_probability_sym_caps : n:int -> delta0:F.t -> delta1:F.t -> F.t -> F.t
+end
 
-val winning_probability_sym : n:int -> delta:float -> float -> float
-(** [winning_probability_sym ~n ~delta β]: all players share the threshold
-    [β]. This is the function plotted in the paper's Figures 1-2. *)
+include module type of Make (Field.Float)
+(** Float answers.  The inclusion-exclusion cancels once [n] grows (the
+    symmetric collapse at [n = 60, δ = 20, β = 0.6] reads [1.2e-5]
+    against an exact [0.6057]); {!Q} is the reference. *)
 
-val winning_probability_sym_rat : n:int -> delta:Rat.t -> Rat.t -> Rat.t
-
-val winning_probability_sym_rat_caps :
-  n:int -> delta0:Rat.t -> delta1:Rat.t -> Rat.t -> Rat.t
+module Q : module type of Make (Field.Q)
+(** Exact answers over ℚ. *)
 
 val optimum_sym : ?points:int -> n:int -> delta:float -> unit -> float * float
 (** Numeric optimal pair [(beta_star, p_star)] for the common threshold:

@@ -1,55 +1,32 @@
-let check_positive name a =
-  Array.iter (fun v -> if Rat.sign v <= 0 then invalid_arg ("Geometry." ^ name ^ ": non-positive side")) a
+module Make (F : Field.S) = struct
+  let check_positive name a =
+    Array.iter
+      (fun v -> if not (F.lt F.zero v) then invalid_arg ("Geometry." ^ name ^ ": non-positive side"))
+      a
 
-let simplex_volume sigma =
-  check_positive "simplex_volume" sigma;
-  let m = Array.length sigma in
-  let prod = Array.fold_left Rat.mul Rat.one sigma in
-  Rat.div prod (Rat.of_bigint (Combinat.factorial m))
+  let simplex_volume sigma =
+    check_positive "simplex_volume" sigma;
+    let m = Array.length sigma in
+    F.div (Array.fold_left F.mul F.one sigma) (F.of_bigint (Combinat.factorial m))
 
-let box_volume pi =
-  check_positive "box_volume" pi;
-  Array.fold_left Rat.mul Rat.one pi
+  let box_volume pi =
+    check_positive "box_volume" pi;
+    Array.fold_left F.mul F.one pi
 
-(* Proposition 2.2. The inclusion-exclusion runs over subsets I of the
-   coordinates with Σ_{l∈I} π_l/σ_l < 1; the Gray-code fold keeps the subset
-   sum incremental. *)
-let sigma_pi_volume ~sigma ~pi =
-  let m = Array.length sigma in
-  if Array.length pi <> m then invalid_arg "Geometry.sigma_pi_volume: dimension mismatch";
-  check_positive "sigma_pi_volume" sigma;
-  check_positive "sigma_pi_volume" pi;
-  let ratios = Array.init m (fun l -> Rat.div pi.(l) sigma.(l)) in
-  let sum =
-    Combinat.fold_subset_sums_gen ~add:Rat.add ~sub:Rat.sub ~zero:Rat.zero ratios ~init:Rat.zero
-      ~f:(fun acc ~size ~sum ->
-        if Rat.compare sum Rat.one < 0 then begin
-          let term = Rat.pow (Rat.sub Rat.one sum) m in
-          if size land 1 = 0 then Rat.add acc term else Rat.sub acc term
-        end
-        else acc)
-  in
-  Rat.mul (simplex_volume sigma) sum
+  (* Proposition 2.2. The inclusion-exclusion runs over subsets I of the
+     coordinates with Σ_{l∈I} π_l/σ_l < 1; the Gray-code walk keeps the
+     subset sum incremental. *)
+  let sigma_pi_volume ~sigma ~pi =
+    let m = Array.length sigma in
+    if Array.length pi <> m then invalid_arg "Geometry.sigma_pi_volume: dimension mismatch";
+    check_positive "sigma_pi_volume" sigma;
+    check_positive "sigma_pi_volume" pi;
+    let ratios = Array.init m (fun l -> F.div pi.(l) sigma.(l)) in
+    F.mul (simplex_volume sigma) (F.subset_power_sum ratios F.one m)
+end
 
-let simplex_volume_float sigma =
-  let m = Array.length sigma in
-  Array.fold_left ( *. ) 1. sigma /. Combinat.factorial_float m
-
-let box_volume_float pi = Array.fold_left ( *. ) 1. pi
-
-let sigma_pi_volume_float ~sigma ~pi =
-  let m = Array.length sigma in
-  if Array.length pi <> m then invalid_arg "Geometry.sigma_pi_volume_float: dimension mismatch";
-  let ratios = Array.init m (fun l -> pi.(l) /. sigma.(l)) in
-  let sum =
-    Combinat.fold_subset_sums ratios ~init:0. ~f:(fun acc ~size ~sum ->
-      if sum < 1. then begin
-        let term = Combinat.int_pow (1. -. sum) m in
-        if size land 1 = 0 then acc +. term else acc -. term
-      end
-      else acc)
-  in
-  simplex_volume_float sigma *. sum
+include Make (Field.Float)
+module Q = Make (Field.Q)
 
 let mem_simplex ~sigma x =
   let m = Array.length sigma in
@@ -97,4 +74,4 @@ let mc_volume ~rand ~samples ~box mem =
     done;
     if mem point then incr hits
   done;
-  box_volume_float box *. float_of_int !hits /. float_of_int samples
+  box_volume box *. float_of_int !hits /. float_of_int samples

@@ -1,182 +1,96 @@
 (* Inclusion-exclusion laws for sums of independent uniforms
-   (paper Lemmas 2.4, 2.5, 2.7 and Corollary 2.6). *)
-
-let clamp01 v = if v < 0. then 0. else if v > 1. then 1. else v
+   (paper Lemmas 2.4, 2.5, 2.7 and Corollary 2.6), once over a field.
+   Each body fixes its float operation order: test_core's float-bits
+   suite pins the float instance's answers to the bit. *)
 
 let ie_terms =
   Metrics.counter
     ~help:"Inclusion-exclusion terms expanded by the uniform-sum laws (Lemmas 2.4-2.7)"
     "ddm_ie_terms_total"
 
-(* ---------------- exact versions ---------------- *)
+module Make (F : Field.S) = struct
+  let clamp01 v = if F.lt v F.zero then F.zero else if F.lt F.one v then F.one else v
 
-let check_nonneg name a =
-  Array.iter (fun w -> if Rat.sign w < 0 then invalid_arg ("Uniform_sum." ^ name ^ ": negative width")) a
+  (* [Float.max 0.] to the bit: [-0.] maps to [0.], [nan] stays [nan]. *)
+  let floor0 v = if F.leq v F.zero then F.zero else v
 
-let cdf ~widths t =
-  check_nonneg "cdf" widths;
-  let widths = Array.of_list (List.filter (fun w -> Rat.sign w > 0) (Array.to_list widths)) in
-  let m = Array.length widths in
-  if m = 0 then if Rat.sign t >= 0 then Rat.one else Rat.zero
-  else if Rat.sign t <= 0 then Rat.zero
-  else begin
-    Metrics.add ie_terms (1 lsl m);
-    let sum =
-      Combinat.fold_subset_sums_gen ~add:Rat.add ~sub:Rat.sub ~zero:Rat.zero widths ~init:Rat.zero
-        ~f:(fun acc ~size ~sum ->
-          if Rat.compare sum t < 0 then begin
-            let term = Rat.pow (Rat.sub t sum) m in
-            if size land 1 = 0 then Rat.add acc term else Rat.sub acc term
-          end
-          else acc)
-    in
-    let denom = Rat.mul (Rat.of_bigint (Combinat.factorial m)) (Array.fold_left Rat.mul Rat.one widths) in
-    Rat.div sum denom
-  end
+  let check_width name w =
+    if not (F.leq F.zero w) then invalid_arg ("Uniform_sum." ^ name ^ ": negative width")
 
-let pdf ~widths t =
-  check_nonneg "pdf" widths;
-  let widths = Array.of_list (List.filter (fun w -> Rat.sign w > 0) (Array.to_list widths)) in
-  let m = Array.length widths in
-  if m = 0 then invalid_arg "Uniform_sum.pdf: degenerate distribution";
-  if Rat.sign t <= 0 then Rat.zero
-  else begin
-    Metrics.add ie_terms (1 lsl m);
-    let sum =
-      Combinat.fold_subset_sums_gen ~add:Rat.add ~sub:Rat.sub ~zero:Rat.zero widths ~init:Rat.zero
-        ~f:(fun acc ~size ~sum ->
-          if Rat.compare sum t < 0 then begin
-            let term = Rat.pow (Rat.sub t sum) (m - 1) in
-            if size land 1 = 0 then Rat.add acc term else Rat.sub acc term
-          end
-          else acc)
-    in
-    let denom =
-      Rat.mul (Rat.of_bigint (Combinat.factorial (m - 1))) (Array.fold_left Rat.mul Rat.one widths)
-    in
-    Rat.div sum denom
-  end
+  let check_lower name l =
+    if not (F.leq F.zero l && F.leq l F.one) then
+      invalid_arg ("Uniform_sum." ^ name ^ ": lower bound outside [0,1]")
 
-let cdf_shifted ~lowers t =
-  Array.iter
-    (fun l ->
-      if Rat.sign l < 0 || Rat.compare l Rat.one > 0 then
-        invalid_arg "Uniform_sum.cdf_shifted: lower bound outside [0,1]")
-    lowers;
-  let m = Array.length lowers in
-  let widths = Array.map (fun l -> Rat.sub Rat.one l) lowers in
-  if Array.for_all Rat.is_zero widths then
-    (* Fully degenerate: the sum is the constant m. *)
-    if Rat.compare (Rat.of_int m) t <= 0 then Rat.one else Rat.zero
-  else Rat.sub Rat.one (cdf ~widths (Rat.sub (Rat.of_int m) t))
+  (* The positive widths; zero widths are point masses at 0. *)
+  let positive name widths =
+    Array.iter (check_width name) widths;
+    if Array.for_all (F.lt F.zero) widths then widths
+    else Array.of_list (List.filter (F.lt F.zero) (Array.to_list widths))
 
-(* ---------------- float versions ---------------- *)
+  (* Lemma 2.4's inclusion-exclusion over positive widths,
+     Σ_I (-1)^|I| (t - Σ_I w)₊^k / (k! Π w): the CDF at k = m, its
+     density (Lemma 2.5) at k = m - 1. *)
+  let ie_general widths t k =
+    Metrics.add ie_terms (1 lsl Array.length widths);
+    F.div (F.subset_power_sum widths t k)
+      (F.mul (F.of_bigint (Combinat.factorial k)) (Array.fold_left F.mul F.one widths))
 
-let cdf_float ~widths t =
-  let widths = Array.of_list (List.filter (fun w -> w > 0.) (Array.to_list widths)) in
-  let m = Array.length widths in
-  if m = 0 then if t >= 0. then 1. else 0.
-  else if t <= 0. then 0.
-  else begin
-    Metrics.add ie_terms (1 lsl m);
-    let sum =
-      Combinat.fold_subset_sums widths ~init:0. ~f:(fun acc ~size ~sum ->
-        if sum < t then begin
-          let term = Combinat.int_pow (t -. sum) m in
-          if size land 1 = 0 then acc +. term else acc -. term
-        end
-        else acc)
-    in
-    clamp01 (sum /. (Combinat.factorial_float m *. Array.fold_left ( *. ) 1. widths))
-  end
-
-let pdf_float ~widths t =
-  let widths = Array.of_list (List.filter (fun w -> w > 0.) (Array.to_list widths)) in
-  let m = Array.length widths in
-  if m = 0 then invalid_arg "Uniform_sum.pdf_float: degenerate distribution";
-  if t <= 0. then 0.
-  else begin
-    Metrics.add ie_terms (1 lsl m);
-    let sum =
-      Combinat.fold_subset_sums widths ~init:0. ~f:(fun acc ~size ~sum ->
-        if sum < t then begin
-          let term = Combinat.int_pow (t -. sum) (m - 1) in
-          if size land 1 = 0 then acc +. term else acc -. term
-        end
-        else acc)
-    in
-    Float.max 0. (sum /. (Combinat.factorial_float (m - 1) *. Array.fold_left ( *. ) 1. widths))
-  end
-
-let cdf_shifted_float ~lowers t =
-  let m = Array.length lowers in
-  let widths = Array.map (fun l -> 1. -. l) lowers in
-  if Array.for_all (fun w -> w <= 0.) widths then if float_of_int m <= t then 1. else 0.
-  else clamp01 (1. -. cdf_float ~widths (float_of_int m -. t))
-
-(* ---------------- equal widths, O(m) ---------------- *)
-
-let cdf_equal ~m ~width t =
-  if m < 0 then invalid_arg "Uniform_sum.cdf_equal: negative m";
-  if m = 0 || Rat.is_zero width then if Rat.sign t >= 0 then Rat.one else Rat.zero
-  else if Rat.sign t <= 0 then Rat.zero
-  else begin
+  (* The same sum for m equal widths, grouped by |I| = j: O(m) terms. *)
+  let ie_equal ~m ~width t k =
     Metrics.add ie_terms (m + 1);
-    let acc = ref Rat.zero in
+    let acc = ref F.zero in
     for j = 0 to m do
-      let shift = Rat.mul_int width j in
-      if Rat.compare shift t < 0 then begin
-        let term =
-          Rat.mul (Rat.of_bigint (Combinat.binomial m j)) (Rat.pow (Rat.sub t shift) m)
-        in
-        acc := if j land 1 = 0 then Rat.add !acc term else Rat.sub !acc term
+      let shift = F.mul width (F.of_int j) in
+      if F.lt shift t then begin
+        let term = F.mul (F.of_bigint (Combinat.binomial m j)) (F.pow (F.sub t shift) k) in
+        acc := if j land 1 = 0 then F.add !acc term else F.sub !acc term
       end
     done;
-    Rat.div !acc (Rat.mul (Rat.of_bigint (Combinat.factorial m)) (Rat.pow width m))
-  end
+    F.div !acc (F.mul (F.of_bigint (Combinat.factorial k)) (F.pow width m))
 
-let cdf_equal_float ~m ~width t =
-  if m < 0 then invalid_arg "Uniform_sum.cdf_equal_float: negative m";
-  if m = 0 || width <= 0. then if t >= 0. then 1. else 0.
-  else if t <= 0. then 0.
-  else begin
-    Metrics.add ie_terms (m + 1);
-    let acc = ref 0. in
-    for j = 0 to m do
-      let shift = width *. float_of_int j in
-      if shift < t then begin
-        let term = Combinat.binomial_float m j *. Combinat.int_pow (t -. shift) m in
-        acc := if j land 1 = 0 then !acc +. term else !acc -. term
-      end
-    done;
-    clamp01 (!acc /. (Combinat.factorial_float m *. Combinat.int_pow width m))
-  end
+  let cdf ~widths t =
+    let widths = positive "cdf" widths in
+    let m = Array.length widths in
+    if m = 0 then if F.leq F.zero t then F.one else F.zero
+    else if F.leq t F.zero then F.zero
+    else clamp01 (ie_general widths t m)
 
-let cdf_equal_shifted ~m ~lower t =
-  let width = Rat.sub Rat.one lower in
-  if Rat.is_zero width then if Rat.compare (Rat.of_int m) t <= 0 then Rat.one else Rat.zero
-  else Rat.sub Rat.one (cdf_equal ~m ~width (Rat.sub (Rat.of_int m) t))
+  let pdf ~widths t =
+    let widths = positive "pdf" widths in
+    let m = Array.length widths in
+    if m = 0 then invalid_arg "Uniform_sum.pdf: degenerate distribution";
+    if F.leq t F.zero then F.zero else floor0 (ie_general widths t (m - 1))
 
-let cdf_equal_shifted_float ~m ~lower t =
-  let width = 1. -. lower in
-  if width <= 0. then if float_of_int m <= t then 1. else 0.
-  else clamp01 (1. -. cdf_equal_float ~m ~width (float_of_int m -. t))
+  (* P(Σ U[l_i, 1] <= t) = 1 - P(Σ U[0, 1 - l_i] < m - t). *)
+  let cdf_shifted ~lowers t =
+    Array.iter (check_lower "cdf_shifted") lowers;
+    let m = F.of_int (Array.length lowers) in
+    let widths = Array.map (F.sub F.one) lowers in
+    if Array.for_all (fun w -> F.leq w F.zero) widths then
+      (* Fully degenerate: the sum is the constant m. *)
+      if F.leq m t then F.one else F.zero
+    else clamp01 (F.sub F.one (cdf ~widths (F.sub m t)))
 
-let irwin_hall_cdf ~m t = cdf_equal ~m ~width:Rat.one t
-let irwin_hall_cdf_float ~m t = cdf_equal_float ~m ~width:1. t
+  let cdf_equal ~m ~width t =
+    if m < 0 then invalid_arg "Uniform_sum.cdf_equal: negative m";
+    check_width "cdf_equal" width;
+    if m = 0 || F.leq width F.zero then if F.leq F.zero t then F.one else F.zero
+    else if F.leq t F.zero then F.zero
+    else clamp01 (ie_equal ~m ~width t m)
 
-let irwin_hall_pdf_float ~m t =
-  if m <= 0 then invalid_arg "Uniform_sum.irwin_hall_pdf_float: m";
-  if t <= 0. || t >= float_of_int m then 0.
-  else begin
-    Metrics.add ie_terms (m + 1);
-    let acc = ref 0. in
-    for j = 0 to m do
-      let shift = float_of_int j in
-      if shift < t then begin
-        let term = Combinat.binomial_float m j *. Combinat.int_pow (t -. shift) (m - 1) in
-        acc := if j land 1 = 0 then !acc +. term else !acc -. term
-      end
-    done;
-    Float.max 0. (!acc /. Combinat.factorial_float (m - 1))
-  end
+  let cdf_equal_shifted ~m ~lower t =
+    check_lower "cdf_equal_shifted" lower;
+    let width = F.sub F.one lower in
+    if F.leq width F.zero then if F.leq (F.of_int m) t then F.one else F.zero
+    else clamp01 (F.sub F.one (cdf_equal ~m ~width (F.sub (F.of_int m) t)))
+
+  let irwin_hall_cdf ~m t = cdf_equal ~m ~width:F.one t
+
+  let irwin_hall_pdf ~m t =
+    if m <= 0 then invalid_arg "Uniform_sum.irwin_hall_pdf: m";
+    if F.leq t F.zero || F.leq (F.of_int m) t then F.zero
+    else floor0 (ie_equal ~m ~width:F.one t (m - 1))
+end
+
+include Make (Field.Float)
+module Q = Make (Field.Q)

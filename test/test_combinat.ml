@@ -45,9 +45,10 @@ let unit_tests =
     Alcotest.test_case "fold_subset_sums totals" `Quick (fun () ->
       (* Each element appears in half the subsets. *)
       let arr = [| 1.; 2.; 4.; 8.; 16. |] in
-      let total = C.fold_subset_sums arr ~init:0. ~f:(fun acc ~size:_ ~sum -> acc +. sum) in
+      let fold f init = C.fold_subset_sums_gen ~add:( +. ) ~sub:( -. ) ~zero:0. arr ~init ~f in
+      let total = fold (fun acc ~size:_ ~sum -> acc +. sum) 0. in
       Alcotest.(check (float 1e-9)) "sum over subsets" (16. *. 31.) total;
-      let visits = C.fold_subset_sums arr ~init:0 ~f:(fun acc ~size:_ ~sum:_ -> acc + 1) in
+      let visits = fold (fun acc ~size:_ ~sum:_ -> acc + 1) 0 in
       Alcotest.(check int) "visits" 32 visits);
     Alcotest.test_case "subsets_of_size" `Quick (fun () ->
       let s = C.subsets_of_size 4 2 in
@@ -81,7 +82,8 @@ let property_tests =
         B.equal (C.falling_factorial n k) (B.div (C.factorial n) (C.factorial (n - k))));
     qtest "subset size histogram matches binomials" (QCheck.int_range 0 12) (fun n ->
       let counts = Array.make (n + 1) 0 in
-      C.fold_subset_sums (Array.make n 1.) ~init:() ~f:(fun () ~size ~sum:_ ->
+      C.fold_subset_sums_gen ~add:( +. ) ~sub:( -. ) ~zero:0. (Array.make n 1.) ~init:()
+        ~f:(fun () ~size ~sum:_ ->
         counts.(size) <- counts.(size) + 1);
       Array.for_all Fun.id
         (Array.mapi (fun k c -> B.equal (B.of_int c) (C.binomial n k)) counts));
@@ -111,6 +113,24 @@ let property_tests =
       (fun (x, k) ->
         let a = C.int_pow x k and b = x ** float_of_int k in
         abs_float (a -. b) <= 1e-9 *. abs_float b);
+    qtest "Field.Float subset walk is the generic walk, bit for bit"
+      QCheck.(
+        triple
+          (list_of_size Gen.(int_range 0 12) (float_range 0. 1.5))
+          (float_range (-0.5) 12.) (int_range 0 14))
+      (fun (w, t, k) ->
+        let w = Array.of_list w in
+        let generic =
+          C.fold_subset_sums_gen ~add:( +. ) ~sub:( -. ) ~zero:0. w ~init:0.
+            ~f:(fun acc ~size ~sum ->
+              if sum < t then begin
+                let term = C.int_pow (t -. sum) k in
+                if size land 1 = 0 then acc +. term else acc -. term
+              end
+              else acc)
+        in
+        Int64.equal (Int64.bits_of_float generic)
+          (Int64.bits_of_float (Field.Float.subset_power_sum w t k)));
   ]
 
 let () = Alcotest.run "combinat" [ ("unit", unit_tests); ("property", property_tests) ]

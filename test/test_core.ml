@@ -95,18 +95,23 @@ let oblivious_tests =
       (* P = (1/4)(phi(0) + 2 phi(1) + phi(2)); phi(0)=F(2,1)=1/2, phi(1)=1,
          phi(2)=1/2 -> P = (1/4)(1/2 + 2 + 1/2) = 3/4 *)
       Alcotest.check rat "closed form" (R.of_ints 3 4)
-        (Oblivious.winning_probability_uniform_rat ~n:2 ~delta:R.one));
+        (Oblivious.Q.winning_probability_uniform ~n:2 ~delta:R.one));
     Alcotest.test_case "n=3 delta=1 exact value" `Quick (fun () ->
       (* phi(0)=phi(3)=1/6, phi(1)=phi(2)=1*1/2 -> (1/8)(1/6+3*1/2+3*1/2+1/6)=5/12 *)
       Alcotest.check rat "closed form" (R.of_ints 5 12)
-        (Oblivious.winning_probability_uniform_rat ~n:3 ~delta:R.one));
+        (Oblivious.Q.winning_probability_uniform ~n:3 ~delta:R.one));
     Alcotest.test_case "uniform closed form equals general evaluator" `Quick (fun () ->
       for n = 1 to 9 do
         let delta = 0.4 +. (0.3 *. float_of_int n) in
         Alcotest.(check (float 1e-12))
           (Printf.sprintf "n=%d" n)
           (Oblivious.winning_probability_uniform ~n ~delta)
-          (Oblivious.winning_probability ~delta (Array.make n 0.5))
+          (Oblivious.winning_probability ~delta (Array.make n 0.5));
+        let delta = R.of_ints (4 + (3 * n)) 10 in
+        Alcotest.check rat
+          (Printf.sprintf "exact n=%d" n)
+          (Oblivious.Q.winning_probability_uniform ~n ~delta)
+          (Oblivious.Q.winning_probability ~delta (Array.make n R.half))
       done);
     Alcotest.test_case "Thm 4.1 against explicit 2^n enumeration" `Quick (fun () ->
       (* independent check: direct sum over decision vectors *)
@@ -120,8 +125,8 @@ let oblivious_tests =
           done;
           acc
           +. (!p
-             *. Uniform_sum.irwin_hall_cdf_float ~m:ones delta
-             *. Uniform_sum.irwin_hall_cdf_float ~m:(n - ones) delta))
+             *. Uniform_sum.irwin_hall_cdf ~m:ones delta
+             *. Uniform_sum.irwin_hall_cdf ~m:(n - ones) delta))
       in
       Alcotest.(check (float 1e-12)) "match" direct
         (Oblivious.winning_probability ~delta alphas));
@@ -144,7 +149,7 @@ let oblivious_tests =
         Alcotest.check rat
           (Printf.sprintf "k=%d" k)
           R.zero
-          (Oblivious.optimality_residual_rat ~delta alphas k)
+          (Oblivious.Q.optimality_residual ~delta alphas k)
       done);
     Alcotest.test_case "rho polynomial is antisymmetric with root 1" `Quick (fun () ->
       for n = 2 to 8 do
@@ -187,7 +192,7 @@ let oblivious_tests =
           (p_star >= Oblivious.winning_probability ~delta alphas -. 1e-12)
       done;
       (* exact rational version agrees *)
-      let k_r, p_r = Oblivious.optimal_partition_rat ~n ~delta:(R.of_ints 4 3) in
+      let k_r, p_r = Oblivious.Q.optimal_partition ~n ~delta:(R.of_ints 4 3) in
       Alcotest.(check int) "k" k_star k_r;
       Alcotest.check rat "exact" (R.of_ints 49 81) p_r);
     Alcotest.test_case "anonymity caveat: asymmetric vectors can beat 1/2" `Quick (fun () ->
@@ -210,8 +215,18 @@ let oblivious_tests =
           Alcotest.check rat
             (Printf.sprintf "alpha=%.2f" a)
             (P.eval sp av)
-            (Oblivious.winning_probability_rat ~delta (Array.make n av)))
+            (Oblivious.Q.winning_probability ~delta (Array.make n av)))
         [ 0.; 0.25; 0.5; 0.9; 1. ]);
+    Alcotest.test_case "probabilities outside [0,1] are rejected in both fields" `Quick
+      (fun () ->
+        let rejects what f =
+          match f () with
+          | _ -> Alcotest.failf "%s accepted alpha = 3/2" what
+          | exception Invalid_argument _ -> ()
+        in
+        rejects "float" (fun () -> Oblivious.winning_probability ~delta:1. [| 0.5; 1.5 |]);
+        rejects "exact" (fun () ->
+          Oblivious.Q.winning_probability ~delta:R.one [| R.half; R.of_ints 3 2 |]));
   ]
 
 let oblivious_props =
@@ -221,7 +236,7 @@ let oblivious_props =
       let delta = 1. +. (0.1 *. float_of_int (Array.length a)) in
       let fl = Oblivious.winning_probability ~delta a in
       let ex =
-        Oblivious.winning_probability_rat ~delta:(R.of_float delta) (Array.map R.of_float a)
+        Oblivious.Q.winning_probability ~delta:(R.of_float delta) (Array.map R.of_float a)
       in
       abs_float (fl -. R.to_float ex) <= 1e-10);
     qtest ~count:25 "Thm 4.1 agrees with Monte-Carlo" arb_alphas (fun alphas ->
@@ -260,7 +275,7 @@ let threshold_tests =
          inclusion-exclusion cancellation is ~3e-12 here, the lease
          regrouping only roundoff on top of it *)
       let exact =
-        Threshold.winning_probability_rat ~delta:(Rat.of_ints 11 3)
+        Threshold.Q.winning_probability ~delta:(Rat.of_ints 11 3)
           (Array.init 11 (fun i -> Rat.of_ints (15 + (7 * i)) 100))
       in
       Alcotest.(check bool) "matches the sequential fold" true
@@ -272,30 +287,37 @@ let threshold_tests =
         (Threshold.winning_probability ~domains:1 ~leases:64 ~delta:(2. /. 3.) tiny));
     Alcotest.test_case "symmetric collapse equals general evaluator" `Quick (fun () ->
       for n = 1 to 8 do
-        let delta = float_of_int n /. 3. in
+        let delta = float_of_int n /. 3. and delta_q = R.of_ints n 3 in
         List.iter
-          (fun beta ->
+          (fun (beta, beta_q) ->
             Alcotest.(check (float 1e-10))
               (Printf.sprintf "n=%d beta=%.2f" n beta)
               (Threshold.winning_probability ~delta (Array.make n beta))
-              (Threshold.winning_probability_sym ~n ~delta beta))
-          [ 0.; 0.2; 0.5; 0.622; 0.9; 1. ]
+              (Threshold.winning_probability_sym ~n ~delta beta);
+            Alcotest.check rat
+              (Printf.sprintf "exact n=%d beta=%.2f" n beta)
+              (Threshold.Q.winning_probability ~delta:delta_q (Array.make n beta_q))
+              (Threshold.Q.winning_probability_sym ~n ~delta:delta_q beta_q))
+          [
+            (0., R.zero); (0.2, R.of_ints 1 5); (0.5, R.half); (0.622, R.of_ints 311 500);
+            (0.9, R.of_ints 9 10); (1., R.one);
+          ]
       done);
     Alcotest.test_case "rational and float evaluators agree" `Quick (fun () ->
       let a = [| 0.25; 0.75; 0.5 |] in
       let fl = Threshold.winning_probability ~delta:1. a in
-      let ex = Threshold.winning_probability_rat ~delta:R.one (Array.map R.of_float a) in
+      let ex = Threshold.Q.winning_probability ~delta:R.one (Array.map R.of_float a) in
       Alcotest.(check (float 1e-12)) "agree" fl (R.to_float ex));
     Alcotest.test_case "paper S5.2.1 exact values on the curve" `Quick (fun () ->
       (* P(1/2) = 23/48 from the first piece *)
       Alcotest.check rat "P(1/2)" (R.of_string "23/48")
-        (Threshold.winning_probability_sym_rat ~n:3 ~delta:R.one R.half);
+        (Threshold.Q.winning_probability_sym ~n:3 ~delta:R.one R.half);
       (* P(0): everyone picks bin 1; P = F_IH(3, 1) = 1/6 *)
       Alcotest.check rat "P(0)" (R.of_ints 1 6)
-        (Threshold.winning_probability_sym_rat ~n:3 ~delta:R.one R.zero);
+        (Threshold.Q.winning_probability_sym ~n:3 ~delta:R.one R.zero);
       (* P(1): everyone picks bin 0; same by symmetry *)
       Alcotest.check rat "P(1)" (R.of_ints 1 6)
-        (Threshold.winning_probability_sym_rat ~n:3 ~delta:R.one R.one));
+        (Threshold.Q.winning_probability_sym ~n:3 ~delta:R.one R.one));
     Alcotest.test_case "numeric optimum matches the certified one (T1)" `Quick (fun () ->
       let beta, value = Threshold.optimum_sym ~n:3 ~delta:1. () in
       Alcotest.(check (float 1e-6)) "beta*" (1. -. sqrt (1. /. 7.)) beta;
@@ -308,17 +330,19 @@ let threshold_tests =
     Alcotest.test_case "degenerate thresholds" `Quick (fun () ->
       (* all zeros: everyone in bin 1 *)
       Alcotest.(check (float 1e-12)) "all zero"
-        (Uniform_sum.irwin_hall_cdf_float ~m:4 1.3)
+        (Uniform_sum.irwin_hall_cdf ~m:4 1.3)
         (Threshold.winning_probability ~delta:1.3 (Array.make 4 0.));
       (* all ones: everyone in bin 0 *)
       Alcotest.(check (float 1e-12)) "all one"
-        (Uniform_sum.irwin_hall_cdf_float ~m:4 1.3)
+        (Uniform_sum.irwin_hall_cdf ~m:4 1.3)
         (Threshold.winning_probability ~delta:1.3 (Array.make 4 1.)));
     Alcotest.test_case "threshold validation" `Quick (fun () ->
-      try
-        ignore (Threshold.winning_probability ~delta:1. [| 1.5 |]);
-        Alcotest.fail "accepted threshold > 1"
-      with Invalid_argument _ -> ());
+      List.iter
+        (fun a ->
+          match Threshold.winning_probability ~delta:1. a with
+          | p -> Alcotest.failf "accepted threshold %g: %g" a.(0) p
+          | exception Invalid_argument _ -> ())
+        [ [| 1.5 |]; [| Float.nan; 0.5 |] ]);
   ]
 
 let gen_thresholds =
@@ -401,7 +425,7 @@ let symbolic_tests =
             let b = R.of_ints i 30 in
             Alcotest.check rat
               (Printf.sprintf "n=%d i=%d" n i)
-              (Threshold.winning_probability_sym_rat ~n ~delta b)
+              (Threshold.Q.winning_probability_sym ~n ~delta b)
               (Piecewise.eval curve b)
           done)
         [ (2, R.one); (3, R.one); (4, R.of_ints 4 3); (5, R.of_ints 5 3); (6, R.two); (3, R.of_ints 1 2) ]);
@@ -442,7 +466,18 @@ let caps_tests =
         (Oblivious.winning_probability_caps ~delta0:1.1 ~delta1:1.1 a);
       Alcotest.(check (float 1e-12)) "symmetric"
         (Threshold.winning_probability_sym ~n:4 ~delta:1.2 0.6)
-        (Threshold.winning_probability_sym_caps ~n:4 ~delta0:1.2 ~delta1:1.2 0.6));
+        (Threshold.winning_probability_sym_caps ~n:4 ~delta0:1.2 ~delta1:1.2 0.6);
+      let a = [| R.of_ints 3 10; R.of_ints 7 10; R.of_ints 11 20 |] and d = R.of_ints 11 10 in
+      Alcotest.check rat "exact threshold"
+        (Threshold.Q.winning_probability ~delta:d a)
+        (Threshold.Q.winning_probability_caps ~delta0:d ~delta1:d a);
+      Alcotest.check rat "exact oblivious"
+        (Oblivious.Q.winning_probability ~delta:d a)
+        (Oblivious.Q.winning_probability_caps ~delta0:d ~delta1:d a);
+      let d = R.of_ints 6 5 and beta = R.of_ints 3 5 in
+      Alcotest.check rat "exact symmetric"
+        (Threshold.Q.winning_probability_sym ~n:4 ~delta:d beta)
+        (Threshold.Q.winning_probability_sym_caps ~n:4 ~delta0:d ~delta1:d beta));
     Alcotest.test_case "huge bin-0 capacity leaves only the bin-1 constraint" `Quick (fun () ->
       (* with delta0 >= n, bin 0 never overflows; P = P(sum of bin-1 inputs <= delta1) *)
       let n = 3 and beta = 0.6 and delta1 = 0.9 in
@@ -452,10 +487,10 @@ let caps_tests =
       for k = 0 to n do
         direct :=
           !direct
-          +. Combinat.binomial_float n k
+          +. Bigint.to_float (Combinat.binomial n k)
              *. Combinat.int_pow beta (n - k)
              *. Combinat.int_pow (1. -. beta) k
-             *. Uniform_sum.cdf_equal_shifted_float ~m:k ~lower:beta delta1
+             *. Uniform_sum.cdf_equal_shifted ~m:k ~lower:beta delta1
       done;
       Alcotest.(check (float 1e-12)) "match" !direct via_caps);
     Alcotest.test_case "caps evaluators agree with Monte-Carlo" `Quick (fun () ->
@@ -515,7 +550,7 @@ let caps_tests =
                 (fun i ->
                   let b = R.of_ints i 10 in
                   R.equal (Piecewise.eval curve b)
-                    (Threshold.winning_probability_sym_rat_caps ~n ~delta0 ~delta1 b))
+                    (Threshold.Q.winning_probability_sym_caps ~n ~delta0 ~delta1 b))
                 (List.init 11 Fun.id)));
     Alcotest.test_case "Thm 5.2 conditions via optimality_conditions" `Quick (fun () ->
       match Symbolic.optimality_conditions ~n:3 ~delta:R.one with
@@ -544,15 +579,29 @@ let banded_tests =
         (Banded.winning_probability ~n ~delta Banded.fair_coin);
       Alcotest.(check (float 1e-12)) "of_threshold"
         (Threshold.winning_probability_sym ~n ~delta 0.5)
-        (Banded.winning_probability ~n ~delta (Banded.of_threshold 0.5)));
+        (Banded.winning_probability ~n ~delta (Banded.of_threshold 0.5));
+      let delta = R.of_ints 4 3 and t = R.of_ints 339 500 and t1 = R.of_ints 3 10 in
+      let band t1 t2 q = Banded.Q.winning_probability ~n ~delta { Banded.t1; t2; q } in
+      Alcotest.check rat "exact q=1 is threshold t2"
+        (Threshold.Q.winning_probability_sym ~n ~delta t)
+        (band t1 t R.one);
+      Alcotest.check rat "exact q=0 is threshold t1"
+        (Threshold.Q.winning_probability_sym ~n ~delta t1)
+        (band t1 (R.of_ints 9 10) R.zero);
+      Alcotest.check rat "exact full band is the coin"
+        (Oblivious.Q.winning_probability_uniform ~n ~delta)
+        (band R.zero R.one R.half);
+      Alcotest.check rat "exact of_threshold"
+        (Threshold.Q.winning_probability_sym ~n ~delta R.half)
+        (band R.half R.half R.one));
     Alcotest.test_case "float and rational evaluators agree" `Quick (fun () ->
       let t1 = 0.0625 and t2 = 0.75 and q = 0.8125 in
       let fl =
         Banded.winning_probability ~n:4 ~delta:(4. /. 3.) { Banded.t1; t2; q }
       in
       let ex =
-        Banded.winning_probability_rat ~n:4 ~delta:(R.of_ints 4 3) ~t1:(R.of_float t1)
-          ~t2:(R.of_float t2) ~q:(R.of_float q)
+        Banded.Q.winning_probability ~n:4 ~delta:(R.of_ints 4 3)
+          { Banded.t1 = R.of_float t1; t2 = R.of_float t2; q = R.of_float q }
       in
       Alcotest.(check (float 1e-12)) "agree" fl (R.to_float ex));
     Alcotest.test_case "exact evaluator agrees with simulation" `Quick (fun () ->
@@ -598,7 +647,7 @@ let banded_tests =
           let q = R.of_ints qn 8 in
           Alcotest.check rat
             (Printf.sprintf "q=%d/8" qn)
-            (Banded.winning_probability_rat ~n ~delta ~t1 ~t2 ~q)
+            (Banded.Q.winning_probability ~n ~delta { Banded.t1; t2; q })
             (P.eval p q))
         [ 0; 1; 3; 5; 8 ]);
     Alcotest.test_case "certified optimal q beats both endpoints" `Quick (fun () ->
@@ -612,7 +661,7 @@ let banded_tests =
         (Alg.to_float qstar > 0.01 && Alg.to_float qstar < 0.99);
       (* and the optimum beats the fair coin (X3, exactly) *)
       Alcotest.(check bool) "beats the coin" true
-        (R.compare v (Oblivious.winning_probability_uniform_rat ~n ~delta) > 0));
+        (R.compare v (Oblivious.Q.winning_probability_uniform ~n ~delta) > 0));
     Alcotest.test_case "banded cannot beat the coin by much at large capacity" `Quick
       (fun () ->
         (* sanity: delta >= n makes everything win with probability 1 *)
@@ -645,8 +694,8 @@ let banded_tests =
                }
            in
            let ex =
-             Banded.winning_probability_rat ~n:3 ~delta:R.one ~t1:(R.of_ints t1n 8)
-               ~t2:(R.of_ints t2n 8) ~q:(R.of_ints qk 8)
+             Banded.Q.winning_probability ~n:3 ~delta:R.one
+               { Banded.t1 = R.of_ints t1n 8; t2 = R.of_ints t2n 8; q = R.of_ints qk 8 }
            in
            abs_float (fl -. R.to_float ex) < 1e-10));
   ]
@@ -696,13 +745,13 @@ let certified_tests =
     Alcotest.test_case "capacity sweep pins the n=3 inversion at delta = 3/2 (X5)" `Quick
       (fun () ->
         let delta = R.of_ints 3 2 in
-        let obl = Oblivious.winning_probability_uniform_rat ~n:3 ~delta in
+        let obl = Oblivious.Q.winning_probability_uniform ~n:3 ~delta in
         let thr = (Symbolic.optimal_sym_threshold ~n:3 ~delta ()).Piecewise.value in
         Alcotest.check rat "oblivious exact" (R.of_string "25/32") obl;
         Alcotest.(check bool) "coin wins at 3/2" true (R.compare thr obl < 0);
         (* while at delta = 11/8 the threshold still wins *)
         let delta = R.of_ints 11 8 in
-        let obl = Oblivious.winning_probability_uniform_rat ~n:3 ~delta in
+        let obl = Oblivious.Q.winning_probability_uniform ~n:3 ~delta in
         let thr = (Symbolic.optimal_sym_threshold ~n:3 ~delta ()).Piecewise.value in
         Alcotest.(check bool) "threshold wins at 11/8" true (R.compare thr obl > 0));
   ]
@@ -714,7 +763,7 @@ let tradeoff_tests =
     Alcotest.test_case "non-oblivious beats oblivious (T4)" `Quick (fun () ->
       List.iter
         (fun (n, delta) ->
-          let obl = Oblivious.winning_probability_uniform_rat ~n ~delta in
+          let obl = Oblivious.Q.winning_probability_uniform ~n ~delta in
           let res = Symbolic.optimal_sym_threshold ~n ~delta () in
           Alcotest.(check bool)
             (Printf.sprintf "n=%d" n)
@@ -728,7 +777,7 @@ let tradeoff_tests =
          single-threshold optimum at n=4, delta=4/3 in fact loses to the fair
          coin: 0.42854 < 0.43133. We pin this inversion. *)
       let delta = R.of_ints 4 3 in
-      let obl = Oblivious.winning_probability_uniform_rat ~n:4 ~delta in
+      let obl = Oblivious.Q.winning_probability_uniform ~n:4 ~delta in
       let res = Symbolic.optimal_sym_threshold ~n:4 ~delta () in
       Alcotest.(check bool) "threshold loses" true (R.compare res.Piecewise.value obl < 0);
       Alcotest.(check (float 1e-9)) "oblivious value" (559. /. 1296.) (R.to_float obl));
@@ -820,6 +869,63 @@ let mc_eval_kernel_tests =
         [ 1; 2; 4 ]);
   ]
 
+(* ------------------------- float bits ------------------------- *)
+
+(* The float closed forms' exact bits (printed with %h).  The bodies are
+   written once over Field, and the float instance must keep their float
+   operation order to the last ulp. *)
+let float_bits_tests =
+  [
+    Alcotest.test_case "float closed forms are pinned to the bit" `Quick (fun () ->
+      let vec n lo step = Array.init n (fun i -> lo +. (step *. float_of_int i)) in
+      let a11 = vec 11 0.15 0.07 in
+      List.iter
+        (fun (label, bits, value) ->
+          Alcotest.(check string) label bits (Printf.sprintf "%h" (value ())))
+        [
+        ("thm5.1 n=1", "0x1.5555555555553p-2", fun () -> Threshold.winning_probability ~delta:(1. /. 3.) [| 0.3 |]);
+        ("thm5.1 n=2", "0x1.9907f6e5d4c3bp-2", fun () -> Threshold.winning_probability ~delta:(2. /. 3.) [| 0.3; 0.8 |]);
+        ("thm5.1 n=3", "0x1.ed55555555556p-2", fun () -> Threshold.winning_probability ~delta:1. [| 0.25; 0.75; 0.5 |]);
+        ("thm5.1 n=4", "0x1.b642373576e9cp-2", fun () -> Threshold.winning_probability ~delta:(4. /. 3.) [| 0.6; 0.7; 0.65; 0.678 |]);
+        ("thm5.1 n=5", "0x1.f8ca8e23dc1fp-2", fun () -> Threshold.winning_probability ~delta:(5. /. 3.) (vec 5 0.1 0.2));
+        ("thm5.1 n=6", "0x1.825132812cd61p-2", fun () -> Threshold.winning_probability ~delta:2. (vec 6 0.2 0.1));
+        ("thm5.1 n=7", "0x1.17185c1e4f11ep-1", fun () -> Threshold.winning_probability ~delta:(7. /. 3.) (vec 7 0.9 (-0.11)));
+        ("thm5.1 n=8", "0x1.c7196788156d1p-2", fun () -> Threshold.winning_probability ~delta:(8. /. 3.) (vec 8 0.35 0.05));
+        ("thm5.1 n=9", "0x1.16056fbf3d6aep-1", fun () -> Threshold.winning_probability ~delta:3. (Array.make 9 0.62));
+        ("thm5.1 n=10", "0x1.047bfaa3ec03bp-1", fun () -> Threshold.winning_probability ~delta:(10. /. 3.) (vec 10 0.05 0.1));
+        ("thm5.1 n=11", "0x1.cab88337a5467p-2", fun () -> Threshold.winning_probability ~delta:(11. /. 3.) a11);
+        ("thm5.1 n=11 domains=2", "0x1.cab88337a5467p-2", fun () -> Threshold.winning_probability ~domains:2 ~delta:(11. /. 3.) a11);
+        ("thm5.1 n=11 leases=7", "0x1.cab88337a5468p-2", fun () -> Threshold.winning_probability ~leases:7 ~delta:(11. /. 3.) a11);
+        ("thm5.1 caps n=4", "0x1.361c432ca57bcp-2", fun () -> Threshold.winning_probability_caps ~delta0:1.4 ~delta1:0.9 [| 0.5; 0.8; 0.35; 0.6 |]);
+        ("thm5.1 caps n=6 domains=2", "0x1.a2c8fdb7afeecp-3", fun () -> Threshold.winning_probability_caps ~domains:2 ~delta0:2.5 ~delta1:1.25 (vec 6 0.3 0.1));
+        ("sym n=3", "0x1.16d7bbcc82b3dp-1", fun () -> Threshold.winning_probability_sym ~n:3 ~delta:1. 0.62);
+        ("sym n=12", "0x1.17c8c24f64014p-1", fun () -> Threshold.winning_probability_sym ~n:12 ~delta:4. 0.6);
+        ("sym n=40", "0x1.86c6e4304e979p-1", fun () -> Threshold.winning_probability_sym ~n:40 ~delta:(40. /. 3.) 0.65);
+        ("sym caps n=4", "0x1.b6c19ab13864ep-3", fun () -> Threshold.winning_probability_sym_caps ~n:4 ~delta0:1.5 ~delta1:0.75 0.55);
+        ("thm4.1 n=4", "0x1.56a9f21e06c2cp-2", fun () -> Oblivious.winning_probability ~delta:1.2 [| 0.3; 0.8; 0.5; 0.65 |]);
+        ("thm4.1 n=8", "0x1.23e965d7fcfc6p-1", fun () -> Oblivious.winning_probability ~delta:(8. /. 3.) (vec 8 0.2 0.09));
+        ("thm4.1 n=20", "0x1.8b3121626aad6p-1", fun () -> Oblivious.winning_probability ~delta:(20. /. 3.) (vec 20 0.1 0.04));
+        ("thm4.1 n=40", "0x1.c745f22b34525p-1", fun () -> Oblivious.winning_probability ~delta:(40. /. 3.) (Array.make 40 0.5));
+        ("thm4.1 caps n=4", "0x1.246232faff0f4p-2", fun () -> Oblivious.winning_probability_caps ~delta0:1.4 ~delta1:0.9 [| 0.3; 0.6; 0.8; 0.5 |]);
+        ("thm4.3 uniform n=10", "0x1.2f05628622f2ep-1", fun () -> Oblivious.winning_probability_uniform ~n:10 ~delta:(10. /. 3.));
+        ("phi n=6 k=2", "0x1p-1", fun () -> Oblivious.phi ~n:6 ~delta:2. 2);
+        ("residual n=4 k=1", "0x1.343cd6d94e738p-7", fun () -> Oblivious.optimality_residual ~delta:1.2 [| 0.3; 0.8; 0.5; 0.65 |] 1);
+        ("partition n=5", "0x1.2d79dac6c28bep-1", fun () -> snd (Oblivious.optimal_partition ~n:5 ~delta:(5. /. 3.)));
+        ("banded n=4", "0x1.c457b13c459a2p-2", fun () -> Banded.winning_probability ~n:4 ~delta:(4. /. 3.) { Banded.t1 = 0.1; t2 = 0.7; q = 0.75 });
+        ("banded n=3", "0x1.d2e3aed836d48p-2", fun () -> Banded.winning_probability ~n:3 ~delta:1. { Banded.t1 = 0.2; t2 = 0.8; q = 0.6 });
+        ("cdf", "0x1.e770f70f70f78p-2", fun () -> Uniform_sum.cdf ~widths:[| 0.3; 0.7; 1.; 0.45 |] 1.2);
+        ("pdf", "0x1.eaaaaaaaaaab5p-1", fun () -> Uniform_sum.pdf ~widths:[| 0.3; 0.7; 1.; 0.45 |] 1.2);
+        ("cdf_shifted", "0x1.e2e3ffb45856p-5", fun () -> Uniform_sum.cdf_shifted ~lowers:[| 0.3; 0.7; 0.; 0.45 |] 2.1);
+        ("cdf_equal", "0x1.9bff571e8808ap-1", fun () -> Uniform_sum.cdf_equal ~m:7 ~width:0.6 2.5);
+        ("cdf_equal_shifted", "0x1.c82ba32eefc59p-1", fun () -> Uniform_sum.cdf_equal_shifted ~m:5 ~lower:0.35 3.9);
+        ("irwin_hall_cdf m=20", "0x1.87ea0331dc745p-7", fun () -> Uniform_sum.irwin_hall_cdf ~m:20 7.1);
+        ("irwin_hall_cdf m=50 collapsed", "0x1.52573e405a47fp-1", fun () -> Uniform_sum.irwin_hall_cdf ~m:50 (100. /. 3.));
+        ("irwin_hall_pdf m=9", "0x1.b67753e82e629p-2", fun () -> Uniform_sum.irwin_hall_pdf ~m:9 4.2);
+        ("sigma_pi_volume m=3", "0x1.6d097b425ed09p-2", fun () -> Geometry.sigma_pi_volume ~sigma:[| 1.; 2.; 1.5 |] ~pi:[| 0.5; 1.; 1. |]);
+        ("sigma_pi_volume m=6", "0x1.8e4dfc8db3f2ep-6", fun () -> Geometry.sigma_pi_volume ~sigma:(vec 6 1. 0.3) ~pi:(vec 6 0.4 0.15));
+        ]);
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -834,4 +940,5 @@ let () =
       ("certified", certified_tests);
       ("tradeoff", tradeoff_tests);
       ("mc-eval-kernel", mc_eval_kernel_tests);
+      ("float-bits", float_bits_tests);
     ]

@@ -134,7 +134,7 @@ let engine_tests =
       (* and the shared estimate is right: Theorem 5.1 over Q *)
       let exact =
         Rat.to_float
-          (Threshold.winning_probability_rat ~delta:Rat.one (Array.make 3 (Rat.of_ints 311 500)))
+          (Threshold.Q.winning_probability ~delta:Rat.one (Array.make 3 (Rat.of_ints 311 500)))
       in
       Alcotest.(check bool)
         (Printf.sprintf "MC %.4f vs exact %.4f" est_c.Mc.mean exact)

@@ -28,45 +28,45 @@ let unit_tests =
   [
     Alcotest.test_case "Lemma 2.1: simplex and box volumes" `Quick (fun () ->
       Alcotest.check rat "unit simplex dim 3" (R.of_ints 1 6)
-        (G.simplex_volume [| R.one; R.one; R.one |]);
+        (G.Q.simplex_volume [| R.one; R.one; R.one |]);
       Alcotest.check rat "scaled simplex" (R.of_ints 1 1)
-        (G.simplex_volume [| R.of_int 2; R.of_int 3; R.one |]);
+        (G.Q.simplex_volume [| R.of_int 2; R.of_int 3; R.one |]);
       Alcotest.check rat "box" (R.of_ints 3 4)
-        (G.box_volume [| R.half; R.of_ints 3 2; R.one |]));
+        (G.Q.box_volume [| R.half; R.of_ints 3 2; R.one |]));
     Alcotest.test_case "Prop 2.2 dim 1" `Quick (fun () ->
       (* [0, pi] cap [0, sigma]: length min(pi, sigma) *)
       Alcotest.check rat "pi < sigma" R.half
-        (G.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.half |]);
+        (G.Q.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.half |]);
       Alcotest.check rat "pi > sigma" R.one
-        (G.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.of_int 3 |]));
+        (G.Q.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.of_int 3 |]));
     Alcotest.test_case "Prop 2.2 dim 2 analytic" `Quick (fun () ->
       (* Unit square vs simplex x + y <= 3/2: area = 1 - (1/2)(1/2)^2 * 2 = 7/8 *)
-      let v = G.sigma_pi_volume ~sigma:[| R.of_ints 3 2; R.of_ints 3 2 |] ~pi:[| R.one; R.one |] in
+      let v = G.Q.sigma_pi_volume ~sigma:[| R.of_ints 3 2; R.of_ints 3 2 |] ~pi:[| R.one; R.one |] in
       Alcotest.check rat "clipped corner" (R.of_ints 7 8) v);
     Alcotest.test_case "box inside simplex" `Quick (fun () ->
       (* sum pi/sigma <= 1: the whole box survives *)
       let sigma = [| R.of_int 10; R.of_int 10; R.of_int 10 |] in
       let pi = [| R.one; R.one; R.one |] in
-      Alcotest.check rat "volume = box" (G.box_volume pi) (G.sigma_pi_volume ~sigma ~pi));
+      Alcotest.check rat "volume = box" (G.Q.box_volume pi) (G.Q.sigma_pi_volume ~sigma ~pi));
     Alcotest.test_case "simplex inside box" `Quick (fun () ->
       (* sigma_l <= pi_l for all l: the whole simplex survives *)
       let sigma = [| R.half; R.half |] in
       let pi = [| R.one; R.one |] in
-      Alcotest.check rat "volume = simplex" (G.simplex_volume sigma)
-        (G.sigma_pi_volume ~sigma ~pi));
+      Alcotest.check rat "volume = simplex" (G.Q.simplex_volume sigma)
+        (G.Q.sigma_pi_volume ~sigma ~pi));
     Alcotest.test_case "Irwin-Hall connection" `Quick (fun () ->
       (* Vol({x in [0,1]^m : sum x <= t}) = IH cdf * 1 *)
       let t = R.of_ints 3 2 and m = 3 in
       let sigma = Array.make m t and pi = Array.make m R.one in
-      Alcotest.check rat "matches Cor 2.6" (Uniform_sum.irwin_hall_cdf ~m t)
-        (G.sigma_pi_volume ~sigma ~pi));
+      Alcotest.check rat "matches Cor 2.6" (Uniform_sum.Q.irwin_hall_cdf ~m t)
+        (G.Q.sigma_pi_volume ~sigma ~pi));
     Alcotest.test_case "invalid inputs" `Quick (fun () ->
       (try
-         ignore (G.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.one; R.one |]);
+         ignore (G.Q.sigma_pi_volume ~sigma:[| R.one |] ~pi:[| R.one; R.one |]);
          Alcotest.fail "accepted dimension mismatch"
        with Invalid_argument _ -> ());
       try
-        ignore (G.simplex_volume [| R.zero |]);
+        ignore (G.Q.simplex_volume [| R.zero |]);
         Alcotest.fail "accepted zero side"
       with Invalid_argument _ -> ());
     Alcotest.test_case "halfspace representation agrees with membership" `Quick (fun () ->
@@ -79,7 +79,7 @@ let unit_tests =
       done);
     Alcotest.test_case "MC volume cross-check (P1)" `Quick (fun () ->
       let sigma = [| 1.5; 2.0; 1.0; 1.2 |] and pi = [| 1.0; 0.8; 0.9; 0.7 |] in
-      let exact = G.sigma_pi_volume_float ~sigma ~pi in
+      let exact = G.sigma_pi_volume ~sigma ~pi in
       let rng = Rng.create ~seed:77 in
       let mc =
         G.mc_volume ~rand:(fun () -> Rng.float01 rng) ~samples:200000 ~box:pi
@@ -92,33 +92,33 @@ let property_tests =
   [
     qtest "volume bounds: 0 <= vol <= min(simplex, box)" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.of_list s and pi = Array.of_list p in
-      let v = G.sigma_pi_volume ~sigma ~pi in
+      let v = G.Q.sigma_pi_volume ~sigma ~pi in
       R.sign v >= 0
-      && R.compare v (G.box_volume pi) <= 0
-      && R.compare v (G.simplex_volume sigma) <= 0);
+      && R.compare v (G.Q.box_volume pi) <= 0
+      && R.compare v (G.Q.simplex_volume sigma) <= 0);
     qtest "exact vs float evaluation" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.of_list s and pi = Array.of_list p in
-      let exact = R.to_float (G.sigma_pi_volume ~sigma ~pi) in
+      let exact = R.to_float (G.Q.sigma_pi_volume ~sigma ~pi) in
       let fl =
-        G.sigma_pi_volume_float ~sigma:(Array.map R.to_float sigma) ~pi:(Array.map R.to_float pi)
+        G.sigma_pi_volume ~sigma:(Array.map R.to_float sigma) ~pi:(Array.map R.to_float pi)
       in
       abs_float (exact -. fl) <= 1e-9 *. (1. +. abs_float exact));
     qtest "monotone in box sides" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.of_list s and pi = Array.of_list p in
       let bigger = Array.map (fun v -> R.mul_int v 2) pi in
-      R.compare (G.sigma_pi_volume ~sigma ~pi) (G.sigma_pi_volume ~sigma ~pi:bigger) <= 0);
+      R.compare (G.Q.sigma_pi_volume ~sigma ~pi) (G.Q.sigma_pi_volume ~sigma ~pi:bigger) <= 0);
     qtest "monotone in simplex sides" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.of_list s and pi = Array.of_list p in
       let bigger = Array.map (fun v -> R.mul_int v 2) sigma in
-      R.compare (G.sigma_pi_volume ~sigma ~pi) (G.sigma_pi_volume ~sigma:bigger ~pi) <= 0);
+      R.compare (G.Q.sigma_pi_volume ~sigma ~pi) (G.Q.sigma_pi_volume ~sigma:bigger ~pi) <= 0);
     qtest "permutation invariance" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.of_list s and pi = Array.of_list p in
       let rev a = Array.of_list (List.rev (Array.to_list a)) in
-      R.equal (G.sigma_pi_volume ~sigma ~pi) (G.sigma_pi_volume ~sigma:(rev sigma) ~pi:(rev pi)));
+      R.equal (G.Q.sigma_pi_volume ~sigma ~pi) (G.Q.sigma_pi_volume ~sigma:(rev sigma) ~pi:(rev pi)));
     qtest "saturation: huge simplex leaves the box" arb_sigma_pi (fun (s, p) ->
       let sigma = Array.map (fun v -> R.mul_int v 1000) (Array.of_list s) in
       let pi = Array.of_list p in
-      R.equal (G.box_volume pi) (G.sigma_pi_volume ~sigma ~pi));
+      R.equal (G.Q.box_volume pi) (G.Q.sigma_pi_volume ~sigma ~pi));
   ]
 
 let () = Alcotest.run "geometry" [ ("unit", unit_tests); ("property", property_tests) ]

@@ -92,11 +92,11 @@ let t3_tests =
     Alcotest.test_case "T3: exact uniform winning probabilities are rational" `Quick (fun () ->
       (* pin a few exact values as regression anchors *)
       Alcotest.check rat "n=2 delta=1" (R.of_ints 3 4)
-        (Oblivious.winning_probability_uniform_rat ~n:2 ~delta:R.one);
+        (Oblivious.Q.winning_probability_uniform ~n:2 ~delta:R.one);
       Alcotest.check rat "n=3 delta=1" (R.of_ints 5 12)
-        (Oblivious.winning_probability_uniform_rat ~n:3 ~delta:R.one);
+        (Oblivious.Q.winning_probability_uniform ~n:3 ~delta:R.one);
       Alcotest.check rat "n=4 delta=4/3" (R.of_ints 559 1296)
-        (Oblivious.winning_probability_uniform_rat ~n:4 ~delta:(R.of_ints 4 3)));
+        (Oblivious.Q.winning_probability_uniform ~n:4 ~delta:(R.of_ints 4 3)));
   ]
 
 (* T4 and the n=4 inversion. *)
@@ -104,7 +104,7 @@ let t4_tests =
   [
     Alcotest.test_case "T4 table rows" `Quick (fun () ->
       let row n delta =
-        let obl = R.to_float (Oblivious.winning_probability_uniform_rat ~n ~delta) in
+        let obl = R.to_float (Oblivious.Q.winning_probability_uniform ~n ~delta) in
         let thr = R.to_float (Symbolic.optimal_sym_threshold ~n ~delta ()).Piecewise.value in
         (obl, thr)
       in
@@ -123,7 +123,7 @@ let lemma_tests =
       let rng = Rng.create ~seed:5150 in
       let widths = [| 0.25; 0.5; 0.75; 1. |] in
       let t = 1.1 in
-      let exact = Uniform_sum.cdf_float ~widths t in
+      let exact = Uniform_sum.cdf ~widths t in
       let est =
         Mc.probability ~rng ~samples:200_000 (fun rng ->
           Array.fold_left (fun acc w -> acc +. (Rng.float01 rng *. w)) 0. widths <= t)
@@ -131,7 +131,7 @@ let lemma_tests =
       Alcotest.(check bool) "cdf" true (Mc.agrees est exact);
       let lowers = [| 0.1; 0.4; 0.7 |] in
       let t = 1.9 in
-      let exact = Uniform_sum.cdf_shifted_float ~lowers t in
+      let exact = Uniform_sum.cdf_shifted ~lowers t in
       let est =
         Mc.probability ~rng ~samples:200_000 (fun rng ->
           Array.fold_left (fun acc l -> acc +. Rng.uniform rng l 1.) 0. lowers <= t)
@@ -141,7 +141,7 @@ let lemma_tests =
       let rng = Rng.create ~seed:161 in
       List.iter
         (fun (sigma, pi) ->
-          let exact = Geometry.sigma_pi_volume_float ~sigma ~pi in
+          let exact = Geometry.sigma_pi_volume ~sigma ~pi in
           let mc =
             Geometry.mc_volume
               ~rand:(fun () -> Rng.float01 rng)
@@ -160,8 +160,8 @@ let lemma_tests =
       let a = [| R.of_ints 3 10; R.of_ints 7 10; R.of_ints 1 2 |] in
       let delta = R.of_ints 11 10 in
       let sigma = Array.map (fun _ -> delta) a in
-      let ratio = R.div (Geometry.sigma_pi_volume ~sigma ~pi:a) (Geometry.box_volume a) in
-      Alcotest.check rat "cdf = volume ratio" (Uniform_sum.cdf ~widths:a delta) ratio);
+      let ratio = R.div (Geometry.Q.sigma_pi_volume ~sigma ~pi:a) (Geometry.Q.box_volume a) in
+      Alcotest.check rat "cdf = volume ratio" (Uniform_sum.Q.cdf ~widths:a delta) ratio);
   ]
 
 (* X1: the communication trade-off, qualitatively. *)
@@ -231,7 +231,7 @@ let x2_tests =
            the exact one against the symmetric-collapse identity. *)
         let n = 25 in
         let delta = R.of_ints n 3 in
-        let exact = Oblivious.winning_probability_uniform_rat ~n ~delta in
+        let exact = Oblivious.Q.winning_probability_uniform ~n ~delta in
         let fl = Oblivious.winning_probability_uniform ~n ~delta:(R.to_float delta) in
         Alcotest.(check bool) "exact in [0,1]" true
           (R.sign exact >= 0 && R.compare exact R.one <= 0);

@@ -80,47 +80,47 @@ let arb_widths_t =
 let uniform_sum_tests =
   [
     Alcotest.test_case "Cor 2.6: Irwin-Hall landmarks" `Quick (fun () ->
-      Alcotest.check rat "m=1 t=1/2" R.half (U.irwin_hall_cdf ~m:1 R.half);
-      Alcotest.check rat "m=2 t=1" R.half (U.irwin_hall_cdf ~m:2 R.one);
-      Alcotest.check rat "m=2 t=1/2" (R.of_ints 1 8) (U.irwin_hall_cdf ~m:2 R.half);
-      Alcotest.check rat "m=3 t=1" (R.of_ints 1 6) (U.irwin_hall_cdf ~m:3 R.one);
-      Alcotest.check rat "saturates" R.one (U.irwin_hall_cdf ~m:3 (R.of_int 5));
-      Alcotest.check rat "zero below 0" R.zero (U.irwin_hall_cdf ~m:3 (R.of_int (-1))));
+      Alcotest.check rat "m=1 t=1/2" R.half (U.Q.irwin_hall_cdf ~m:1 R.half);
+      Alcotest.check rat "m=2 t=1" R.half (U.Q.irwin_hall_cdf ~m:2 R.one);
+      Alcotest.check rat "m=2 t=1/2" (R.of_ints 1 8) (U.Q.irwin_hall_cdf ~m:2 R.half);
+      Alcotest.check rat "m=3 t=1" (R.of_ints 1 6) (U.Q.irwin_hall_cdf ~m:3 R.one);
+      Alcotest.check rat "saturates" R.one (U.Q.irwin_hall_cdf ~m:3 (R.of_int 5));
+      Alcotest.check rat "zero below 0" R.zero (U.Q.irwin_hall_cdf ~m:3 (R.of_int (-1))));
     Alcotest.test_case "Irwin-Hall symmetry F(t) + F(m-t) = 1" `Quick (fun () ->
       for m = 1 to 8 do
         let t = R.of_ints m 3 in
-        let s = R.add (U.irwin_hall_cdf ~m t) (U.irwin_hall_cdf ~m (R.sub (R.of_int m) t)) in
+        let s = R.add (U.Q.irwin_hall_cdf ~m t) (U.Q.irwin_hall_cdf ~m (R.sub (R.of_int m) t)) in
         Alcotest.check rat (Printf.sprintf "m=%d" m) R.one s
       done);
     Alcotest.test_case "Lemma 2.4 equals Cor 2.6 on unit widths" `Quick (fun () ->
       for m = 1 to 6 do
         let widths = Array.make m R.one in
         let t = R.of_ints (2 * m) 5 in
-        Alcotest.check rat (Printf.sprintf "m=%d" m) (U.irwin_hall_cdf ~m t)
-          (U.cdf ~widths t)
+        Alcotest.check rat (Printf.sprintf "m=%d" m) (U.Q.irwin_hall_cdf ~m t)
+          (U.Q.cdf ~widths t)
       done);
     Alcotest.test_case "Lemma 2.4 dim 1 and 2 analytic" `Quick (fun () ->
       (* single U[0, 1/2] at t = 1/4 -> 1/2 *)
-      Alcotest.check rat "1D" R.half (U.cdf ~widths:[| R.half |] (R.of_ints 1 4));
+      Alcotest.check rat "1D" R.half (U.Q.cdf ~widths:[| R.half |] (R.of_ints 1 4));
       (* U[0,1] + U[0,2] at t=1: area {x+y<=1, 0<=x<=1, 0<=y<=2}/2 = (1/2)/2 *)
-      Alcotest.check rat "2D" (R.of_ints 1 4) (U.cdf ~widths:[| R.one; R.of_int 2 |] R.one));
+      Alcotest.check rat "2D" (R.of_ints 1 4) (U.Q.cdf ~widths:[| R.one; R.of_int 2 |] R.one));
     Alcotest.test_case "zero widths are point masses" `Quick (fun () ->
       Alcotest.check rat "dropped"
-        (U.cdf ~widths:[| R.one; R.half |] R.one)
-        (U.cdf ~widths:[| R.one; R.zero; R.half; R.zero |] R.one);
-      Alcotest.check rat "all zero, t >= 0" R.one (U.cdf ~widths:[| R.zero |] R.zero));
+        (U.Q.cdf ~widths:[| R.one; R.half |] R.one)
+        (U.Q.cdf ~widths:[| R.one; R.zero; R.half; R.zero |] R.one);
+      Alcotest.check rat "all zero, t >= 0" R.one (U.Q.cdf ~widths:[| R.zero |] R.zero));
     Alcotest.test_case "Lemma 2.7 shifted landmarks" `Quick (fun () ->
       (* one U[1/2, 1] at t = 3/4 -> 1/2 *)
-      Alcotest.check rat "1D" R.half (U.cdf_shifted ~lowers:[| R.half |] (R.of_ints 3 4));
+      Alcotest.check rat "1D" R.half (U.Q.cdf_shifted ~lowers:[| R.half |] (R.of_ints 3 4));
       (* degenerate pi=1: point mass at 1 *)
-      Alcotest.check rat "pi=1 below" R.zero (U.cdf_shifted ~lowers:[| R.one |] R.half);
-      Alcotest.check rat "pi=1 at 1" R.one (U.cdf_shifted ~lowers:[| R.one |] R.one));
+      Alcotest.check rat "pi=1 below" R.zero (U.Q.cdf_shifted ~lowers:[| R.one |] R.half);
+      Alcotest.check rat "pi=1 at 1" R.one (U.Q.cdf_shifted ~lowers:[| R.one |] R.one));
     Alcotest.test_case "Lemma 2.7 equals complement of Lemma 2.4" `Quick (fun () ->
       (* all lowers 0: U[0,1]; shifted cdf must equal Irwin-Hall *)
       for m = 1 to 5 do
         let t = R.of_ints (2 * m) 3 in
-        Alcotest.check rat (Printf.sprintf "m=%d" m) (U.irwin_hall_cdf ~m t)
-          (U.cdf_shifted ~lowers:(Array.make m R.zero) t)
+        Alcotest.check rat (Printf.sprintf "m=%d" m) (U.Q.irwin_hall_cdf ~m t)
+          (U.Q.cdf_shifted ~lowers:(Array.make m R.zero) t)
       done);
     Alcotest.test_case "equal-width fast path equals general" `Quick (fun () ->
       for m = 1 to 7 do
@@ -128,8 +128,8 @@ let uniform_sum_tests =
         let t = R.of_ints m 2 in
         Alcotest.check rat
           (Printf.sprintf "m=%d" m)
-          (U.cdf ~widths:(Array.make m width) t)
-          (U.cdf_equal ~m ~width t)
+          (U.Q.cdf ~widths:(Array.make m width) t)
+          (U.Q.cdf_equal ~m ~width t)
       done);
     Alcotest.test_case "equal shifted fast path equals general" `Quick (fun () ->
       for m = 1 to 7 do
@@ -137,8 +137,8 @@ let uniform_sum_tests =
         let t = R.of_ints (3 * m) 4 in
         Alcotest.check rat
           (Printf.sprintf "m=%d" m)
-          (U.cdf_shifted ~lowers:(Array.make m lower) t)
-          (U.cdf_equal_shifted ~m ~lower t)
+          (U.Q.cdf_shifted ~lowers:(Array.make m lower) t)
+          (U.Q.cdf_equal_shifted ~m ~lower t)
       done);
     Alcotest.test_case "Lemma 2.5 density integrates to the CDF" `Quick (fun () ->
       (* Simpson integration of the exact pdf recovers the cdf. *)
@@ -146,13 +146,13 @@ let uniform_sum_tests =
       let t = 1.3 in
       let n = 2000 in
       let h = t /. float_of_int n in
-      let sum = ref (U.pdf_float ~widths 1e-12 +. U.pdf_float ~widths t) in
+      let sum = ref (U.pdf ~widths 1e-12 +. U.pdf ~widths t) in
       for i = 1 to n - 1 do
         let w = if i land 1 = 1 then 4. else 2. in
-        sum := !sum +. (w *. U.pdf_float ~widths (h *. float_of_int i))
+        sum := !sum +. (w *. U.pdf ~widths (h *. float_of_int i))
       done;
       let integral = !sum *. h /. 3. in
-      Alcotest.(check (float 1e-6)) "integral" (U.cdf_float ~widths t) integral);
+      Alcotest.(check (float 1e-6)) "integral" (U.cdf ~widths t) integral);
     Alcotest.test_case "Rota density formula vs histogram (L1)" `Quick (fun () ->
       let widths = [| 0.5; 1.0; 0.8 |] in
       let rng = Rng.create ~seed:2718 in
@@ -164,7 +164,7 @@ let uniform_sum_tests =
       for i = 2 to 17 do
         let x = Stats.bin_center h i in
         let emp = Stats.histogram_density h i in
-        let thy = U.pdf_float ~widths x in
+        let thy = U.pdf ~widths x in
         Alcotest.(check bool)
           (Printf.sprintf "bin %d" i)
           true
@@ -174,8 +174,8 @@ let uniform_sum_tests =
       let widths_r = [| R.half; R.one; R.of_ints 4 5 |] in
       let widths_f = Array.map R.to_float widths_r in
       let t = R.of_ints 11 10 in
-      Alcotest.(check (float 1e-12)) "pdf" (U.pdf_float ~widths:widths_f (R.to_float t))
-        (R.to_float (U.pdf ~widths:widths_r t)));
+      Alcotest.(check (float 1e-12)) "pdf" (U.pdf ~widths:widths_f (R.to_float t))
+        (R.to_float (U.Q.pdf ~widths:widths_r t)));
     Alcotest.test_case "Irwin-Hall pdf: symmetry, support, normalization" `Quick (fun () ->
       for m = 1 to 6 do
         let fm = float_of_int m in
@@ -184,19 +184,19 @@ let uniform_sum_tests =
           (fun t ->
             Alcotest.(check (float 1e-10))
               (Printf.sprintf "m=%d t=%.2f" m t)
-              (U.irwin_hall_pdf_float ~m t)
-              (U.irwin_hall_pdf_float ~m (fm -. t)))
+              (U.irwin_hall_pdf ~m t)
+              (U.irwin_hall_pdf ~m (fm -. t)))
           [ 0.1; 0.33 *. fm; 0.45 *. fm ];
         (* zero outside the support *)
-        Alcotest.(check (float 0.)) "left" 0. (U.irwin_hall_pdf_float ~m (-0.5));
-        Alcotest.(check (float 0.)) "right" 0. (U.irwin_hall_pdf_float ~m (fm +. 0.5));
+        Alcotest.(check (float 0.)) "left" 0. (U.irwin_hall_pdf ~m (-0.5));
+        Alcotest.(check (float 0.)) "right" 0. (U.irwin_hall_pdf ~m (fm +. 0.5));
         (* integrates to 1 (Simpson) *)
         let steps = 600 in
         let h = fm /. float_of_int steps in
         let sum = ref 0. in
         for i = 1 to steps - 1 do
           let w = if i land 1 = 1 then 4. else 2. in
-          sum := !sum +. (w *. U.irwin_hall_pdf_float ~m (h *. float_of_int i))
+          sum := !sum +. (w *. U.irwin_hall_pdf ~m (h *. float_of_int i))
         done;
         (* 2e-3 tolerance: the integrand is discontinuous at the support
            edges for m = 1 and Simpson omits the endpoints *)
@@ -206,29 +206,40 @@ let uniform_sum_tests =
       (* lowers containing both 0 and 1: sum = U[0,1] + 1 + U[1/2,1], so
          P(sum <= 2) reduces to the two-variable shifted law at t = 1 *)
       let lowers = [| R.zero; R.one; R.half |] in
-      let direct = U.cdf_shifted ~lowers:[| R.zero; R.half |] R.one in
-      Alcotest.check rat "matches reduction" direct (U.cdf_shifted ~lowers (R.of_int 2)));
+      let direct = U.Q.cdf_shifted ~lowers:[| R.zero; R.half |] R.one in
+      Alcotest.check rat "matches reduction" direct (U.Q.cdf_shifted ~lowers (R.of_int 2)));
+    Alcotest.test_case "both fields reject negative widths and stray lowers" `Quick (fun () ->
+      let rejects what f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted a bad argument" what
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "float cdf" (fun () -> U.cdf ~widths:[| 0.5; -0.25 |] 0.3);
+      rejects "exact cdf" (fun () -> U.Q.cdf ~widths:[| R.half; R.of_ints (-1) 4 |] R.half);
+      rejects "float pdf nan" (fun () -> U.pdf ~widths:[| 0.5; Float.nan |] 0.3);
+      rejects "float shifted" (fun () -> U.cdf_shifted ~lowers:[| 1.5 |] 1.);
+      rejects "exact shifted" (fun () -> U.Q.cdf_shifted ~lowers:[| R.of_ints 3 2 |] R.one));
   ]
 
 let uniform_sum_props =
   [
     qtest "cdf in [0,1] and monotone" arb_widths_t (fun (ws, t) ->
       let widths = Array.of_list ws in
-      let a = U.cdf_float ~widths t in
-      let b = U.cdf_float ~widths (t +. 0.1) in
+      let a = U.cdf ~widths t in
+      let b = U.cdf ~widths (t +. 0.1) in
       (* the inclusion-exclusion loses bits; see the X2 ablation *)
       a >= 0. && a <= 1. && a <= b +. 1e-8);
     qtest "cdf exact matches float" arb_widths_t (fun (ws, t) ->
       let widths_f = Array.of_list ws in
       let widths_r = Array.map R.of_float widths_f in
-      let exact = R.to_float (U.cdf ~widths:widths_r (R.of_float t)) in
-      abs_float (exact -. U.cdf_float ~widths:widths_f t) <= 1e-9);
+      let exact = R.to_float (U.Q.cdf ~widths:widths_r (R.of_float t)) in
+      abs_float (exact -. U.cdf ~widths:widths_f t) <= 1e-9);
     qtest "shifted cdf via complement identity" arb_widths_t (fun (ws, t) ->
       (* lowers in [0,1): reuse widths scaled into [0,1) *)
       let lowers = Array.of_list (List.map (fun w -> w /. 1.01 |> Float.min 0.99) ws) in
       let m = Array.length lowers in
-      let direct = U.cdf_shifted_float ~lowers t in
-      let via = 1. -. U.cdf_float ~widths:(Array.map (fun l -> 1. -. l) lowers) (float_of_int m -. t) in
+      let direct = U.cdf_shifted ~lowers t in
+      let via = 1. -. U.cdf ~widths:(Array.map (fun l -> 1. -. l) lowers) (float_of_int m -. t) in
       abs_float (direct -. Float.max 0. (Float.min 1. via)) <= 1e-9);
     qtest ~count:30 "cdf agrees with Monte-Carlo" arb_widths_t (fun (ws, t) ->
       let widths = Array.of_list ws in
@@ -239,7 +250,7 @@ let uniform_sum_props =
       in
       (* 5-sigma: the property runs on fresh random cases every execution,
          so a 95% interval would flake roughly every few runs *)
-      abs_float (est.Mc.mean -. U.cdf_float ~widths t) <= (5. *. est.Mc.stderr) +. 1e-4);
+      abs_float (est.Mc.mean -. U.cdf ~widths t) <= (5. *. est.Mc.stderr) +. 1e-4);
   ]
 
 (* ------------------------- Stats / Mc ------------------------- *)
