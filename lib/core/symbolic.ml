@@ -2,38 +2,56 @@
 
 let rat_of_bigint = Rat.of_bigint
 
-(* beta^m * F0(m, beta, delta) as a polynomial in beta, given that the
-   active index set is decided at [probe]:
-   (1/m!) sum_{j : j*probe < delta} (-1)^j C(m,j) (delta - j beta)^m. *)
-let g0_poly ~m ~delta ~probe =
+(* beta^m * F0(m, beta, delta) as a polynomial in beta, over the active
+   indices j = 0..top:
+   (1/m!) sum_{j <= top} (-1)^j C(m,j) (delta - j beta)^m. *)
+let g0_poly ~m ~delta ~top =
   let acc = ref Poly.zero in
-  for j = 0 to m do
-    if Rat.compare (Rat.mul_int probe j) delta < 0 then begin
-      let base = Poly.linear delta (Rat.of_int (-j)) in
-      let term = Poly.scale (rat_of_bigint (Combinat.binomial m j)) (Poly.pow base m) in
-      acc := if j land 1 = 0 then Poly.add !acc term else Poly.sub !acc term
-    end
+  for j = 0 to top do
+    let base = Poly.linear delta (Rat.of_int (-j)) in
+    let term = Poly.scale (rat_of_bigint (Combinat.binomial m j)) (Poly.pow base m) in
+    acc := if j land 1 = 0 then Poly.add !acc term else Poly.sub !acc term
   done;
   Poly.scale (Rat.inv (rat_of_bigint (Combinat.factorial m))) !acc
 
-(* (1-beta)^k * F1(k, beta, delta) as a polynomial in beta:
-   (1-beta)^k - (1/k!) sum_{j : k - delta - j(1-probe) > 0}
-                        (-1)^j C(k,j) (k - delta - j + j beta)^k. *)
-let g1_poly ~k ~delta ~probe =
+(* (1-beta)^k * F1(k, beta, delta) as a polynomial in beta, over the active
+   indices j = 0..top:
+   (1-beta)^k - (1/k!) sum_{j <= top} (-1)^j C(k,j) (k - delta - j + j beta)^k. *)
+let g1_poly ~k ~delta ~top =
   let co_beta = Poly.linear Rat.one Rat.minus_one in
   let head = Poly.pow co_beta k in
   let acc = ref Poly.zero in
-  for j = 0 to k do
-    let at_probe =
-      Rat.sub (Rat.sub (Rat.of_int k) delta) (Rat.mul_int (Rat.sub Rat.one probe) j)
-    in
-    if Rat.sign at_probe > 0 then begin
-      let base = Poly.linear (Rat.sub (Rat.of_int (k - j)) delta) (Rat.of_int j) in
-      let term = Poly.scale (rat_of_bigint (Combinat.binomial k j)) (Poly.pow base k) in
-      acc := if j land 1 = 0 then Poly.add !acc term else Poly.sub !acc term
-    end
+  for j = 0 to top do
+    let base = Poly.linear (Rat.sub (Rat.of_int (k - j)) delta) (Rat.of_int j) in
+    let term = Poly.scale (rat_of_bigint (Combinat.binomial k j)) (Poly.pow base k) in
+    acc := if j land 1 = 0 then Poly.add !acc term else Poly.sub !acc term
   done;
   Poly.sub head (Poly.scale (Rat.inv (rat_of_bigint (Combinat.factorial k))) !acc)
+
+(* The last index j <= bound for which [active j] holds, or -1. The
+   indicator tests below are monotone in j, so the active indices are the
+   prefix 0..top. *)
+let active_prefix ~bound active =
+  let rec go j = if j <= bound && active j then go (j + 1) else j - 1 in
+  go 0
+
+(* Bin 0's indicator at [probe]: j probe < delta. *)
+let g0_top ~m ~delta ~probe = active_prefix ~bound:m (fun j -> Rat.compare (Rat.mul_int probe j) delta < 0)
+
+(* Bin 1's indicator at [probe]: k - delta - j (1 - probe) > 0. *)
+let g1_top ~k ~delta ~probe =
+  let slack = Rat.sub (Rat.of_int k) delta and co_probe = Rat.sub Rat.one probe in
+  active_prefix ~bound:k (fun j -> Rat.sign (Rat.sub slack (Rat.mul_int co_probe j)) > 0)
+
+let memoize f =
+  let tbl = Hashtbl.create 16 in
+  fun key ->
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+      let v = f key in
+      Hashtbl.add tbl key v;
+      v
 
 let breakpoints_caps ~n ~delta0 ~delta1 =
   if n < 1 then invalid_arg "Symbolic.breakpoints: n";
@@ -58,22 +76,29 @@ let breakpoints_caps ~n ~delta0 ~delta1 =
 
 let breakpoints ~n ~delta = breakpoints_caps ~n ~delta0:delta ~delta1:delta
 
-let piece_poly ~n ~delta0 ~delta1 ~probe =
-  let acc = ref Poly.zero in
-  for k = 0 to n do
-    let m = n - k in
-    let term = Poly.mul (g0_poly ~m ~delta:delta0 ~probe) (g1_poly ~k ~delta:delta1 ~probe) in
-    acc := Poly.add !acc (Poly.scale (rat_of_bigint (Combinat.binomial n k)) term)
-  done;
-  !acc
-
 let sym_threshold_curve_caps ~n ~delta0 ~delta1 =
   Trace.with_span "symbolic.curve" @@ fun () ->
   let bps = breakpoints_caps ~n ~delta0 ~delta1 in
+  (* A piece enters each sum only through its active prefix, so the pieces
+     of one curve share the sums. *)
+  let g0 = memoize (fun (m, top) -> g0_poly ~m ~delta:delta0 ~top) in
+  let g1 = memoize (fun (k, top) -> g1_poly ~k ~delta:delta1 ~top) in
+  let piece_poly probe =
+    let acc = ref Poly.zero in
+    for k = 0 to n do
+      let m = n - k in
+      let term =
+        Poly.mul
+          (g0 (m, g0_top ~m ~delta:delta0 ~probe))
+          (g1 (k, g1_top ~k ~delta:delta1 ~probe))
+      in
+      acc := Poly.add !acc (Poly.scale (rat_of_bigint (Combinat.binomial n k)) term)
+    done;
+    !acc
+  in
   let rec pieces = function
     | lo :: (hi :: _ as rest) ->
-      let probe = Rat.mid lo hi in
-      { Piecewise.lo; hi; poly = piece_poly ~n ~delta0 ~delta1 ~probe } :: pieces rest
+      { Piecewise.lo; hi; poly = piece_poly (Rat.mid lo hi) } :: pieces rest
     | _ -> []
   in
   let curve = Piecewise.make (pieces bps) in

@@ -18,7 +18,7 @@ let enclosure t = Interval.make t.enc.Roots.lo t.enc.Roots.hi
 
 let refine t ~eps =
   if Rat.equal t.enc.Roots.lo t.enc.Roots.hi then t
-  else { t with enc = Roots.refine t.poly t.enc ~eps }
+  else { t with enc = Roots.refine_squarefree t.poly t.enc ~eps }
 
 let to_rat_opt t = if Rat.equal t.enc.Roots.lo t.enc.Roots.hi then Some t.enc.Roots.lo else None
 
@@ -86,11 +86,12 @@ let equal a b = compare a b = 0
 let sign t = compare t (of_rat Rat.zero)
 let eval_poly_interval q t = Interval.eval_poly q (enclosure t)
 
+let tie_width = Rat.of_string "1/1000000000000000000000000000000000000000000000000000000000000"
+
 let compare_poly_values q a b =
   match (to_rat_opt a, to_rat_opt b) with
   | Some x, Some y -> Rat.compare (Poly.eval q x) (Poly.eval q y)
   | _ ->
-    let tie_width = Rat.of_string "1/1000000000000000000000000000000000000000000000000000000000000" in
     let rec go a b =
       match Interval.compare_certain (eval_poly_interval q a) (eval_poly_interval q b) with
       | Some c -> c

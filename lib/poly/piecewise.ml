@@ -66,9 +66,7 @@ type stationary = {
 
 type max_result = { argmax : Rat.t; value : Rat.t; stationaries : stationary list }
 
-let default_eps = Rat.of_string "1/1000000000000000000000000000000"
-
-let maximize ?(eps = default_eps) t =
+let maximize ?(eps = Roots.default_eps) t =
   Trace.with_span "piecewise.maximize" @@ fun () ->
   let endpoint_candidates =
     List.concat_map (fun p -> [ (p.lo, Poly.eval p.poly p.lo); (p.hi, Poly.eval p.poly p.hi) ]) t
@@ -106,9 +104,11 @@ let maximize ?(eps = default_eps) t =
 
 type certified_max = { arg : Alg.t; arg_piece : Poly.t; value_enclosure : Interval.t }
 
-let default_value_eps = default_eps
+(* Two candidates whose enclosures are both narrower than this have values
+   treated as tied. *)
+let tiny = Rat.of_string "1/1000000000000000000000000000000000000000000000000000000000000"
 
-let maximize_certified ?(value_eps = default_value_eps) t =
+let maximize_certified ?(value_eps = Roots.default_eps) t =
   (* Candidates: endpoints as exact rationals, interior stationary points as
      algebraic numbers, each paired with its piece's polynomial. *)
   let endpoint_candidates =
@@ -140,7 +140,6 @@ let maximize_certified ?(value_eps = default_value_eps) t =
         | None ->
           let w1 = Interval.width (Alg.enclosure a1) in
           let w2 = Interval.width (Alg.enclosure a2) in
-          let tiny = Rat.of_string "1/1000000000000000000000000000000000000000000000000000000000000" in
           if Rat.compare w1 tiny < 0 && Rat.compare w2 tiny < 0 then false
           else
             go

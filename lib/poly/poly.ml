@@ -1,5 +1,7 @@
 (* Dense univariate polynomials over Rat, little-endian, trimmed. *)
 
+module B = Bigint
+
 type t = Rat.t array
 
 let trim a =
@@ -44,18 +46,32 @@ let sub p q =
   let n = if lp > lq then lp else lq in
   trim (Array.init n (fun i -> Rat.sub (coeff p i) (coeff q i)))
 
+(* [p] as integer numerators over their least common denominator:
+   [p = (sum nums.(i) x^i) / den] with [den > 0]. Products, evaluation and
+   sign tests run on these integers and normalise each result once. *)
+let integer_form p =
+  let lcm l d = if B.is_one d then l else if B.is_one l then d else B.mul l (B.div d (B.gcd l d)) in
+  let den = Array.fold_left (fun l c -> lcm l (Rat.den c)) B.one p in
+  let num c =
+    let d = Rat.den c in
+    if B.equal d den then Rat.num c else B.mul (Rat.num c) (B.div den d)
+  in
+  (Array.map num p, den)
+
 let mul p q =
   let lp = Array.length p and lq = Array.length q in
   if lp = 0 || lq = 0 then zero
   else begin
-    let r = Array.make (lp + lq - 1) Rat.zero in
+    let np, dp = integer_form p and nq, dq = integer_form q in
+    let r = Array.make (lp + lq - 1) B.zero in
     for i = 0 to lp - 1 do
-      if not (Rat.is_zero p.(i)) then
+      if not (B.is_zero np.(i)) then
         for j = 0 to lq - 1 do
-          r.(i + j) <- Rat.add r.(i + j) (Rat.mul p.(i) q.(j))
+          r.(i + j) <- B.add r.(i + j) (B.mul np.(i) nq.(j))
         done
     done;
-    trim r
+    let den = B.mul dp dq in
+    trim (Array.map (fun c -> Rat.make c den) r)
   end
 
 let scale c p = if Rat.is_zero c then zero else Array.map (Rat.mul c) p
@@ -73,17 +89,22 @@ let pow p k =
 
 let divmod p q =
   if is_zero q then raise Division_by_zero;
-  let dq = degree q in
-  let lead_inv = Rat.inv (leading q) in
-  let rem = ref p and quo = ref zero in
-  while degree !rem >= dq do
-    let d = degree !rem in
-    let c = Rat.mul (leading !rem) lead_inv in
-    let m = monomial c (d - dq) in
-    quo := add !quo m;
-    rem := sub !rem (mul m q)
-  done;
-  (!quo, !rem)
+  let dq = degree q and dp = degree p in
+  if dp < dq then (zero, p)
+  else begin
+    let lead_inv = Rat.inv (leading q) in
+    let rem = Array.copy p and quo = Array.make (dp - dq + 1) Rat.zero in
+    for d = dp downto dq do
+      if not (Rat.is_zero rem.(d)) then begin
+        let c = Rat.mul rem.(d) lead_inv in
+        quo.(d - dq) <- c;
+        for j = 0 to dq - 1 do
+          rem.(d - dq + j) <- Rat.sub rem.(d - dq + j) (Rat.mul c q.(j))
+        done
+      end
+    done;
+    (trim quo, trim (Array.sub rem 0 dq))
+  end
 
 let monic p = if is_zero p then p else scale (Rat.inv (leading p)) p
 
@@ -103,12 +124,32 @@ let antiderivative p =
     trim r
   end
 
-let eval p v =
-  let acc = ref Rat.zero in
-  for i = Array.length p - 1 downto 0 do
-    acc := Rat.add (Rat.mul !acc v) p.(i)
+(* Homogeneous Horner on the integer form: [(sum nums.(i) a^i b^(d-i), b^d)]
+   for [d = degree]. *)
+let horner nums a b =
+  let d = Array.length nums - 1 in
+  let acc = ref nums.(d) and bk = ref B.one in
+  for i = d - 1 downto 0 do
+    bk := B.mul !bk b;
+    acc := B.add (B.mul !acc a) (B.mul nums.(i) !bk)
   done;
-  !acc
+  (!acc, !bk)
+
+let eval p v =
+  match Array.length p with
+  | 0 -> Rat.zero
+  | 1 -> p.(0)
+  | _ ->
+    let nums, den = integer_form p in
+    let acc, bd = horner nums (Rat.num v) (Rat.den v) in
+    Rat.make acc (B.mul den bd)
+
+let sign_at p =
+  if is_zero p then fun _ _ -> 0
+  else begin
+    let nums, _ = integer_form p in
+    fun n d -> B.sign (fst (horner nums n d))
+  end
 
 let eval_float p v =
   let acc = ref 0. in

@@ -69,6 +69,14 @@ val compose_linear : t -> Rat.t -> Rat.t -> t
 (** {1 Evaluation} *)
 
 val eval : t -> Rat.t -> Rat.t
+(** Horner's rule on integer numerators, normalised once at the end. *)
+
+val sign_at : t -> Bigint.t -> Bigint.t -> int
+(** [sign_at p n d] is the sign of [p (n/d)] for [d > 0]. It never
+    normalises: the fraction [n/d] may have a common factor, and the work is
+    integer multiplication only. [sign_at p] writes [p] over one denominator
+    once, so apply it partially when probing many points. *)
+
 val eval_float : t -> float -> float
 (** Horner evaluation after converting each coefficient to [float]. *)
 

@@ -31,8 +31,11 @@ let sturm_chain p =
     go [ p ] p (Poly.derivative p)
   end
 
-let sign_variations chain v =
-  let signs = List.filter_map (fun p -> let s = Rat.sign (Poly.eval p v) in if s = 0 then None else Some s) chain in
+(* Sign changes at [v] along a Sturm chain given as {!Poly.sign_at}
+   evaluators. *)
+let sign_variations signs v =
+  let n = Rat.num v and d = Rat.den v in
+  let signs = List.filter_map (fun sign -> let s = sign n d in if s = 0 then None else Some s) signs in
   let rec count = function
     | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + count rest
     | _ -> 0
@@ -55,13 +58,12 @@ let count_roots p ~lo ~hi =
     let p' = strip_root (strip_root p lo) hi in
     if Poly.degree p' <= 0 || Rat.equal lo hi then at_lo + at_hi
     else begin
-      let chain = sturm_chain p' in
+      let chain = List.map Poly.sign_at (sturm_chain p') in
       at_lo + at_hi + (sign_variations chain lo - sign_variations chain hi)
     end
   end
 
-let rec isolate p ~lo ~hi =
-  let p = squarefree p in
+let rec isolate_squarefree p ~lo ~hi =
   if Poly.degree p <= 0 then []
   else begin
     let exact = ref [] in
@@ -75,7 +77,7 @@ let rec isolate p ~lo ~hi =
       p := strip_root !p hi
     end;
     let p = !p in
-    let chain = sturm_chain p in
+    let chain = List.map Poly.sign_at (sturm_chain p) in
     let count a b = sign_variations chain a - sign_variations chain b in
     (* Recursively bisect until each sub-interval holds at most one root.
        Exact rational roots discovered at bisection points are recorded as
@@ -89,7 +91,7 @@ let rec isolate p ~lo ~hi =
         let m = Rat.mid a b in
         if Rat.is_zero (Poly.eval p m) then begin
           let stripped = strip_root p m in
-          let chain' = sturm_chain stripped in
+          let chain' = List.map Poly.sign_at (sturm_chain stripped) in
           let count' a b = sign_variations chain' a - sign_variations chain' b in
           let rec go' a b acc =
             let c = count' a b in
@@ -100,7 +102,7 @@ let rec isolate p ~lo ~hi =
               (* [stripped] has no rational root at any midpoint we will hit
                  with positive probability; if it does, recurse again. *)
               if Rat.is_zero (Poly.eval stripped m) then
-                List.rev_append (isolate stripped ~lo:a ~hi:b) acc
+                List.rev_append (isolate_squarefree stripped ~lo:a ~hi:b) acc
               else go' m b (go' a m acc)
             end
           in
@@ -113,31 +115,51 @@ let rec isolate p ~lo ~hi =
     List.sort (fun e1 e2 -> Rat.compare e1.lo e2.lo) (!exact @ open_intervals)
   end
 
-let refine p e ~eps =
+let isolate p ~lo ~hi = isolate_squarefree (squarefree p) ~lo ~hi
+
+(* Bisection on the grid lo + k (hi - lo) / 2^s. Over one denominator,
+   lo = l/den and hi - lo = w/den, so the level-s interval starting at
+   (l 2^s + k w) / (den 2^s) is tracked as that numerator [a] over
+   [d = den 2^s], and its midpoint is (2a + w) / 2d. Probes are integer
+   sign tests; only the final endpoints are normalised. The widths, probes
+   and their order are those of bisecting in Rat, so the enclosure is too. *)
+let refine_squarefree p e ~eps =
   if Rat.equal e.lo e.hi then e
   else begin
-    let p = squarefree p in
     let p = strip_root (strip_root p e.lo) e.hi in
-    let s_lo = Rat.sign (Poly.eval p e.lo) in
-    (* A single simple root in the open interval implies a sign change. *)
-    let rec go lo hi =
-      if Rat.compare (Rat.sub hi lo) eps < 0 then { lo; hi }
+    let sign = Poly.sign_at p in
+    let ld = Rat.den e.lo and hd = Rat.den e.hi in
+    let den = Bigint.mul ld hd and l = Bigint.mul (Rat.num e.lo) hd in
+    let w = Bigint.sub (Bigint.mul (Rat.num e.hi) ld) l in
+    let s_lo = sign l den in
+    (* A single simple root in the open interval implies a sign change.
+       The width w/d is below eps = en/ed iff w ed < en d. *)
+    let w_ed = Bigint.mul w (Rat.den eps) and en = Rat.num eps in
+    let rec go a d =
+      if Bigint.compare w_ed (Bigint.mul en d) < 0 then
+        { lo = Rat.make a d; hi = Rat.make (Bigint.add a w) d }
       else begin
         Metrics.incr bisections;
-        let m = Rat.mid lo hi in
-        let s_m = Rat.sign (Poly.eval p m) in
-        if s_m = 0 then { lo = m; hi = m }
-        else if s_m = s_lo then go m hi
-        else go lo m
+        let a2 = Bigint.shift_left a 1 and d2 = Bigint.shift_left d 1 in
+        let m = Bigint.add a2 w in
+        let s_m = sign m d2 in
+        if s_m = 0 then
+          let m = Rat.make m d2 in
+          { lo = m; hi = m }
+        else if s_m = s_lo then go m d2
+        else go a2 d2
       end
     in
-    go e.lo e.hi
+    go l den
   end
+
+let refine p e ~eps = if Rat.equal e.lo e.hi then e else refine_squarefree (squarefree p) e ~eps
 
 let default_eps = Rat.of_string "1/1000000000000000000000000000000"
 
 let roots_in ?(eps = default_eps) p ~lo ~hi =
-  List.map (fun e -> refine p e ~eps) (isolate p ~lo ~hi)
+  let p = squarefree p in
+  List.map (fun e -> refine_squarefree p e ~eps) (isolate_squarefree p ~lo ~hi)
 
 let root_floats p ~lo ~hi =
   List.map (fun e -> Rat.to_float (Rat.mid e.lo e.hi)) (roots_in p ~lo ~hi)

@@ -13,8 +13,6 @@ val squarefree : Poly.t -> Poly.t
 val sturm_chain : Poly.t -> Poly.t list
 (** Sturm sequence of a square-free polynomial. *)
 
-val sign_variations : Poly.t list -> Rat.t -> int
-
 val count_roots : Poly.t -> lo:Rat.t -> hi:Rat.t -> int
 (** Number of distinct real roots in the closed interval [[lo, hi]]. *)
 
@@ -24,10 +22,21 @@ val isolate : Poly.t -> lo:Rat.t -> hi:Rat.t -> enclosure list
 
 val refine : Poly.t -> enclosure -> eps:Rat.t -> enclosure
 (** Shrinks an enclosure produced by {!isolate} below width [eps] by sign
-    bisection. *)
+    bisection. The probes are the midpoints a bisection in {!Rat} would
+    take, tested as integer signs with {!Poly.sign_at}; only the returned
+    endpoints are normalised. *)
+
+val refine_squarefree : Poly.t -> enclosure -> eps:Rat.t -> enclosure
+(** {!refine} for a polynomial that is already square-free, such as one
+    returned by {!squarefree}: the same enclosure without recomputing the
+    square-free part. *)
+
+val default_eps : Rat.t
+(** [10^-30], the default width of {!roots_in}'s enclosures. *)
 
 val roots_in : ?eps:Rat.t -> Poly.t -> lo:Rat.t -> hi:Rat.t -> enclosure list
-(** [isolate] followed by [refine]; default [eps = 10^-30]. *)
+(** [isolate] followed by [refine], computing the square-free part once;
+    default [eps = default_eps]. *)
 
 val root_floats : Poly.t -> lo:Rat.t -> hi:Rat.t -> float list
 (** Double-precision approximations of all distinct real roots in the

@@ -926,6 +926,190 @@ let float_bits_tests =
         ]);
   ]
 
+(* Exact optima of the symmetric threshold curve, recorded from the
+   schoolbook rational pipeline as [Rat.to_string]: argmax, value and every
+   stationary enclosure, for both paper canaries, three request-style deltas
+   a/b (b <= 100) at each of n = 3, 4, 5, and one instance each at n = 6, 7
+   and 8. However the exact arithmetic is organised, these strings must not
+   move. *)
+let opt_bits_cases =
+  [
+    ( 3, "1",
+      "1577047418306272191839944453413/2535301200456458802993406410752",
+      "532527948168887222479108508203693531728296390914669040929469556977900896\
+      13392765241370990113/977777268640553321408853930436501517304704828959649\
+      40030534741569010302388640161896803074048",
+      [ ("394261854576568047959986113353/633825300114114700748351602688", "788523709153136095919972226707/1267650600228229401496703205376") ] );
+    ( 4, "4/3",
+      "859464370803202979626582119101/1267650600228229401496703205376",
+      "597561768519657028919828431610320498577179879749891687422104872598330893\
+      22008288844891040514837407621007785053014468032507/139441493416693063841\
+      419635288162641213804112812778069692855605253194971588909424510000849077\
+      127442897538771286528364642304",
+      [ ("1289196556204804469439873178651/1901475900342344102245054808064", "322299139051201117359968294663/475368975085586025561263702016") ] );
+    ( 3, "7/11",
+      "11039331928143905342879611173891/27888313205021046832927470518272",
+      "182657086221928317310334218313866881382805662083731481038808058043420007\
+      37393718477790249608759/130142154456057647079518458141098351953256212734\
+      529335180641741028352712479280055484644891557888",
+      [ ("2759832982035976335719902793471/6972078301255261708231867629568", "5519665964071952671439805586949/13944156602510523416463735259136") ] );
+    ( 3, "89/53",
+      "33844546207226981919947452229467/50389111359072118709493952413696",
+      "218687479167507891562146104747371449512505789908270399111043697487060929\
+      066839683682422673852299/25588221050988220927392060926061627490741266941\
+      1959280063150950166261564645355922742955393155072",
+      [ ("1410189425301124246664477176227/2099546306628004946228914683904", "16922273103613490959973726114743/25194555679536059354746976206848") ] );
+    ( 3, "233/97",
+      "26576493430159247265892914145187/30740527055534562986295052730368",
+      "173657679724955826460377937588500951557495425540510928740854312227081502\
+      429826311264879444403817/17429510021523041435745760610415491197324938874\
+      2400409594703582406276054124897231403986234376192",
+      [ ("19932370072619435449419685608883/23055395291650922239721289547776", "39864740145238870898839371217795/46110790583301844479442579095552") ] );
+    ( 4, "13/7",
+      "9365060168031718817523236558209/13310331302396408715715383656448",
+      "160295157002917191589561582167308742017602574370881553337303567994215088\
+      562441829014131153332401439243887456452071005422455439/18832445195258252\
+      603432730618386915712431831711070758174955729836976813381654648463978802\
+      1731727932098307206795661964472221696",
+      [ ("2341265042007929704380809139551/3327582825599102178928845914112", "1560843361338619802920539426369/2218388550399401452619230609408") ] );
+    ( 4, "61/20",
+      "42425170614405209378576920204299/50706024009129176059868128215040",
+      "396223282981479068076212807404038000991566763226611810990704411091918660\
+      3551981173322661187919084155699546361785504628798119849/3966335812741491\
+      593711491848196626238970428097785687315707892771646434747417868074951135\
+      262638291709085547272150140149825536000",
+      [ ("1060629265360130234464423005107/1267650600228229401496703205376", "21212585307202604689288460102159/25353012004564588029934064107520") ] );
+    ( 4, "311/99",
+      "213948895763529570553728672511133/250994818845189421496347234664448",
+      "118981775272311647234759332949625679414554769907022243897022061714974163\
+      45902180641135698935076239501223915888166113064300646020973/119063948626\
+      236999573993755016412651894259366835150658455519128810981448409217558609\
+      51379619564515903011429557168152340197537742848",
+      [ ("26743611970441196319216084063881/31374352355648677687043404333056", "3241649935811054099298919280473/3802951800684688204490109616128") ] );
+    ( 5, "9/4",
+      "1898148570247072097447343617897/2535301200456458802993406410752",
+      "346351210312745817264128044487464122068795634637079694220174282440034206\
+      121587415509081337333294773892888909515664069109475451312588099453446854\
+      2000249609/4189939978107061593616882811939326914837301818935122930538612\
+      951163051259397983430250585718177157321153134955683276890891798088378733\
+      303108260515314401280",
+      [ ("237268571280884012180917952237/316912650057057350374175801344", "949074285123536048723671808949/1267650600228229401496703205376") ] );
+    ( 5, "173/41",
+      "1810551163180030625171740402421/2030221664428023650834563727360",
+      "201899564542463492221778465819880076428302545334823480255965750043911783\
+      176966262456911331678728767874915565796236950989002382276552240971866129\
+      77146539/201903884245822186059747930213719957274592539281046559392309316\
+      163359452897470391505663519914980990659711388596631403353568968975909759\
+      77421694566400000",
+      [ ("90527558159001531258587020121/101511083221401182541728186368", "905275581590015312585870201211/1015110832214011825417281863680") ] );
+    ( 5, "457/100",
+      "149010493474864975083586497699623/158456325028528675187087900672000",
+      "239750028300793560154936897298861413014939705478699175342238397028230652\
+      423666281178762975298239897660053105537180174464909837597165546556337590\
+      0613021209807179857/2397502886642682033701066672481151722814923373566697\
+      843859832544992285495413579996252395087152761833850747083101240286383704\
+      045321693403115230855168000000000000000",
+      [ ("7450524673743248754179324884979/7922816251426433759354395033600", "74505246737432487541793248849833/79228162514264337593543950336000") ] );
+    ( 6, "2",
+      "867189057102926366552034246905/1267650600228229401496703205376",
+      "845787097004531699171527455329718000128235683567937963909275973286060438\
+      190590410252626870283560840215445029825286061427789615551071828459571782\
+      428661414968401206926257386081509795151/14938256047971574650644668309288\
+      180143644806436072772839984366386886350121086469327038945376209573659437\
+      512391800682841056622543871482391108392749402810269273420254492245434285\
+      26735360",
+      [ ("1300783585654389549828051370357/1901475900342344102245054808064", "650391792827194774914025685179/950737950171172051122527404032") ] );
+    ( 7, "23/10",
+      "4129069801912918286314447366407/6338253001141147007483516026880",
+      "640588048035967517824404844830998716289962496647037319776676533296950923\
+      151128482044358827443064261697459373310427885991203571725624931787866118\
+      289506601590104945211593745488298178371935560330550876729563958594558943\
+      49/129448656952167004279758735399003166378777893585101544198590506598957\
+      080359654723356703512416206278291914033999195010826531337590531867048194\
+      161066621511130291866832531676566283622975291684504370348232366935244800\
+      000000",
+      [ ("6193604702869377429471671049607/9507379501711720511225274040320", "3096802351434688714735835524807/4753689750855860255612637020160") ] );
+    ( 8, "8/3",
+      "854244070012156196173565364063/1267650600228229401496703205376",
+      "562705856854248280053676089236797479906903140659320467294358422856804908\
+      761731332647208283354639311500351688965612013675506317058650422826603570\
+      773757332354045383475084886287468328748050542136147644195765593987009767\
+      9310866362491319706616598201863/9187256965766192017369960595773656205484\
+      019464070081422475567975626608146637511644462944500682836217328516260114\
+      738253018750049807062202401375435602461940945810369064630204398796013893\
+      112156481411815288882185919076393329553515443131578501887426560",
+      [ ("640683052509117147130174023047/950737950171172051122527404032", "1281366105018234294260348046095/1901475900342344102245054808064") ] );
+  ]
+
+let opt_bits_tests =
+  [
+    Alcotest.test_case "exact optima are pinned to the bit" `Quick (fun () ->
+      List.iter
+        (fun (n, delta, argmax, value, stationaries) ->
+          let res = Symbolic.optimal_sym_threshold ~n ~delta:(R.of_string delta) () in
+          let name = Printf.sprintf "n=%d delta=%s" n delta in
+          Alcotest.(check string) (name ^ " argmax") argmax (R.to_string res.Piecewise.argmax);
+          Alcotest.(check string) (name ^ " value") value (R.to_string res.Piecewise.value);
+          Alcotest.(check (list (pair string string)))
+            (name ^ " stationary enclosures") stationaries
+            (List.map
+               (fun (s : Piecewise.stationary) ->
+                 (R.to_string s.Piecewise.location.Roots.lo, R.to_string s.Piecewise.location.Roots.hi))
+               res.Piecewise.stationaries))
+        opt_bits_cases);
+    Alcotest.test_case "caps curve pieces are pinned" `Quick (fun () ->
+      let curve = Symbolic.sym_threshold_curve_caps ~n:4 ~delta0:(R.of_ints 3 2) ~delta1:(R.of_ints 3 4) in
+      Alcotest.(check (list (triple string string string)))
+        "n=4 delta0=3/2 delta1=3/4"
+        [
+          ("0", "3/16", "5/3*b^4 - 1/2*b^3 + 9/16*b^2 + 27/2048");
+          ("3/16", "1/4", "-9*b^4 + 15/2*b^3 - 27/16*b^2 + 9/32*b");
+          ("1/4", "3/8", "9*b^4 - 6*b^3 + 27/16*b^2");
+          ("3/8", "1/2", "-41/3*b^4 + 19*b^3 - 9*b^2 + 9/4*b - 27/128");
+          ("1/2", "3/4", "107/6*b^4 - 97/2*b^3 + 45*b^2 - 135/8*b + 297/128");
+          ("3/4", "1", "-1/6*b^4 + b^3 - 9/4*b^2 + 9/4*b - 81/128");
+        ]
+        (List.map
+           (fun (p : Piecewise.piece) ->
+             (R.to_string p.Piecewise.lo, R.to_string p.Piecewise.hi, P.to_string ~var:"b" p.Piecewise.poly))
+           (Piecewise.pieces curve)));
+    Alcotest.test_case "certified optima are pinned" `Quick (fun () ->
+      List.iter
+        (fun (n, delta, arg, piece, value_lo, value_hi) ->
+          let c = Symbolic.optimal_sym_threshold_certified ~n ~delta:(R.of_string delta) () in
+          let name = Printf.sprintf "n=%d delta=%s" n delta in
+          Alcotest.(check string) (name ^ " arg") arg (Format.asprintf "%a" Alg.pp c.Piecewise.arg);
+          Alcotest.(check string) (name ^ " piece") piece (P.to_string ~var:"b" c.Piecewise.arg_piece);
+          Alcotest.(check string) (name ^ " value lo") value_lo (R.to_string c.Piecewise.value_enclosure.Interval.lo);
+          Alcotest.(check string) (name ^ " value hi") value_hi (R.to_string c.Piecewise.value_enclosure.Interval.hi))
+        [
+          ( 3, "1",
+            "root of 21/2*x^2 - 21*x + 9 in [12616379346450177534719555627309/2028240\
+            9603651670423947251286016, 50465517385800710138878222509237/811296384146\
+            06681695789005144064]",
+            "7/2*b^3 - 21/2*b^2 + 9*b - 11/6",
+            "109061723784988103163721422480103656825401140605147080963455229446165988\
+            835909960049914634461313/20024878461758532022453328495339551074400354897\
+            0936197182535150733333099291935051564652695650304",
+            "436246895139952412654885689920516855082036244454005432805022425465035685\
+            868200617281464583750441/80099513847034128089813313981358204297601419588\
+            3744788730140602933332397167740206258610782601216" );
+          ( 4, "4/3",
+            "root of -26/3*x^3 + 98/3*x^2 - 368/9*x + 416/27 in [20627144899276871511\
+            037970858425/30423614405477505635920876929024, 8250857959710748604415188\
+            3433701/121694457621910022543683507716096]",
+            "-13/6*b^4 + 98/9*b^3 - 184/9*b^2 + 416/27*b - 32/9",
+            "117485424185112729141869628282018899591802388864296964880677391139823573\
+            85228738609752029212099679871454509381765525693920873689/274153131376691\
+            898957338316547350805637635990118946707261729548376201569741523041340622\
+            46935355872293199302745101768715594104832",
+            "352456272555338187425608884846194656730165924194309334642079004191215447\
+            45754545691661723726960709902090585218469817323068827275/822459394130075\
+            696872014949642052416912907970356840121785188645128604709224569124021867\
+            40806067616879597908235305306146782314496" );
+        ]);
+  ]
+
 let () =
   Alcotest.run "core"
     [
@@ -941,4 +1125,5 @@ let () =
       ("tradeoff", tradeoff_tests);
       ("mc-eval-kernel", mc_eval_kernel_tests);
       ("float-bits", float_bits_tests);
+      ("opt-bits", opt_bits_tests);
     ]

@@ -1017,6 +1017,28 @@ let integration_tests =
       Alcotest.(check bool) "-n 0 fails" true (run "oblivious -n 0" <> 0);
       Alcotest.(check int) "valid run still passes" 0
         (run "eval -n 3 --samples 1000 --seed 1"));
+    Alcotest.test_case "root-isolation counters keep their counts" `Quick (fun () ->
+      (* One bisection is one probe and one Sturm chain is one chain, however
+         the exact arithmetic underneath is organised. *)
+      let counters args =
+        let out = Filename.temp_file "test_obs_roots" ".prom" in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+          (fun () ->
+            let cmd =
+              Printf.sprintf "%s %s --metrics prom > %s 2>&1" (Filename.quote ddm_exe) args
+                (Filename.quote out)
+            in
+            Alcotest.(check int) (args ^ ": exit code") 0 (Sys.command cmd);
+            read_file out |> String.split_on_char '\n'
+            |> List.filter (String.starts_with ~prefix:"ddm_roots_"))
+      in
+      Alcotest.(check (list string)) "threshold -n 4 --delta 4/3"
+        [ "ddm_roots_bisections_total 99"; "ddm_roots_sturm_chains_total 6" ]
+        (counters "threshold -n 4 --delta 4/3");
+      Alcotest.(check (list string)) "certify -n 3"
+        [ "ddm_roots_bisections_total 126"; "ddm_roots_sturm_chains_total 4" ]
+        (counters "certify -n 3"));
   ]
 
 let () =

@@ -488,6 +488,202 @@ let certified_unit =
         (Alg.to_rat_opt cert.Piecewise.arg));
   ]
 
+(* ------------------------- Reference ------------------------- *)
+
+(* Schoolbook references for [Poly] and [Roots.refine], with every step
+   normalised through [Rat]. The fraction-free code must equal them
+   coefficient for coefficient and enclosure for enclosure. *)
+module Ref = struct
+  let mul p q =
+    let p = P.coeffs p and q = P.coeffs q in
+    let lp = Array.length p and lq = Array.length q in
+    if lp = 0 || lq = 0 then P.zero
+    else begin
+      let r = Array.make (lp + lq - 1) R.zero in
+      for i = 0 to lp - 1 do
+        if not (R.is_zero p.(i)) then
+          for j = 0 to lq - 1 do
+            r.(i + j) <- R.add r.(i + j) (R.mul p.(i) q.(j))
+          done
+      done;
+      P.of_list (Array.to_list r)
+    end
+
+  let eval p v =
+    let p = P.coeffs p in
+    let acc = ref R.zero in
+    for i = Array.length p - 1 downto 0 do
+      acc := R.add (R.mul !acc v) p.(i)
+    done;
+    !acc
+
+  let divmod p q =
+    if P.is_zero q then raise Division_by_zero;
+    let dq = P.degree q in
+    let lead_inv = R.inv (P.leading q) in
+    let rem = ref p and quo = ref P.zero in
+    while P.degree !rem >= dq do
+      let d = P.degree !rem in
+      let c = R.mul (P.leading !rem) lead_inv in
+      let m = P.monomial c (d - dq) in
+      quo := P.add !quo m;
+      rem := P.sub !rem (mul m q)
+    done;
+    (!quo, !rem)
+
+  let rec gcd p q =
+    if P.is_zero q then (if P.is_zero p then p else P.scale (R.inv (P.leading p)) p)
+    else gcd q (snd (divmod p q))
+
+  let squarefree p =
+    if P.degree p <= 0 then p
+    else begin
+      let g = gcd p (P.derivative p) in
+      if P.degree g <= 0 then p else fst (divmod p g)
+    end
+
+  let rec strip_root p v =
+    if (not (P.is_zero p)) && R.is_zero (eval p v) then
+      strip_root (fst (divmod p (P.linear (R.neg v) R.one))) v
+    else p
+
+  let refine p (e : Roots.enclosure) ~eps =
+    if R.equal e.Roots.lo e.Roots.hi then e
+    else begin
+      let p = squarefree p in
+      let p = strip_root (strip_root p e.Roots.lo) e.Roots.hi in
+      let s_lo = R.sign (eval p e.Roots.lo) in
+      let rec go lo hi =
+        if R.compare (R.sub hi lo) eps < 0 then { Roots.lo; hi }
+        else begin
+          let m = R.mid lo hi in
+          let s_m = R.sign (eval p m) in
+          if s_m = 0 then { Roots.lo = m; hi = m } else if s_m = s_lo then go m hi else go lo m
+        end
+      in
+      go e.Roots.lo e.Roots.hi
+    end
+end
+
+(* Coefficients mixing zeros, integers, small fractions and denominators
+   far beyond one limb. *)
+let gen_coeff =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return R.zero);
+        (3, map R.of_int (int_range (-30) 30));
+        (4, gen_rat_small);
+        ( 2,
+          let* num = int_range (-1_000_000_007) 1_000_000_007 in
+          let* den = int_range 1 1_000_000_007 and* shift = int_range 0 90 in
+          return (R.make (Bigint.of_int num) (Bigint.shift_left (Bigint.of_int den) shift)) );
+      ])
+
+(* Degree -1 (zero) to 7, constants included, trailing zeros trimmed. *)
+let gen_poly_wide =
+  QCheck.Gen.(
+    let* deg = frequency [ (1, return (-1)); (1, return 0); (6, int_range 1 7) ] in
+    let* coeffs = list_repeat (deg + 1) gen_coeff in
+    return (P.of_list coeffs))
+
+let gen_int_poly =
+  QCheck.Gen.(
+    let* deg = int_range (-1) 7 in
+    let* coeffs = list_repeat (deg + 1) (int_range (-1000) 1000) in
+    return (P.of_int_list coeffs))
+
+let arb_poly_wide =
+  QCheck.make ~print:P.to_string QCheck.Gen.(frequency [ (3, gen_poly_wide); (1, gen_int_poly) ])
+
+let arb_point = QCheck.make ~print:R.to_string gen_coeff
+
+let enclosure =
+  Alcotest.testable
+    (fun fmt (e : Roots.enclosure) -> Format.fprintf fmt "[%a, %a]" R.pp e.Roots.lo R.pp e.Roots.hi)
+    (fun (a : Roots.enclosure) b -> R.equal a.Roots.lo b.Roots.lo && R.equal a.Roots.hi b.Roots.hi)
+
+(* Every enclosure [Roots.isolate] finds in [-64, 64], refined by both. *)
+let refine_agrees p eps =
+  List.for_all
+    (fun e -> Alcotest.equal enclosure (Roots.refine p e ~eps) (Ref.refine p e ~eps))
+    (Roots.isolate p ~lo:(R.of_int (-64)) ~hi:(R.of_int 64))
+
+let reference_props =
+  [
+    qtest "mul equals the schoolbook product" (QCheck.pair arb_poly_wide arb_poly_wide) (fun (p, q) ->
+      P.equal (P.mul p q) (Ref.mul p q));
+    qtest "eval equals schoolbook Horner" (QCheck.pair arb_poly_wide arb_point) (fun (p, v) ->
+      R.equal (P.eval p v) (Ref.eval p v));
+    qtest "divmod equals schoolbook division" (QCheck.pair arb_poly_wide arb_poly_wide) (fun (p, q) ->
+      QCheck.assume (not (P.is_zero q));
+      let q1, r1 = P.divmod p q and q2, r2 = Ref.divmod p q in
+      P.equal q1 q2 && P.equal r1 r2);
+    qtest "sign_at is the sign of eval at an unnormalised fraction"
+      (QCheck.triple arb_poly_wide arb_point (QCheck.int_range 1 1_000_000))
+      (fun (p, v, k) ->
+        let k = Bigint.of_int k in
+        Poly.sign_at p (Bigint.mul (R.num v) k) (Bigint.mul (R.den v) k) = R.sign (Ref.eval p v));
+    qtest ~count:100 "refine equals rational bisection, enclosure for enclosure"
+      (QCheck.pair
+         (QCheck.make ~print:P.to_string
+            QCheck.Gen.(
+              let* deg = int_range 1 5 in
+              let* coeffs = list_repeat (deg + 1) gen_coeff in
+              return (P.of_list coeffs)))
+         (QCheck.pair (QCheck.int_range 1 40) QCheck.bool))
+      (fun (p, (digits, dyadic)) ->
+        QCheck.assume (P.degree p >= 1);
+        (* a dyadic eps lands exactly on a bisection width: the stop test is strict *)
+        let base = if dyadic then 8 else 10 in
+        refine_agrees p (R.make Bigint.one (Bigint.pow (Bigint.of_int base) digits)));
+    qtest ~count:200 "refine stops on a root at a bisection midpoint"
+      (QCheck.make
+         QCheck.Gen.(
+           let* lo = gen_rat_small and* w = gen_rat_unit and* s = int_range 1 12 in
+           let* k = int_range 0 ((1 lsl (s - 1)) - 1) in
+           return (lo, R.abs w, s, (2 * k) + 1)))
+      (fun (lo, w, s, k) ->
+        QCheck.assume (R.sign w > 0);
+        (* the root is the odd grid point k / 2^s of [lo, lo + w]; x^2 + 1
+           keeps it the enclosure's only root *)
+        let root = R.add lo (R.div (R.mul_int w k) (R.of_bigint (Bigint.shift_left Bigint.one s))) in
+        let p = P.mul (P.linear (R.neg root) R.one) (P.of_int_list [ 1; 0; 1 ]) in
+        let e = { Roots.lo; hi = R.add lo w } in
+        let eps = R.of_ints 1 1_000_000_000 in
+        let got = Roots.refine p e ~eps in
+        Alcotest.equal enclosure got (Ref.refine p e ~eps) && R.equal got.Roots.lo root && R.equal got.Roots.hi root);
+    Alcotest.test_case "reference agreement on edge cases" `Quick (fun () ->
+      let big = R.of_string "123456789012345678901234567890/98765432109876543210987654321" in
+      let polys =
+        [ P.zero; P.one; P.constant big; P.of_int_list [ 0; 0; 3 ]; P.of_int_list [ -2; 0; 1 ];
+          P.of_list [ big; R.neg big; R.one ]; P.of_string_list [ "6/7"; "-2"; "1" ] ]
+      in
+      let points = [ R.zero; R.one; R.of_ints (-7) 3; big; R.of_string "1/340282366920938463463374607431768211456" ] in
+      List.iter
+        (fun p ->
+          List.iter (fun v -> Alcotest.check rat (P.to_string p) (Ref.eval p v) (P.eval p v)) points;
+          List.iter
+            (fun q ->
+              Alcotest.check poly "mul" (Ref.mul p q) (P.mul p q);
+              if not (P.is_zero q) then begin
+                let q1, r1 = P.divmod p q and q2, r2 = Ref.divmod p q in
+                Alcotest.check poly "quotient" q2 q1;
+                Alcotest.check poly "remainder" r2 r1
+              end)
+            polys)
+        polys;
+      (* the paper's n = 3 condition, refined to the default width *)
+      Alcotest.(check bool) "paper condition" true
+        (refine_agrees (P.of_string_list [ "6/7"; "-2"; "1" ]) Roots.default_eps);
+      (* a width equal to eps is not below it: bisect once more *)
+      let p = P.of_string_list [ "-1/2"; "0"; "1" ] and e = { Roots.lo = R.zero; hi = R.one } in
+      let eps = R.of_ints 1 8 in
+      Alcotest.check enclosure "width equal to eps" (Ref.refine p e ~eps) (Roots.refine p e ~eps);
+      Alcotest.check rat "one bisection past eps" (R.of_ints 1 16)
+        (let e = Roots.refine p e ~eps in R.sub e.Roots.hi e.Roots.lo));
+  ]
+
 let () =
   Alcotest.run "poly"
     [
@@ -501,4 +697,5 @@ let () =
       ("alg", alg_unit);
       ("alg-prop", alg_props);
       ("certified", certified_unit);
+      ("reference", reference_props);
     ]
