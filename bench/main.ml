@@ -305,53 +305,18 @@ let x1 () =
     (Rat.to_float res.Piecewise.value);
   (* broadcast: numerically optimized asymmetric family *)
   let bcast = Comm_pattern.broadcast ~n ~source:0 in
-  let family p =
-    Dist_protocol.make ~deterministic:true ~name:"bcast" (fun v ->
-      match v.Dist_protocol.me with
-      | 0 -> if v.Dist_protocol.own <= p.(0) then 1. else 0.
-      | 1 -> (
-        match Dist_protocol.view_input v 0 with
-        | Some x0 -> if v.Dist_protocol.own +. (p.(1) *. x0) <= p.(2) then 1. else 0.
-        | None -> 0.)
-      | _ -> (
-        match Dist_protocol.view_input v 0 with
-        | Some x0 -> if v.Dist_protocol.own +. (p.(3) *. x0) <= p.(4) then 1. else 0.
-        | None -> 0.))
-  in
   let best, _ =
-    Engine.optimize_family ~points:56 ~delta bcast ~family
+    Engine.optimize_family ~points:56 ~delta bcast ~family:Py91.broadcast_family
       ~x0:[| 1.0; 1.0; 1.0; -0.5; 0.3 |]
       ~bounds:[| (0., 1.); (-2., 2.); (-1., 2.); (-2., 2.); (-1., 2.) |]
       ()
   in
   Printf.printf "%-16s %-10d %-12.5f optimized 5-parameter family\n" "broadcast" 2
-    (score bcast (family best));
+    (score bcast (Py91.broadcast_family best));
   (* full information greedy = feasibility bound *)
   let full = Comm_pattern.full ~n in
-  let greedy =
-    Dist_protocol.make ~deterministic:true ~name:"greedy" (fun v ->
-      let xs =
-        List.sort
-          (fun (_, a) (_, b) -> compare b a)
-          ((v.Dist_protocol.me, v.Dist_protocol.own) :: v.Dist_protocol.others)
-      in
-      let bin_of = Hashtbl.create 8 in
-      let l0 = ref 0. and l1 = ref 0. in
-      List.iter
-        (fun (i, x) ->
-          if !l0 <= !l1 then begin
-            Hashtbl.add bin_of i 0;
-            l0 := !l0 +. x
-          end
-          else begin
-            Hashtbl.add bin_of i 1;
-            l1 := !l1 +. x
-          end)
-        xs;
-      if Hashtbl.find bin_of v.Dist_protocol.me = 0 then 1. else 0.)
-  in
   Printf.printf "%-16s %-10d %-12.5f greedy partition = feasibility bound (3/4)\n" "full" 6
-    (score full greedy);
+    (score full Py91.greedy_partition);
   Printf.printf
     "\nMonotone in communication, as in Papadimitriou-Yannakakis: information buys\n";
   Printf.printf "winning probability; the no-communication floor is the case this paper solves.\n"

@@ -522,8 +522,8 @@ let banded_cmd =
 (* ------------------------- chaos ------------------------- *)
 
 let chaos_cmd =
-  let run n delta rule params samples seed jobs crash crash_mode loss stale noise jitter sweep
-      points csv () =
+  let run n delta rule params samples seed jobs crash crash_mode noise jitter sweep points csv
+      () =
     let delta_r = resolve_delta n delta in
     let deltaf = Rat.to_float delta_r in
     let protocol =
@@ -542,9 +542,7 @@ let chaos_cmd =
       | None, Some r -> [ r ]
       | None, None -> [ 0.; 0.05; 0.1; 0.25; 0.5 ]
     in
-    let model_of rate =
-      Fault_model.make ~crash:rate ~crash_mode ~link_loss:loss ~stale ~noise ~jitter ()
-    in
+    let model_of rate = Fault_model.make ~crash:rate ~crash_mode ~noise ~jitter () in
     (* budget the exact fold: ~1e8 branch visits across the grid (the fold
        costs up to 4^n per cell), clamped to the clean engine's 64-point
        default *)
@@ -604,9 +602,7 @@ let chaos_cmd =
   let rate_arg names doc =
     Arg.(value & opt (rate_conv (List.hd names ^ " rate")) 0. & info names ~docv:"R" ~doc)
   in
-  let loss_arg = rate_arg [ "loss" ] "Per-link loss probability (held fixed across the sweep)." in
-  let stale_arg = rate_arg [ "stale" ] "Per-link stale-read probability (held fixed)." in
-  let noise_arg = rate_arg [ "noise" ] "View-perturbation amplitude (held fixed)." in
+  let noise_arg = rate_arg [ "noise" ] "View-perturbation amplitude (held fixed across the sweep)." in
   let jitter_arg = rate_arg [ "jitter" ] "Relative bin-capacity jitter amplitude (held fixed)." in
   let sweep_arg =
     Arg.(
@@ -625,14 +621,13 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Fault-injection analysis: sweep a crash rate (plus optional link loss, stale reads, \
-          view noise, capacity jitter) and report the win-probability degradation of the \
-          paper's optimal algorithms against their fault-free baselines.")
+         "Fault-injection analysis: sweep a crash rate (plus optional view noise and capacity \
+          jitter) and report the win-probability degradation of the paper's optimal algorithms \
+          on the no-communication pattern against their fault-free baselines.")
     (obs_term
        Term.(
          const run $ n_arg $ delta_arg $ rule_arg $ player_params_arg $ samples_arg $ seed_arg $ jobs_arg
-         $ crash_arg $ crash_mode_arg $ loss_arg $ stale_arg $ noise_arg $ jitter_arg $ sweep_arg
-         $ points_arg $ csv_arg))
+         $ crash_arg $ crash_mode_arg $ noise_arg $ jitter_arg $ sweep_arg $ points_arg $ csv_arg))
 
 (* ------------------------- perf ------------------------- *)
 

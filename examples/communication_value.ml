@@ -34,26 +34,13 @@ let () =
      source plays a threshold; listener 1 weighs the broadcast against its
      own input; listener 2 leans the other way. *)
   let bcast = Comm_pattern.broadcast ~n ~source:0 in
-  let family p =
-    Dist_protocol.make ~deterministic:true ~name:"bcast-family" (fun v ->
-      match v.Dist_protocol.me with
-      | 0 -> if v.Dist_protocol.own <= p.(0) then 1. else 0.
-      | 1 -> (
-        match Dist_protocol.view_input v 0 with
-        | Some x0 -> if v.Dist_protocol.own +. (p.(1) *. x0) <= p.(2) then 1. else 0.
-        | None -> 0.)
-      | _ -> (
-        match Dist_protocol.view_input v 0 with
-        | Some x0 -> if v.Dist_protocol.own +. (p.(3) *. x0) <= p.(4) then 1. else 0.
-        | None -> 0.))
-  in
   let x, _ =
-    optimize bcast family [| 1.0; 1.0; 1.0; -0.5; 0.3 |]
+    optimize bcast Py91.broadcast_family [| 1.0; 1.0; 1.0; -0.5; 0.3 |]
       [| (0., 1.); (-2., 2.); (-1., 2.); (-2., 2.); (-1., 2.) |]
   in
   Printf.printf "%-22s %-10d %-12.5f t0=%.3f w1=%.3f t1=%.3f w2=%.3f t2=%.3f\n" "broadcast(0)"
     (Comm_pattern.message_count bcast)
-    (score bcast (family x))
+    (score bcast (Py91.broadcast_family x))
     x.(0) x.(1) x.(2) x.(3) x.(4);
 
   (* 3 messages: chain 0 -> 1 -> 2 (player 2 sees both). *)
@@ -93,32 +80,8 @@ let () =
      the first-fit-decreasing-style rule solves the instance whenever any
      partition works; we evaluate that rule directly. *)
   let full = Comm_pattern.full ~n in
-  let ffd =
-    Dist_protocol.make ~deterministic:true ~name:"full-info-greedy" (fun v ->
-      (* all players compute the same greedy partition of the sorted inputs
-         and each takes its assigned side *)
-      let xs =
-        List.sort
-          (fun (_, a) (_, b) -> compare b a)
-          ((v.Dist_protocol.me, v.Dist_protocol.own) :: v.Dist_protocol.others)
-      in
-      let bin_of = Hashtbl.create 8 in
-      let l0 = ref 0. and l1 = ref 0. in
-      List.iter
-        (fun (i, x) ->
-          if !l0 <= !l1 then begin
-            Hashtbl.add bin_of i 0;
-            l0 := !l0 +. x
-          end
-          else begin
-            Hashtbl.add bin_of i 1;
-            l1 := !l1 +. x
-          end)
-        xs;
-      if Hashtbl.find bin_of v.Dist_protocol.me = 0 then 1. else 0.)
-  in
   Printf.printf "%-22s %-10d %-12.5f greedy largest-first partition (= feasibility bound 3/4)\n"
-    "full" (Comm_pattern.message_count full) (score full ffd);
+    "full" (Comm_pattern.message_count full) (score full Py91.greedy_partition);
 
   print_newline ();
   print_endline "More communication -> higher winning probability, at growing message cost:";

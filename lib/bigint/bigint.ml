@@ -353,7 +353,6 @@ let shift_right t k =
   if t.sign = 0 then zero else mk t.sign (mag_shift_right_bits t.mag k)
 
 let bit_length t = mag_bit_length t.mag
-let is_even t = t.sign = 0 || t.mag.(0) land 1 = 0
 
 let to_int_opt t =
   if bit_length t <= 62 then begin

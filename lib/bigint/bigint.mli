@@ -87,8 +87,6 @@ val shift_right : t -> int -> t
 val bit_length : t -> int
 (** Number of bits in the magnitude; [bit_length zero = 0]. *)
 
-val is_even : t -> bool
-
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,9 +25,6 @@ let k_hop ~n ~k =
       (fun d -> [ (i + n - d) mod n; (i + d) mod n ])
       (List.init (min k (n / 2)) (fun d -> d + 1)))
 
-let filter keep t =
-  make ~n:t.n (fun i -> List.filter (fun j -> keep ~viewer:i ~source:j) t.visible.(i))
-
 let edges t =
   List.concat
     (List.init t.n (fun viewer -> List.map (fun source -> (source, viewer)) t.visible.(viewer)))

@@ -42,12 +42,6 @@ val k_hop : n:int -> k:int -> t
     directions); [k >= n/2] degenerates to {!full}. Interpolates between
     {!none} ([k = 0]) and complete information. *)
 
-val filter : (viewer:int -> source:int -> bool) -> t -> t
-(** Keep only the edges the predicate accepts: a statically degraded
-    pattern (severed links, partitioned players). Protocols written for
-    the original pattern can be run over the filtered one — see
-    {!Dist_protocol.with_fallback} for surviving such missing links. *)
-
 (** {1 Accounting} *)
 
 val edges : t -> (int * int) list

@@ -23,15 +23,11 @@ let local_rule t = t.local_rule
 let make ?(deterministic = false) ~name decide =
   { name; decide; deterministic; local_rule = None }
 
-(* Resilience instrumentation (the ddm.faults.* family; see lib/faults for
-   the injection-side counters). *)
+(* Resilience instrumentation (the ddm_faults_* family; Engine keeps the
+   injection-side counters). *)
 let fallbacks =
   Metrics.counter ~help:"Decisions routed to a fallback protocol on an incomplete view"
     "ddm_faults_fallbacks_total"
-
-let sanitizations =
-  Metrics.counter ~help:"Non-finite decide outputs replaced by the sanitized default"
-    "ddm_faults_sanitized_total"
 
 (* Parameter vectors are indexed by player: catch a vector/player-count
    mismatch at construction (empty) or on first decide (short vector) with
@@ -133,21 +129,5 @@ let with_fallback ~expected ?fallback inner =
         else begin
           Metrics.incr fallbacks;
           fallback.decide v
-        end);
-  }
-
-let sanitized ?(default = 0.5) inner =
-  if not (Float.is_finite default && default >= 0. && default <= 1.) then
-    invalid_arg "Dist_protocol.sanitized: default must be a finite probability";
-  {
-    inner with
-    name = inner.name ^ "+sanitized";
-    decide =
-      (fun v ->
-        let p = inner.decide v in
-        if Float.is_finite p then Float.min 1. (Float.max 0. p)
-        else begin
-          Metrics.incr sanitizations;
-          default
         end);
   }

@@ -30,8 +30,7 @@ val local_rule : t -> Mc_kernel.rule option
 (** The batch kernel's form of the protocol, when its decision depends
     only on the deciding player's own input: [Some] for the
     {!oblivious} / {!fair_coin} / {!single_threshold} /
-    {!common_threshold} families (preserved by {!sanitized}, which cannot
-    change their already-clamped outputs); [None] for {!make},
+    {!common_threshold} families; [None] for {!make},
     {!weighted_threshold} and {!with_fallback}, whose decisions can read
     the rest of the view.  {!Engine.kernel_spec} uses this to hand a
     no-communication run to {!Mc_kernel}, which never calls [decide]. *)
@@ -63,10 +62,9 @@ val weighted_threshold : weights:float array array -> thresholds:float array -> 
 
     All parametric families above validate their parameter vectors against
     the deciding player ([Invalid_argument] naming the family, instead of
-    an [Index out of bounds] mid-simulation). The combinators below keep a
-    protocol well-defined when the world misbehaves — missing links,
-    non-finite decision rules — and count every degraded decision in the
-    [ddm_faults_*] metrics family. *)
+    an [Index out of bounds] mid-simulation). The combinator below keeps a
+    protocol well-defined when links go missing and counts every degraded
+    decision in the [ddm_faults_*] metrics family. *)
 
 val with_fallback : expected:Comm_pattern.t -> ?fallback:t -> t -> t
 (** [with_fallback ~expected p] runs [p] on views that reveal every link
@@ -75,11 +73,3 @@ val with_fallback : expected:Comm_pattern.t -> ?fallback:t -> t -> t
     [fallback] instead (default: the fair coin, the paper's optimal
     no-information rule). Fallbacks taken are counted in
     [ddm_faults_fallbacks_total]. *)
-
-val sanitized : ?default:float -> t -> t
-(** Clamp decide outputs into [[0,1]] and replace non-finite ones (NaN,
-    infinities from a misbehaving rule) by [default] (0.5 unless given),
-    counting replacements in [ddm_faults_sanitized_total]. The unwrapped
-    engine treats a non-finite decide output as a protocol bug and raises;
-    wrap with [sanitized] to degrade gracefully instead.
-    @raise Invalid_argument when [default] is not a finite probability. *)

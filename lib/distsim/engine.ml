@@ -52,87 +52,6 @@ let fold_branches =
   Metrics.counter ~help:"Crash-subset branches enumerated by the exact fault fold"
     "ddm_faults_fold_branches_total"
 
-let retries =
-  Metrics.counter ~help:"Decide evaluations retried after an exception or non-finite output"
-    "ddm_faults_retries_total"
-
-let deadline_exceeded =
-  Metrics.counter ~help:"Decide evaluations abandoned at the retry deadline or attempt cap"
-    "ddm_faults_deadline_exceeded_total"
-
-(* Resource exhaustion and tripped assertions are the process's problem,
-   not the protocol's: converting them into the fallback probability would
-   hide heap corruption behind a plausible-looking 0.5.  Only non-fatal
-   exceptions are retry-worthy. *)
-let fatal_exn = function
-  | Out_of_memory | Stack_overflow | Assert_failure _ | Sys.Break -> true
-  | _ -> false
-
-(* Exponential backoff with full jitter: the delay before retry [k]
-   (0-based) is [min max_s (base_s * factor^k)] scaled by a uniform draw
-   in [0.5, 1) when a jitter source is supplied.  A {e seeded} [Rng.t]
-   makes the whole schedule a deterministic function of the seed, so
-   tests can pin it exactly; without [jitter] the schedule is the pure
-   exponential. *)
-let backoff_delay ~base_s ?(factor = 2.) ?max_s ?jitter k =
-  if not (base_s > 0.) then invalid_arg "Engine.backoff_delay: base_s must be positive";
-  if not (factor >= 1.) then invalid_arg "Engine.backoff_delay: factor must be >= 1";
-  if k < 0 then invalid_arg "Engine.backoff_delay: attempt index must be >= 0";
-  let raw = base_s *. (factor ** float_of_int k) in
-  let capped = match max_s with Some m -> Float.min m raw | None -> raw in
-  match jitter with
-  | None -> capped
-  | Some rng -> capped *. (0.5 +. (0.5 *. Rng.float01 rng))
-
-let backoff_schedule ~base_s ?factor ?max_s ?jitter ~attempts () =
-  if attempts < 1 then invalid_arg "Engine.backoff_schedule: attempts must be >= 1";
-  List.init (attempts - 1) (fun k -> backoff_delay ~base_s ?factor ?max_s ?jitter k)
-
-let retry_under ~deadline_s ?(attempts = 3) ?(default = 0.5) ?backoff ?jitter protocol =
-  if not (deadline_s > 0.) then invalid_arg "Engine.retry_under: deadline_s must be positive";
-  if attempts < 1 then invalid_arg "Engine.retry_under: attempts must be >= 1";
-  (match backoff with
-  | Some b when not (b > 0.) -> invalid_arg "Engine.retry_under: backoff must be positive"
-  | _ -> ());
-  Dist_protocol.make
-    ~deterministic:(Dist_protocol.is_deterministic protocol)
-    ~name:(Printf.sprintf "%s+retry(%d,%.3gs)" (Dist_protocol.name protocol) attempts deadline_s)
-    (fun v ->
-      let start = Trace.now_mono_s () in
-      let rec go k =
-        match (try Some (Dist_protocol.decide protocol v) with e when not (fatal_exn e) -> None) with
-        | Some p when Float.is_finite p -> p
-        | _ ->
-          Metrics.incr retries;
-          if Logx.would_log Logx.Debug then
-            Logx.debug "engine.retry"
-              [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("attempt", Logx.Int (k + 1)) ];
-          (* spacing before the next attempt; a delay that would overrun
-             the deadline forfeits the retry instead of sleeping past it *)
-          let delay =
-            match backoff with
-            | None -> 0.
-            | Some base_s -> backoff_delay ~base_s ~max_s:deadline_s ?jitter k
-          in
-          if
-            k + 1 >= attempts
-            || Trace.now_mono_s () -. start +. delay >= deadline_s
-          then begin
-            Metrics.incr deadline_exceeded;
-            if Logx.would_log Logx.Warn then
-              Logx.warn "engine.retry_deadline"
-                [ ("protocol", Logx.Str (Dist_protocol.name protocol));
-                  ("attempts", Logx.Int (k + 1)); ("default", Logx.Float default) ];
-            default
-          end
-          else begin
-            if delay > 0. then (
-              try Unix.sleepf delay with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            go (k + 1)
-          end
-      in
-      go 0)
-
 let view pattern inputs i =
   let others =
     (* no closure for a player who sees no one, as on the paper's pattern *)
@@ -146,16 +65,14 @@ let views pattern inputs = Array.init (Comm_pattern.n pattern) (view pattern inp
 
 (* A NaN here would otherwise poison every downstream aggregate (grid
    integrals average thousands of cells; one NaN cell wipes the sum), so a
-   non-finite decide output is a protocol bug and raises. Protocols that
-   should survive their own bad outputs opt in via Dist_protocol.sanitized. *)
+   non-finite decide output is a protocol bug and raises. *)
 let checked_decide ~where protocol v =
   let p = Dist_protocol.decide protocol v in
   if Float.is_finite p then p
   else
     invalid_arg
       (Printf.sprintf
-         "Engine.%s: protocol %S returned a non-finite decide output (%h) for player %d (wrap \
-          it with Dist_protocol.sanitized to degrade gracefully)"
+         "Engine.%s: protocol %S returned a non-finite decide output (%h) for player %d"
          where (Dist_protocol.name protocol) p v.Dist_protocol.me)
 
 let degrade_view rng (m : Fault_model.t) (v : Dist_protocol.view) =
@@ -206,10 +123,10 @@ let degrade_view rng (m : Fault_model.t) (v : Dist_protocol.view) =
    flags and the jittered capacity are drawn before anyone decides; then
    each player is played in one pass (view, decision, load), and a
    dropped player's input ([-1]) reaches neither bin. *)
-let run_once ?(sampler = Rng.float01) ?faults rng ~delta pattern protocol =
+let run_once ?faults rng ~delta pattern protocol =
   Metrics.incr plays;
   let n = Comm_pattern.n pattern in
-  let inputs = Array.init n (fun _ -> sampler rng) in
+  let inputs = Array.init n (fun _ -> Rng.float01 rng) in
   let faulty = Option.is_some faults in
   let m = Option.value faults ~default:Fault_model.none in
   let crash_on = m.crash > 0. and jitter_on = m.jitter > 0. in
@@ -294,16 +211,14 @@ let kernel_spec ?faults ~delta pattern protocol =
     Some (Mc_kernel.make ?fault ~on_lease:(count_lease ~n faults) ~n ~delta rule)
   | _ -> None
 
-let win_probability_mc ?sampler ?domains ?leases ?faults ~rng ~samples ~delta pattern protocol =
+let win_probability_mc ?domains ?leases ?faults ~rng ~samples ~delta pattern protocol =
   Option.iter Fault_model.validate faults;
   Trace.with_span "engine.mc" @@ fun () ->
-  (* the sampler follows the question: the kernel for the paper's game on
-     its uniform inputs, the closure for everything else *)
-  let kernel =
-    if Option.is_some sampler then None else kernel_spec ?faults ~delta pattern protocol
-  in
+  (* the sampler follows the question: the kernel for the paper's game,
+     the closure for everything else *)
+  let kernel = kernel_spec ?faults ~delta pattern protocol in
   Mc.probability ?domains ?leases ?kernel ~rng ~samples (fun rng ->
-      (run_once ?sampler ?faults rng ~delta pattern protocol).win)
+      (run_once ?faults rng ~delta pattern protocol).win)
 
 (* ----------------------- exact conditional folds ----------------------- *)
 

@@ -44,57 +44,12 @@ type outcome = {
 val views : Comm_pattern.t -> float array -> Dist_protocol.view array
 (** The per-player views induced by a pattern on a given input vector. *)
 
-val backoff_delay :
-  base_s:float -> ?factor:float -> ?max_s:float -> ?jitter:Rng.t -> int -> float
-(** Exponential backoff with full jitter: the delay before retry [k]
-    (0-based) is [min max_s (base_s * factor^k)] (default [factor] 2, no
-    cap), scaled by a uniform draw in [0.5, 1) when [jitter] is given.  A
-    seeded jitter source makes the schedule a deterministic function of
-    the seed.
-    @raise Invalid_argument on non-positive [base_s], [factor < 1], or a
-    negative index. *)
-
-val backoff_schedule :
-  base_s:float -> ?factor:float -> ?max_s:float -> ?jitter:Rng.t -> attempts:int -> unit -> float list
-(** The [attempts - 1] inter-attempt delays {!retry_under} would use —
-    [backoff_delay] at indices [0 .. attempts-2].  Exposed so tests can
-    pin the exact schedule for a given seed. *)
-
-val retry_under :
-  deadline_s:float ->
-  ?attempts:int ->
-  ?default:float ->
-  ?backoff:float ->
-  ?jitter:Rng.t ->
-  Dist_protocol.t ->
-  Dist_protocol.t
-(** Deadline-bounded evaluation: re-invoke a decide rule that raised or
-    returned a non-finite value, up to [attempts] (default 3) tries and a
-    wall-clock budget of [deadline_s] seconds per decision, then give up
-    and answer [default] (0.5). Fatal exceptions ([Out_of_memory],
-    [Stack_overflow], [Assert_failure], [Sys.Break]) are re-raised rather
-    than retried or converted into the fallback.
-
-    [backoff] spaces the retries: the delay before retry [k] is
-    [backoff_delay ~base_s:backoff ~max_s:deadline_s ?jitter k]
-    (exponential, capped at the deadline, jittered by the seeded [jitter]
-    source when given so schedules stay deterministic under test).  A
-    delay that would overrun the deadline forfeits the retry instead of
-    sleeping past it.  Without [backoff] retries are immediate (the
-    historical behavior).
-
-    Retries are counted in [ddm_faults_retries_total] and abandoned
-    decisions in [ddm_faults_deadline_exceeded_total].
-    @raise Invalid_argument on a non-positive deadline, attempt count, or
-    backoff base. *)
-
 val degrade_view : Rng.t -> Fault_model.t -> Dist_protocol.view -> Dist_protocol.view * int
 (** Apply link loss, stale reads, and view noise to one player's view;
     returns the degraded view and the number of fault events injected.
     Exposed for tests. *)
 
 val run_once :
-  ?sampler:(Rng.t -> float) ->
   ?faults:Fault_model.t ->
   Rng.t ->
   delta:float ->
@@ -104,15 +59,13 @@ val run_once :
 (** One distributed play, and the only per-play closure in the
     repository: after the inputs (and any crash and capacity draws) each
     player is played in one pass — its view is built, it decides, and its
-    input joins its bin's load.  [sampler] draws each player's private
-    input (default [Rng.float01], the paper's U[0,1] model); supplying
-    another sampler exercises the paper's Section 6 direction of "more
-    realistic assumptions on the distribution of inputs".  [faults] injects crashes
+    input joins its bin's load.  Each player's private input is a
+    [Rng.float01] draw, the paper's U[0,1] model.  [faults] injects crashes
     (drawn after the inputs), capacity jitter, and per-view link loss,
     stale reads and noise; passing it also counts the play in
     [ddm_faults_plays_total].
     @raise Invalid_argument when the protocol returns a non-finite decide
-    output (see {!Dist_protocol.sanitized} to degrade instead). *)
+    output. *)
 
 val kernel_spec :
   ?faults:Fault_model.t -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> Mc_kernel.t option
@@ -133,7 +86,6 @@ val kernel_spec :
     with the pattern or a parameter is not finite. *)
 
 val win_probability_mc :
-  ?sampler:(Rng.t -> float) ->
   ?domains:int ->
   ?leases:int ->
   ?faults:Fault_model.t ->
@@ -144,12 +96,11 @@ val win_probability_mc :
     the estimate is bit-identical for every worker count at a fixed seed
     and fault counters stay exact (they are atomic).
 
-    The sampler follows the question.  Without a custom [sampler], a
-    question {!kernel_spec} accepts is played by the batch kernel
-    ({!Mc_kernel}), several times faster; every other question (the
-    communication patterns, view-reading protocols such as a
-    {!Model.Custom} rule's, custom input distributions) by the per-play
-    closure over {!run_once}.  Both keep
+    The sampler follows the question.  A question {!kernel_spec} accepts
+    is played by the batch kernel ({!Mc_kernel}), several times faster;
+    every other question (the communication patterns, view-reading
+    protocols such as a {!Model.Custom} rule's) by the per-play closure
+    over {!run_once}.  Both keep
     the same [ddm_engine_*] / [ddm_faults_*] counts on the
     no-communication pattern, and their estimates agree statistically at
     the same seed, not byte-for-byte.

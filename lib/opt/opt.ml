@@ -63,32 +63,6 @@ let grid_then_golden ~f ~lo ~hi ?(points = 101) ?(tol = 1e-12) () =
   let blo = Float.max lo (best_x -. step) and bhi = Float.min hi (best_x +. step) in
   golden_section ~f ~lo:blo ~hi:bhi ~tol ()
 
-let bisect_root ~f ~lo ~hi ?(tol = 1e-13) () =
-  let flo = f lo in
-  if flo = 0. then lo
-  else begin
-    let fhi = f hi in
-    if fhi = 0. then hi
-    else if flo *. fhi > 0. then invalid_arg "Opt.bisect_root: no sign change"
-    else begin
-      let a = ref lo and b = ref hi and fa = ref flo in
-      while !b -. !a > tol do
-        let m = (!a +. !b) /. 2. in
-        let fm = f m in
-        if fm = 0. then begin
-          a := m;
-          b := m
-        end
-        else if !fa *. fm < 0. then b := m
-        else begin
-          a := m;
-          fa := fm
-        end
-      done;
-      (!a +. !b) /. 2.
-    end
-  end
-
 let nelder_mead ~f ~x0 ?(scale = 0.1) ?(tol = 1e-10) ?(max_iter = 5000) () =
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Opt.nelder_mead: empty start";

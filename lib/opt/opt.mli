@@ -20,10 +20,6 @@ val grid_then_golden :
 (** Coarse grid to bracket the global maximum of a possibly multimodal
     function, then golden-section polish inside the best bracket. *)
 
-val bisect_root : f:(float -> float) -> lo:float -> hi:float -> ?tol:float -> unit -> float
-(** Root of a sign-changing continuous function.
-    @raise Invalid_argument when [f lo] and [f hi] have the same sign. *)
-
 (** {1 Multi-dimensional} *)
 
 val nelder_mead :

@@ -5,7 +5,6 @@ let make lo hi =
   { lo; hi }
 
 let point v = { lo = v; hi = v }
-let of_enclosure (e : Roots.enclosure) = make e.Roots.lo e.Roots.hi
 let width i = Rat.sub i.hi i.lo
 let mid i = Rat.mid i.lo i.hi
 let mem v i = Rat.compare i.lo v <= 0 && Rat.compare v i.hi <= 0

@@ -11,7 +11,6 @@ val make : Rat.t -> Rat.t -> t
 (** @raise Invalid_argument when [lo > hi]. *)
 
 val point : Rat.t -> t
-val of_enclosure : Roots.enclosure -> t
 val width : t -> Rat.t
 val mid : t -> Rat.t
 val mem : Rat.t -> t -> bool

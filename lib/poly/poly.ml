@@ -158,8 +158,6 @@ let eval_float p v =
   done;
   !acc
 
-let to_float_coeffs p = Array.map Rat.to_float p
-
 let compose p q =
   let acc = ref zero in
   for i = Array.length p - 1 downto 0 do

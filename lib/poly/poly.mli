@@ -80,8 +80,6 @@ val sign_at : t -> Bigint.t -> Bigint.t -> int
 val eval_float : t -> float -> float
 (** Horner evaluation after converting each coefficient to [float]. *)
 
-val to_float_coeffs : t -> float array
-
 (** {1 Printing} *)
 
 val to_string : ?var:string -> t -> string

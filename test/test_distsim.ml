@@ -213,24 +213,6 @@ let engine_tests =
       Alcotest.(check bool)
         (Printf.sprintf "%.4f > %.4f" p_comm p_best_nocomm)
         true (p_comm > p_best_nocomm));
-    Alcotest.test_case "custom input distributions via sampler" `Quick (fun () ->
-      (* inputs distributed as x^2 of a uniform (density skewed to 0): the
-         common-threshold win probability must rise above the uniform case
-         since loads shrink stochastically *)
-      let n = 3 and delta = 1. in
-      let pat = Comm_pattern.none ~n in
-      let proto = Dist_protocol.common_threshold ~n 0.622 in
-      let rng = Rng.create ~seed:77 in
-      let small_inputs rng = let u = Rng.float01 rng in u *. u in
-      let est_small =
-        Engine.win_probability_mc ~sampler:small_inputs ~rng ~samples:100_000 ~delta pat proto
-      in
-      let est_unif = Engine.win_probability_mc ~rng ~samples:100_000 ~delta pat proto in
-      Alcotest.(check bool) "skewed-to-zero inputs win more" true
-        (est_small.Mc.mean > est_unif.Mc.mean +. 0.05);
-      (* and the default sampler reproduces the closed form *)
-      Alcotest.(check bool) "uniform default agrees with Thm 5.1" true
-        (Mc.agrees est_unif (Threshold.winning_probability_sym ~n ~delta 0.622)));
     Alcotest.test_case "optimize_family improves on the start" `Quick (fun () ->
       let n = 3 and delta = 1. in
       let pat = Comm_pattern.none ~n in
@@ -412,6 +394,39 @@ let py91_tests =
     Alcotest.test_case "no-communication rung equals the certified optimum" `Quick (fun () ->
       Alcotest.(check (float 1e-12)) "constant" ((1. /. 6.) +. (1. /. sqrt 7.))
         Py91.expected_no_communication);
+    Alcotest.test_case "full information breaks input ties by player index" `Quick (fun () ->
+      (* a player that sorted itself first on a tie would compute its own
+         partition; (0.5, 0.5, 0.4) then loses although {0.5}, {0.5, 0.4}
+         fits *)
+      let pat, proto = Py91.full_information in
+      List.iter
+        (fun inputs ->
+          Alcotest.(check (float 0.))
+            (String.concat ", " (List.map string_of_float (Array.to_list inputs)))
+            1.
+            (Engine.win_probability_given ~delta:Py91.delta pat proto inputs))
+        [ [| 0.5; 0.5; 0.4 |]; [| 0.3; 0.3; 0.3 |]; [| 0.6; 0.4; 0.4 |] ]);
+    Alcotest.test_case "ladder values are pinned to the bit" `Quick (fun () ->
+      (* (24-point grid, 50000-sample MC at seed 5) per rung *)
+      let pinned =
+        [
+          ("no communication", (0x1.19da12f684bdap-1, 0x1.16d86ec17ebafp-1));
+          ("one broadcast", (0x1.5b38e38e38e39p-1, 0x1.4fca42aed1394p-1));
+          ("full information", (0x1.87097b425ed09p-1, 0x1.7f38c5436b8fap-1));
+        ]
+      in
+      let check name (pat, proto) (grid, mc) =
+        Alcotest.(check (float 0.)) (name ^ " grid") grid
+          (Engine.win_probability_grid ~points:24 ~delta:1. pat proto);
+        Alcotest.(check (float 0.)) (name ^ " mc") mc
+          (Engine.win_probability_mc ~rng:(Rng.create ~seed:5) ~samples:50_000 ~delta:1. pat proto)
+            .Mc.mean
+      in
+      List.iter (fun (name, rung, _) -> check name rung (List.assoc name pinned)) Py91.ladder;
+      check "broadcast_family"
+        ( Comm_pattern.broadcast ~n:3 ~source:0,
+          Py91.broadcast_family [| 0.998; 1.; 1.; -0.16; -0.02 |] )
+        (List.assoc "one broadcast" pinned));
   ]
 
 let gen_inputs n = QCheck.Gen.(list_repeat n (float_bound_exclusive 1.))
@@ -445,11 +460,7 @@ let engine_kernel_tests =
       in
       let fb = Dist_protocol.with_fallback ~expected:(Comm_pattern.full ~n) wt in
       Alcotest.(check bool) "with_fallback drops the local rule" true
-        (Dist_protocol.local_rule fb = None);
-      (* sanitized wraps the decision function but keeps the rule data *)
-      let s = Dist_protocol.sanitized (Dist_protocol.fair_coin ~n) in
-      Alcotest.(check bool) "sanitized preserves the local rule" true
-        (Dist_protocol.local_rule s <> None));
+        (Dist_protocol.local_rule fb = None));
     Alcotest.test_case "kernel MC agrees with grid and scalar MC" `Quick (fun () ->
       let kernel = Dist_protocol.common_threshold ~n 0.62 in
       (* the same rule with its local rule hidden takes the closure *)
@@ -492,26 +503,24 @@ let engine_kernel_tests =
             [ 2; 4 ])
         [ kernel; closure ]);
     Alcotest.test_case "questions the kernel cannot play take the closure" `Quick (fun () ->
-      (* a view-reading protocol, a custom input sampler, and a local rule
-         on a pattern that sends messages: each estimate is the closure
-         path's, bit for bit at the same seed *)
+      (* a view-reading protocol, and a local rule on a pattern that sends
+         messages: each estimate is the closure path's, bit for bit at the
+         same seed *)
       let threshold = Dist_protocol.common_threshold ~n 0.62 in
-      let half rng = Rng.float01 rng *. 0.5 in
       List.iter
-        (fun (name, sampler, pattern, protocol) ->
+        (fun (name, pattern, protocol) ->
           let est =
-            Engine.win_probability_mc ?sampler ~rng:(Rng.create ~seed:63) ~samples:20_000 ~delta
-              pattern protocol
+            Engine.win_probability_mc ~rng:(Rng.create ~seed:63) ~samples:20_000 ~delta pattern
+              protocol
           in
           let closure =
             Mc.probability ~rng:(Rng.create ~seed:63) ~samples:20_000 (fun rng ->
-                (Engine.run_once ?sampler rng ~delta pattern protocol).Engine.win)
+                (Engine.run_once rng ~delta pattern protocol).Engine.win)
           in
           Alcotest.(check (float 0.)) name closure.Mc.mean est.Mc.mean)
         [
-          ("view reader", None, pattern, Dist_protocol.make ~name:"view-reader" (fun _ -> 0.5));
-          ("custom sampler", Some half, pattern, threshold);
-          ("communication", None, Comm_pattern.full ~n, threshold);
+          ("view reader", pattern, Dist_protocol.make ~name:"view-reader" (fun _ -> 0.5));
+          ("communication", Comm_pattern.full ~n, threshold);
         ]);
   ]
 

@@ -295,32 +295,6 @@ let combinator_tests =
         (raises_invalid (fun () ->
            Engine.run_once ~faults:Fault_model.none (Rng.create ~seed:1) ~delta:1. pattern
              nan_protocol)));
-    Alcotest.test_case "sanitized clamps and replaces non-finite outputs" `Quick (fun () ->
-      let v = { Dist_protocol.me = 0; own = 0.5; others = [] } in
-      let wild =
-        Dist_protocol.make ~name:"wild" (fun v ->
-          if v.Dist_protocol.own < 0.2 then 1.7
-          else if v.Dist_protocol.own < 0.4 then -0.3
-          else Float.nan)
-      in
-      let s = Dist_protocol.sanitized wild in
-      Alcotest.(check (float 0.)) "clamp high" 1.
-        (Dist_protocol.decide s { v with Dist_protocol.own = 0.1 });
-      Alcotest.(check (float 0.)) "clamp low" 0.
-        (Dist_protocol.decide s { v with Dist_protocol.own = 0.3 });
-      with_metrics (fun () ->
-        let before = counter_value "ddm_faults_sanitized_total" in
-        Alcotest.(check (float 0.)) "nan -> default" 0.5 (Dist_protocol.decide s v);
-        Alcotest.(check int) "counted" (before + 1) (counter_value "ddm_faults_sanitized_total"));
-      (* a sanitized NaN protocol becomes usable by the strict engine *)
-      let p =
-        Engine.win_probability_given ~delta:1. (Comm_pattern.none ~n:3)
-          (Dist_protocol.sanitized nan_protocol)
-          [| 0.5; 0.5; 0.5 |]
-      in
-      Alcotest.(check bool) "usable after sanitizing" true (p >= 0. && p <= 1.);
-      Alcotest.(check bool) "bad default rejected" true
-        (raises_invalid (fun () -> Dist_protocol.sanitized ~default:Float.nan wild)));
     Alcotest.test_case "with_fallback routes incomplete views to the fallback" `Quick (fun () ->
       let full = Comm_pattern.full ~n:3 in
       let inner =
@@ -339,48 +313,15 @@ let combinator_tests =
         Alcotest.(check int) "counted" (before + 1) (counter_value "ddm_faults_fallbacks_total"));
       (* a statically severed pattern triggers the fallback only for the
          affected viewer *)
-      let severed = Comm_pattern.filter (fun ~viewer ~source:_ -> viewer <> 0) full in
+      let severed =
+        Comm_pattern.make ~n:3 (fun viewer ->
+          if viewer = 0 then [] else Comm_pattern.sees full viewer)
+      in
       let vs = Engine.views severed [| 0.5; 0.4; 0.6 |] in
       Alcotest.(check (float 0.)) "viewer 0 falls back" 0.5
         (Dist_protocol.decide resilient vs.(0));
       Alcotest.(check (float 0.)) "viewer 1 keeps inner" 1.
         (Dist_protocol.decide resilient vs.(1)));
-    Alcotest.test_case "retry_under retries then gives up at the attempt cap" `Quick (fun () ->
-      let calls = ref 0 in
-      let flaky =
-        Dist_protocol.make ~name:"flaky" (fun _ ->
-          incr calls;
-          if !calls <= 2 then failwith "transient" else 0.9)
-      in
-      let v = { Dist_protocol.me = 0; own = 0.5; others = [] } in
-      let ok = Engine.retry_under ~deadline_s:5. ~attempts:5 flaky in
-      Alcotest.(check (float 0.)) "third try wins" 0.9 (Dist_protocol.decide ok v);
-      Alcotest.(check int) "three calls" 3 !calls;
-      let always_bad = Dist_protocol.make ~name:"bad" (fun _ -> failwith "down") in
-      with_metrics (fun () ->
-        let before = counter_value "ddm_faults_deadline_exceeded_total" in
-        Alcotest.(check (float 0.)) "gives up to default" 0.5
-          (Dist_protocol.decide (Engine.retry_under ~deadline_s:5. ~attempts:2 always_bad) v);
-        Alcotest.(check int) "abandonment counted" (before + 1)
-          (counter_value "ddm_faults_deadline_exceeded_total"));
-      Alcotest.(check bool) "bad deadline rejected" true
-        (raises_invalid (fun () -> Engine.retry_under ~deadline_s:0. flaky)));
-    Alcotest.test_case "retry_under re-raises fatal exceptions" `Quick (fun () ->
-      (* pre-fix, `with _ -> None` converted resource exhaustion into the
-         fallback probability: a protocol blowing the stack looked like a
-         healthy 0.5 decision *)
-      let v = { Dist_protocol.me = 0; own = 0.5; others = [] } in
-      let wrap exn = Engine.retry_under ~deadline_s:5. (Dist_protocol.make ~name:"fatal" (fun _ -> raise exn)) in
-      Alcotest.check_raises "Stack_overflow" Stack_overflow (fun () ->
-        ignore (Dist_protocol.decide (wrap Stack_overflow) v));
-      Alcotest.check_raises "Out_of_memory" Out_of_memory (fun () ->
-        ignore (Dist_protocol.decide (wrap Out_of_memory) v));
-      (match Dist_protocol.decide (wrap (Assert_failure ("p", 1, 2))) v with
-      | _ -> Alcotest.fail "expected Assert_failure to propagate"
-      | exception Assert_failure _ -> ());
-      (* non-fatal exceptions still retry into the default *)
-      Alcotest.(check (float 0.)) "Failure still retried to default" 0.5
-        (Dist_protocol.decide (wrap (Failure "transient")) v));
     Alcotest.test_case "faulty MC estimates are worker-count independent" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
@@ -467,21 +408,6 @@ let kernel_tests =
         (fun j ->
           Alcotest.(check (float 0.)) (Printf.sprintf "j=%d" j) e1.Mc.mean (est j).Mc.mean)
         [ 2; 4 ]);
-    Alcotest.test_case "custom samplers fall back to the closure" `Quick (fun () ->
-      (* the kernel plays only the paper's U[0,1] inputs: with a custom
-         sampler the estimate is the closure path's, bit for bit *)
-      let sampler rng = Rng.float01 rng *. 0.5 in
-      let faults = Fault_model.crash_only 0.1 in
-      let protocol = Dist_protocol.fair_coin ~n:3 in
-      let est =
-        Engine.win_probability_mc ~sampler ~rng:(Rng.create ~seed:74) ~samples:20_000 ~faults
-          ~delta pattern protocol
-      in
-      let closure =
-        Mc.probability ~rng:(Rng.create ~seed:74) ~samples:20_000 (fun rng ->
-            (Engine.run_once ~sampler ~faults rng ~delta pattern protocol).Engine.win)
-      in
-      Alcotest.(check (float 0.)) "closure estimate" closure.Mc.mean est.Mc.mean);
     Alcotest.test_case "kernel keeps the closure's fault counters" `Quick (fun () ->
       let samples = 40_000 in
       let names =
@@ -688,6 +614,16 @@ let cli_tests =
         (contains output "degradation monotone (within MC noise): true");
       Alcotest.(check bool) "baseline agreement" true (contains output "agrees: true");
       Sys.remove out);
+    Alcotest.test_case "ddm chaos has no --loss or --stale" `Quick (fun () ->
+      (* chaos plays the no-communication pattern, where no input is
+         revealed for a link fault to degrade *)
+      List.iter
+        (fun flag ->
+          let cmd =
+            Printf.sprintf "%s chaos -n 3 %s 0.1 > /dev/null 2>&1" (Filename.quote ddm_exe) flag
+          in
+          Alcotest.(check int) (flag ^ " is a usage error") 124 (Sys.command cmd))
+        [ "--loss"; "--stale" ]);
   ]
 
 (* ------------------------- sharded exact folds ------------------------- *)

@@ -22,14 +22,6 @@ let unit_tests =
       let f x = x in
       let x, _ = Opt.golden_section ~f ~lo:0. ~hi:1. () in
       Alcotest.(check (float 1e-9)) "right end" 1. x);
-    Alcotest.test_case "bisect_root on cos" `Quick (fun () ->
-      let r = Opt.bisect_root ~f:cos ~lo:1. ~hi:2. () in
-      Alcotest.(check (float 1e-10)) "pi/2" (Float.pi /. 2.) r);
-    Alcotest.test_case "bisect_root exact endpoints" `Quick (fun () ->
-      Alcotest.(check (float 0.)) "lo" 0. (Opt.bisect_root ~f:(fun x -> x) ~lo:0. ~hi:1. ());
-      Alcotest.check_raises "no sign change"
-        (Invalid_argument "Opt.bisect_root: no sign change") (fun () ->
-          ignore (Opt.bisect_root ~f:(fun _ -> 1.) ~lo:0. ~hi:1. ())));
     Alcotest.test_case "nelder_mead on 3D concave quadratic" `Quick (fun () ->
       let target = [| 0.2; -0.4; 0.7 |] in
       let f x =
@@ -79,12 +71,6 @@ let property_tests =
         let f x = -.(k *. ((x -. c) ** 2.)) in
         let x, _ = Opt.golden_section ~f ~lo:0. ~hi:1. () in
         abs_float (x -. c) < 1e-6);
-    qtest "bisect_root finds a true root of shifted cubics"
-      (QCheck.float_range (-0.9) 0.9)
-      (fun c ->
-        let f x = ((x -. c) ** 3.) +. (0.1 *. (x -. c)) in
-        let r = Opt.bisect_root ~f ~lo:(-2.) ~hi:2. () in
-        abs_float (f r) < 1e-9);
     qtest "nelder_mead improves on the start"
       (QCheck.pair (QCheck.float_range (-0.5) 0.5) (QCheck.float_range (-0.5) 0.5))
       (fun (a, b) ->
