@@ -5,9 +5,9 @@
      dune exec bench/main.exe                 # run all experiment groups
      dune exec bench/main.exe -- t1 x2        # run selected groups
      dune exec bench/main.exe -- --bechamel   # also run timing benchmarks
-     dune exec bench/main.exe -- t3 --report FILE
-        # also write a machine-readable JSON run report (per-experiment
-        # wall time, Monte-Carlo samples/sec, full counter snapshot)
+     dune exec bench/main.exe -- t1 t3 --ledger FILE
+        # also append one ddm.ledger/v1 entry for the whole run (wall
+        # time, GC delta, the metrics that moved)
 
    Experiment ids (see DESIGN.md section 4):
      fig1 fig2  - the paper's Figures 1-2 (threshold curves for n = 3,4,5)
@@ -805,10 +805,11 @@ let x12 () =
 
 let x13 () =
   section "X13" "latency telemetry soak: per-outcome histograms reconcile with responses";
+  let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
   Metrics.reset ();
   Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled false)
+    ~finally:(fun () -> Metrics.set_enabled was_enabled)
     (fun () ->
       let cfg =
         {
@@ -899,6 +900,10 @@ let x13 () =
 (* X14: batch sampling kernel - throughput, agreement, bit-identity    *)
 (* ------------------------------------------------------------------ *)
 
+(* A kernel that silently stops being picked reads ~1x; on a shared 2-vCPU
+   host the rows read 4-8x. *)
+let min_speedup = 2.
+
 let x14 () =
   section "X14" "Batch sampling kernel vs closure Monte-Carlo (n = 3, delta = 1)";
   let n = 3 and delta = 1. in
@@ -914,11 +919,18 @@ hidden, which sends the engine down the per-play path.  The kernel
 draws from a splitmix fill stream seeded off the same Rng, so at a
 fixed seed the two estimates are statistically identical (same model,
 independent randomness), not byte-identical; each pair below must
-agree within its 95%% CIs.\n\n";
+agree within its 95%% CIs, and the kernel must run at least %.0fx the
+closure's samples/sec (each side timed as the best of 3).\n\n" min_speedup;
+  (* best of 3: the estimate is the same every time at a fixed seed, and
+     the minimum is the timing least disturbed by the host *)
   let time f =
-    let t0 = Trace.now_mono_s () in
-    let v = f () in
-    (v, Trace.now_mono_s () -. t0)
+    let once () =
+      let t0 = Trace.now_mono_s () in
+      let v = f () in
+      (v, Trace.now_mono_s () -. t0)
+    in
+    let runs = List.init 3 (fun _ -> once ()) in
+    (fst (List.hd runs), List.fold_left (fun best (_, dt) -> Float.min best dt) infinity runs)
   in
   let hide p =
     Dist_protocol.make ~deterministic:(Dist_protocol.is_deterministic p)
@@ -934,19 +946,26 @@ agree within its 95%% CIs.\n\n";
   in
   Printf.printf "%-18s %-13s %-13s %-9s %-10s %s\n" "workload" "closure s/s" "kernel s/s"
     "speedup" "|dP|" "CIs agree";
-  List.iter
-    (fun (name, seed, faults, protocol) ->
-      let run protocol () =
-        Engine.win_probability_mc ~rng:(Rng.create ~seed) ~samples ?faults ~delta pattern protocol
-      in
-      let est_c, dt_c = time (run (hide protocol)) in
-      let est_k, dt_k = time (run protocol) in
-      let rate dt = if dt > 0. then float_of_int samples /. dt else 0. in
-      Printf.printf "%-18s %-13.0f %-13.0f %-9s %-10.6f %b\n" name (rate dt_c) (rate dt_k)
-        (Printf.sprintf "%.2fx" (dt_c /. Float.max 1e-9 dt_k))
-        (Float.abs (est_k.Mc.mean -. est_c.Mc.mean))
-        (Mc.agrees est_k est_c.Mc.mean && Mc.agrees est_c est_k.Mc.mean))
-    rows;
+  let failures =
+    List.filter_map
+      (fun (name, seed, faults, protocol) ->
+        let run protocol () =
+          Engine.win_probability_mc ~rng:(Rng.create ~seed) ~samples ?faults ~delta pattern protocol
+        in
+        let est_c, dt_c = time (run (hide protocol)) in
+        let est_k, dt_k = time (run protocol) in
+        let rate dt = if dt > 0. then float_of_int samples /. dt else 0. in
+        let speedup = dt_c /. Float.max 1e-9 dt_k in
+        let agree = Mc.agrees est_k est_c.Mc.mean && Mc.agrees est_c est_k.Mc.mean in
+        Printf.printf "%-18s %-13.0f %-13.0f %-9s %-10.6f %b\n" name (rate dt_c) (rate dt_k)
+          (Printf.sprintf "%.2fx" speedup)
+          (Float.abs (est_k.Mc.mean -. est_c.Mc.mean))
+          agree;
+        if speedup < min_speedup || not agree then
+          Some (Printf.sprintf "%s (%.2fx, CIs agree: %b)" name speedup agree)
+        else None)
+      rows
+  in
   (* the kernel rides the same lease sharding as the closure path: the
      estimate depends on (seed, leases, samples), never the worker count *)
   let kernel_par j =
@@ -959,7 +978,11 @@ agree within its 95%% CIs.\n\n";
   let js = [ 2; 4 ] in
   let js = match !jobs with Some j when not (List.mem j (1 :: js)) -> js @ [ j ] | _ -> js in
   List.iter (fun j -> Printf.printf "  -j %d: %b" j ((kernel_par j).Mc.mean = e1.Mc.mean)) js;
-  print_newline ()
+  print_newline ();
+  if failures <> [] then
+    failwith
+      (Printf.sprintf "x14: kernel below the %.0fx floor or CIs disagree: %s" min_speedup
+         (String.concat "; " failures))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing benchmarks                                          *)
@@ -1063,37 +1086,13 @@ let groups =
     ("x12", x12); ("x13", x13); ("x14", x14);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable run reports (--report FILE)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* One record per experiment (Baseline.measure, one repeat, no warm-up):
-   wall time (monotonic), the Monte-Carlo throughput, the GC allocation
-   delta, and the full counter/gauge/histogram snapshot accumulated while
-   it ran.
-
-   Throughput is reported twice: `mc_samples_per_sec` keeps the v1
-   semantics (samples over the WHOLE experiment window, including non-MC
-   phases — misleading for mixed experiments, kept for v1 readers) while
-   `mc_samples_per_sec_mc` divides by the time actually spent inside the
-   MC sampling spans, taken from the per-span-name trace aggregation. *)
-let run_experiment (id, f) = Baseline.measure ~repeat:1 ~id (fun _ -> f ())
-
 (* Fail before the experiments run, not after tens of seconds of work. *)
-let check_writable ~flag file =
+let check_writable file =
   match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 file with
   | oc -> close_out oc
   | exception Sys_error msg ->
-    Printf.eprintf "%s: cannot write %s (%s)\n" flag file msg;
+    Printf.eprintf "--ledger: cannot write %s (%s)\n" file msg;
     exit 2
-
-let write_report ~file records =
-  let report = Baseline.report ~suite:"ddm-bench" ?jobs:!jobs records in
-  Baseline.write ~file report;
-  Printf.printf "\nwrote run report: %s (%d experiment%s, %.2f s total)\n" file
-    (List.length records)
-    (if List.length records = 1 then "" else "s")
-    report.Baseline.total_wall_seconds
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1109,9 +1108,7 @@ let () =
     in
     split [] args
   in
-  let flag_with_file flag args = flag_with_value flag "FILE" args in
-  let report_file, args = flag_with_file "--report" args in
-  let ledger_file, args = flag_with_file "--ledger" args in
+  let ledger_file, args = flag_with_value "--ledger" "FILE" args in
   let jobs_str, args = flag_with_value "-j" "positive integer" args in
   (match jobs_str with
   | None -> ()
@@ -1130,28 +1127,19 @@ let () =
           match List.assoc_opt id groups with
           | Some f -> (id, f)
           | None ->
-            Printf.eprintf
-              "unknown experiment %S; known: %s --bechamel --report FILE --ledger FILE -j N\n" id
+            Printf.eprintf "unknown experiment %S; known: %s --bechamel --ledger FILE -j N\n" id
               (String.concat " " (List.map fst groups));
             exit 2)
         selected
   in
-  Option.iter (check_writable ~flag:"--report") report_file;
-  Option.iter (check_writable ~flag:"--ledger") ledger_file;
-  let instrument = report_file <> None || ledger_file <> None in
-  if instrument then begin
+  let run_all () = List.iter (fun (_, f) -> f ()) to_run in
+  (match ledger_file with
+  | None -> run_all ()
+  | Some file ->
+    check_writable file;
+    (* one registry for the whole run, so the entry's metrics cover the
+       same experiments as its wall time and GC delta *)
     Metrics.set_enabled true;
-    Trace.set_enabled true
-  end;
-  let run_all () = List.map run_experiment to_run in
-  let records =
-    match ledger_file with
-    | None -> run_all ()
-    | Some file ->
-      Ledger.recording ~file ~command:"bench"
-        ~argv:(List.tl (Array.to_list Sys.argv))
-        run_all
-  in
-  (match report_file with Some file -> write_report ~file records | None -> ());
+    Ledger.recording ~file ~command:"bench" ~argv:(List.tl (Array.to_list Sys.argv)) run_all);
   if want_bechamel then bechamel ();
   print_newline ()

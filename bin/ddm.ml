@@ -7,9 +7,7 @@
      eval       - evaluate a given rule exactly and by Monte-Carlo
      simulate   - run the distributed system and report outcome statistics
      chaos      - fault-injection sweep: win-probability degradation curves
-     tradeoff   - oblivious-vs-threshold table across n
-     perf       - performance observability: record bench baselines, diff
-                  them with a noise model, gate on confirmed regressions *)
+     tradeoff   - oblivious-vs-threshold table across n *)
 
 open Cmdliner
 
@@ -52,7 +50,17 @@ let delta_arg =
     & info [ "d"; "delta" ] ~docv:"DELTA"
         ~doc:"Bin capacity as a rational, e.g. 1, 4/3, 0.75. Defaults to n/3.")
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+(* The seed the subcommand parsed, for --ledger.  Cmdliner evaluates every
+   argument term before the observability wrapper runs, so the wrapper
+   reads the value the run will use, default and abbreviations included. *)
+let parsed_seed = ref None
+
+let seed_arg =
+  Term.(
+    const (fun seed ->
+        parsed_seed := Some seed;
+        seed)
+    $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed."))
 
 let samples_arg =
   Arg.(
@@ -150,27 +158,6 @@ let log_json_arg =
         ~doc:"Render log records as JSON lines instead of the human format (implies --log info \
               unless --log is given).")
 
-(* A gated subcommand (perf check) wants a non-zero exit without skipping
-   the --metrics/--trace/--ledger epilogues, so it parks the code here and
-   the wrapper exits last. *)
-let exit_code = ref 0
-
-(* The ledger wants the seed that the subcommand will parse back out of
-   argv anyway; scanning argv beats threading a seed through every run
-   function that does not have one. *)
-let seed_of_argv () =
-  let argv = Array.to_list Sys.argv in
-  let rec scan = function
-    | "--seed" :: v :: _ -> int_of_string_opt v
-    | a :: rest ->
-      let prefix = "--seed=" in
-      if String.length a > String.length prefix && String.sub a 0 (String.length prefix) = prefix
-      then int_of_string_opt (String.sub a (String.length prefix) (String.length a - String.length prefix))
-      else scan rest
-    | [] -> None
-  in
-  scan argv
-
 (* Every subcommand is wrapped so the observability switches work
    uniformly: enable them, optionally start the live HTTP plane and the
    metrics sampler, run, then write the requested reports/exports and shut
@@ -219,13 +206,12 @@ let with_obs metrics trace ledger obs_listen trace_out log_level log_json run =
       | None -> run ()
       | Some file ->
         let argv = List.tl (Array.to_list Sys.argv) in
-        Ledger.recording ~file ~command ~argv ?seed:(seed_of_argv ()) run);
+        Ledger.recording ~file ~command ~argv ?seed:!parsed_seed run);
   if Logx.would_log Logx.Info then Logx.info "ddm.done" [ ("command", Logx.Str command) ];
   if trace then print_string (Trace.report ());
   (match metrics with
   | Some fmt -> print_string (Export.render fmt (Metrics.snapshot ()))
-  | None -> ());
-  if !exit_code <> 0 then exit !exit_code
+  | None -> ())
 
 let obs_term run_term =
   Term.(
@@ -629,300 +615,6 @@ let chaos_cmd =
          const run $ n_arg $ delta_arg $ rule_arg $ player_params_arg $ samples_arg $ seed_arg $ jobs_arg
          $ crash_arg $ crash_mode_arg $ noise_arg $ jitter_arg $ sweep_arg $ points_arg $ csv_arg))
 
-(* ------------------------- perf ------------------------- *)
-
-(* Built-in perf suite: one fast workload per hot path the ROADMAP cares
-   about, each sized to land in the low-millisecond range so a --repeat 3
-   recording stays under a second but clears the noise model's absolute
-   floor.  Workloads take the base seed so repeated recordings are
-   deterministic given --seed.  The suite takes the -j value so the
-   -par workloads are recorded at the worker count under test; their
-   baseline entries (recorded at -j 1) are what `perf check` gates the
-   multicore speedup against, and their twins always run on one domain. *)
-let perf_suite ~jobs : (string * (int -> unit)) list =
-  (* perf-mc-100k-n3 and its -par twin time the closure path their
-     baseline entries recorded: hiding the local rule keeps the engine
-     from handing the run to the kernel. *)
-  let closure_threshold =
-    let p = Dist_protocol.common_threshold ~n:3 0.62 in
-    Dist_protocol.make ~deterministic:true ~name:(Dist_protocol.name p) (Dist_protocol.decide p)
-  in
-  [
-    ( "perf-sym-eval-n5",
-      fun _ ->
-        for _ = 1 to 1000 do
-          ignore (Threshold.winning_probability_sym ~n:5 ~delta:(5. /. 3.) 0.62)
-        done );
-    ( "perf-gen-eval-n10",
-      fun _ -> ignore (Threshold.winning_probability ~delta:(10. /. 3.) (Array.make 10 0.62)) );
-    ( "perf-symbolic-curve-n4",
-      fun _ -> ignore (Symbolic.sym_threshold_curve ~n:4 ~delta:(Rat.of_ints 4 3)) );
-    ( "perf-oblivious-exact-n10",
-      fun _ ->
-        for _ = 1 to 20 do
-          ignore (Oblivious.Q.winning_probability_uniform ~n:10 ~delta:(Rat.of_ints 10 3))
-        done );
-    ( "perf-grid-n3-32",
-      fun _ ->
-        ignore
-          (Engine.win_probability_grid ~points:32 ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
-    ( "perf-grid-par-n3-32",
-      fun _ ->
-        ignore
-          (Engine.win_probability_grid ~points:32
-             ~domains:jobs
-             ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
-    ( "perf-mc-100k-n3",
-      fun seed ->
-        let rng = Rng.create ~seed in
-        ignore
-          (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             closure_threshold) );
-    ( "perf-mc-par-100k-n3",
-      fun seed ->
-        let rng = Rng.create ~seed in
-        ignore
-          (Engine.win_probability_mc
-             ~domains:jobs
-             ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             closure_threshold) );
-    ( "perf-mc-kernel-100k-n3",
-      (* same instance as perf-mc-100k-n3: the pair is the kernel-vs-closure
-         speedup the ROADMAP gates on *)
-      fun seed ->
-        let rng = Rng.create ~seed in
-        ignore
-          (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
-    ( "perf-mc-kernel-oblivious-100k-n3",
-      fun seed ->
-        let rng = Rng.create ~seed in
-        ignore
-          (Engine.win_probability_mc ~rng ~samples:100_000 ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.fair_coin ~n:3)) );
-    ( "perf-mc-kernel-faulty-100k-n3",
-      fun seed ->
-        let rng = Rng.create ~seed in
-        ignore
-          (Engine.win_probability_mc ~rng ~samples:100_000
-             ~faults:(Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 ())
-             ~delta:1. (Comm_pattern.none ~n:3)
-             (Dist_protocol.common_threshold ~n:3 0.62)) );
-    ( "perf-ih-cdf-m20",
-      fun _ ->
-        for _ = 1 to 2000 do
-          ignore (Uniform_sum.irwin_hall_cdf ~m:20 7.1)
-        done );
-    ( "perf-bigint-pow-500",
-      fun _ ->
-        let a = Bigint.pow (Bigint.of_string "123456789123456789") 500 in
-        for _ = 1 to 3 do
-          ignore (Bigint.mul a a)
-        done );
-  ]
-
-let record_suite ~repeat ~seed ~only ~jobs =
-  let all = perf_suite ~jobs in
-  let suite =
-    match only with
-    | [] -> all
-    | ids ->
-      List.map
-        (fun id ->
-          match List.assoc_opt id all with
-          | Some f -> (id, f)
-          | None ->
-            failwith
-              (Printf.sprintf "unknown perf experiment %S; known: %s" id
-                 (String.concat " " (List.map fst all))))
-        ids
-  in
-  (* The suite needs its own instrumentation regardless of --metrics /
-     --trace; restore the global switches so the wrapper's epilogue
-     reflects what the user asked for. *)
-  let m0 = Metrics.enabled () and t0 = Trace.enabled () in
-  Metrics.set_enabled true;
-  Trace.set_enabled true;
-  let records =
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.set_enabled m0;
-        Trace.set_enabled t0)
-      (fun () ->
-        List.map
-          (fun (id, f) ->
-            (* untimed warm-up: page-cache and minor-heap effects dominate
-               a cold first repeat *)
-            f seed;
-            Baseline.measure ~repeat ~id (fun k -> f (seed + k)))
-          suite)
-  in
-  Baseline.report ~suite:"ddm-perf" ~seed ~jobs records
-
-let repeat_arg =
-  Arg.(
-    value
-    & opt (pos_int "repeat count") 3
-    & info [ "repeat" ] ~docv:"K" ~doc:"Timed repetitions per experiment (kept for the z-test).")
-
-let only_arg =
-  Arg.(
-    value
-    & opt (list string) []
-    & info [ "experiments" ] ~docv:"ID1,ID2,..."
-        ~doc:"Run only the named suite experiments (default: all).")
-
-let load_report_or_die file =
-  match Baseline.load file with
-  | Ok r -> r
-  | Error msg ->
-    Printf.eprintf "ddm perf: %s\n" msg;
-    exit 2
-
-let noise_of ~tolerance ~min_delta_ms ~z =
-  {
-    Baseline.rel_tolerance = Option.value ~default:Baseline.default_noise.Baseline.rel_tolerance tolerance;
-    min_delta_s =
-      (match min_delta_ms with
-      | Some ms -> ms /. 1e3
-      | None -> Baseline.default_noise.Baseline.min_delta_s);
-    z = Option.value ~default:Baseline.default_noise.Baseline.z z;
-  }
-
-let tolerance_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "tolerance" ] ~docv:"R"
-        ~doc:"Relative wall-time threshold below which a delta is noise (default 0.25).")
-
-let min_delta_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "min-delta-ms" ] ~docv:"MS"
-        ~doc:"Absolute wall-time floor in milliseconds below which a delta is noise (default 2).")
-
-let z_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "z" ] ~docv:"Z"
-        ~doc:
-          "Welch z-score gate applied when both reports carry repeated runs (default 2.5); \
-           deltas inside the gate are noise.")
-
-let diff_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
-    & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,table), $(b,csv) or $(b,json).")
-
-let render_diff fmt ~noise comparisons =
-  match fmt with
-  | `Table -> print_string (Baseline.to_table comparisons)
-  | `Csv -> print_string (Baseline.to_csv comparisons)
-  | `Json -> print_endline (Baseline.diff_to_json ~noise comparisons)
-
-let perf_record_cmd =
-  let run out repeat seed only jobs () =
-    let report = record_suite ~repeat ~seed ~only ~jobs in
-    Baseline.write ~file:out report;
-    Printf.printf "wrote %s: %d experiment%s, %d run%s each, %.3f s total%s\n" out
-      (List.length report.Baseline.experiments)
-      (if List.length report.Baseline.experiments = 1 then "" else "s")
-      repeat
-      (if repeat = 1 then "" else "s")
-      report.Baseline.total_wall_seconds
-      (match report.Baseline.rev with Some r -> ", rev " ^ String.sub r 0 (min 12 (String.length r)) | None -> "")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_report.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Where to write the ddm.bench.report/v2 JSON.")
-  in
-  Cmd.v
-    (Cmd.info "record"
-       ~doc:
-         "Run the built-in perf suite and write a ddm.bench.report/v2 baseline (per-repeat run \
-          times, MC-span throughput, GC allocation stats, seed, git revision, -j value).")
-    (obs_term Term.(const run $ out_arg $ repeat_arg $ seed_arg $ only_arg $ jobs_arg))
-
-let perf_diff_cmd =
-  let run old_file new_file tolerance min_delta_ms z fmt () =
-    let noise = noise_of ~tolerance ~min_delta_ms ~z in
-    let comparisons =
-      Baseline.diff ~noise ~old_report:(load_report_or_die old_file)
-        ~new_report:(load_report_or_die new_file) ()
-    in
-    render_diff fmt ~noise comparisons
-  in
-  let old_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD") in
-  let new_arg = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW") in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two bench reports (v1 or v2) experiment by experiment and classify each \
-          wall-time delta as improvement, regression, or noise.")
-    (obs_term
-       Term.(const run $ old_arg $ new_arg $ tolerance_arg $ min_delta_arg $ z_arg $ diff_format_arg))
-
-let perf_check_cmd =
-  let run baseline against tolerance min_delta_ms z fmt repeat seed jobs () =
-    let noise = noise_of ~tolerance ~min_delta_ms ~z in
-    let old_report = load_report_or_die baseline in
-    let new_report =
-      match against with
-      | Some file -> load_report_or_die file
-      | None ->
-        Printf.printf "recording a fresh run of the perf suite (%d repeat%s)...\n" repeat
-          (if repeat = 1 then "" else "s");
-        record_suite ~repeat ~seed ~only:[] ~jobs
-    in
-    let comparisons = Baseline.diff ~noise ~old_report ~new_report () in
-    render_diff fmt ~noise comparisons;
-    if Baseline.has_regression comparisons then begin
-      Printf.printf "perf check FAILED against %s\n" baseline;
-      exit_code := 3
-    end
-    else Printf.printf "perf check ok against %s\n" baseline
-  in
-  let baseline_arg =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline bench report to gate against.")
-  in
-  let against_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "against" ] ~docv:"FILE"
-          ~doc:
-            "Candidate report to check (default: record a fresh run of the built-in suite).")
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Gate on perf regressions: diff a candidate run (recorded fresh, or --against FILE) \
-          against --baseline and exit non-zero when any experiment regresses beyond the noise \
-          model.")
-    (obs_term
-       Term.(
-         const run $ baseline_arg $ against_arg $ tolerance_arg $ min_delta_arg $ z_arg
-         $ diff_format_arg $ repeat_arg $ seed_arg $ jobs_arg))
-
-let perf_cmd =
-  Cmd.group
-    (Cmd.info "perf"
-       ~doc:
-         "Performance observability: record bench baselines, diff them under a noise model, \
-          and gate CI on confirmed regressions.")
-    [ perf_record_cmd; perf_diff_cmd; perf_check_cmd ]
-
 (* ------------------------- tradeoff ------------------------- *)
 
 let tradeoff_cmd =
@@ -1232,5 +924,5 @@ let () =
        (Cmd.group info
           [
             oblivious_cmd; threshold_cmd; certify_cmd; curve_cmd; eval_cmd; banded_cmd;
-            simulate_cmd; chaos_cmd; tradeoff_cmd; perf_cmd; obs_cmd; serve_cmd;
+            simulate_cmd; chaos_cmd; tradeoff_cmd; obs_cmd; serve_cmd;
           ]))

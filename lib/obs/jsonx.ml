@@ -1,5 +1,5 @@
 (* Minimal JSON tree: just enough to parse and re-emit the repo's own
-   machine-readable artifacts (bench reports, ledger lines) without pulling
+   machine-readable artifacts (ledger lines, serve answers) without pulling
    a JSON dependency into the build.  Not a general-purpose validator: it
    accepts the JSON grammar plus a few lenient corners (number syntax is
    delegated to [float_of_string]). *)

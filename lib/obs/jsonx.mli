@@ -1,7 +1,7 @@
 (** Minimal JSON tree for the repo's own machine-readable artifacts
-    (bench reports, ledger lines): parse, print, and a few accessors.
-    Numbers are floats throughout (ints survive to [1e15]).  Kept tiny on
-    purpose — no dependency on an external JSON library. *)
+    (ledger lines, serve answers, snapshots): parse, print, and a few
+    accessors.  Numbers are floats throughout (ints survive to [1e15]).
+    Kept tiny on purpose — no dependency on an external JSON library. *)
 
 type t =
   | Null

@@ -111,8 +111,13 @@ let resolve_ref git_dir ref_path =
             | _ -> None))
       None
 
+(* A path git wrote into one of its files is relative to [base]. *)
+let relative_to base path = if Filename.is_relative path then Filename.concat base path else path
+
 (* Resolve HEAD without shelling out: walk up to the enclosing .git (which
-   may be a worktree pointer file), then follow one level of "ref:". *)
+   may be a worktree pointer file), then follow one level of "ref:".  A
+   linked worktree's own gitdir holds only its HEAD; branch refs and
+   packed-refs live in the common directory its "commondir" file names. *)
 let git_rev_at ~dir =
   let rec find_git dir depth =
     if depth > 40 then None
@@ -128,9 +133,10 @@ let git_rev_at ~dir =
                && String.sub line 0 (String.length prefix) = prefix
             then
               Some
-                (String.trim
-                   (String.sub line (String.length prefix)
-                      (String.length line - String.length prefix)))
+                (relative_to dir
+                   (String.trim
+                      (String.sub line (String.length prefix)
+                         (String.length line - String.length prefix))))
             else None)
       else
         let parent = Filename.dirname dir in
@@ -146,7 +152,12 @@ let git_rev_at ~dir =
       if String.length head > String.length prefix && String.sub head 0 (String.length prefix) = prefix
       then
         let ref_path = String.sub head (String.length prefix) (String.length head - String.length prefix) in
-        resolve_ref git_dir ref_path
+        let common_dir =
+          match read_first_line (Filename.concat git_dir "commondir") with
+          | Some c when c <> "" -> relative_to git_dir c
+          | _ -> git_dir
+        in
+        resolve_ref common_dir ref_path
       else Some head)
 
 let git_rev () = git_rev_at ~dir:(Sys.getcwd ())

@@ -24,7 +24,6 @@ val gc_now : unit -> gc_stats
 (** Current cumulative [Gc.quick_stat] values. *)
 
 val gc_delta : before:gc_stats -> after:gc_stats -> gc_stats
-val gc_to_json : gc_stats -> Jsonx.t
 val gc_of_json : Jsonx.t -> gc_stats
 (** Missing fields decode to zero, so partial records stay loadable. *)
 
@@ -33,8 +32,9 @@ val gc_of_json : Jsonx.t -> gc_stats
 val git_rev : unit -> string option
 (** HEAD commit hash of the enclosing git checkout, resolved by reading
     [.git/HEAD] (no subprocess); refs with no loose file fall back to
-    [.git/packed-refs].  [None] outside a checkout or on any read
-    failure. *)
+    [.git/packed-refs].  In a linked worktree, HEAD is read from the
+    worktree's gitdir and refs from the common directory its [commondir]
+    file names.  [None] outside a checkout or on any read failure. *)
 
 val git_rev_at : dir:string -> string option
 (** Same resolution starting the [.git] walk from [dir] instead of the

@@ -212,11 +212,6 @@ let profile_of spans =
 
 let profile () = profile_of (buffer ()).recorded
 
-let total_seconds name =
-  List.fold_left
-    (fun acc s -> if s.name = name then acc +. s.dur_s else acc)
-    0. (buffer ()).recorded
-
 let pp_duration dur =
   if dur >= 1. then Printf.sprintf "%8.3f s " dur
   else if dur >= 1e-3 then Printf.sprintf "%8.3f ms" (dur *. 1e3)

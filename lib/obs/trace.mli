@@ -88,10 +88,6 @@ val profile : unit -> profile_row list
 val profile_of : span list -> profile_row list
 (** The same aggregation over an explicit span list (e.g. {!live_spans}). *)
 
-val total_seconds : string -> float
-(** Total recorded duration of all spans with the given name; 0 when none
-    were recorded. *)
-
 val clear : unit -> unit
 (** Forget the calling domain's recorded spans (the enable switch is
     untouched). *)

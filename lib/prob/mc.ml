@@ -46,7 +46,7 @@ let fold_draws ?leases ~domains ~rng ~samples ~init ~step ~merge =
    place an estimate is built from either sampler.  [f] is kept in the
    signature as the scalar reference but is never called.  The kernel runs
    inside the same span and feeds the same finish_run counters, so
-   throughput attribution (mc_samples_per_sec in the perf suite) covers
+   throughput read from the span profile and ddm_mc_samples_total covers
    both. *)
 let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.probability: samples";
