@@ -608,7 +608,7 @@ let x10 () =
      stream; workers steal whole leases and results merge in lease order, so the\n\
      estimate depends on (seed, leases, samples) but never on the worker count:\n\
      every row below must be bit-identical to -j 1.\n\n"
-    Par_fold.default_leases;
+    Par_fold.leases;
   let est1, dt1 = run 1 in
   Printf.printf "%-4s %-14s %-14s %-9s %s\n" "j" "P(win) MC" "samples/sec" "speedup"
     "bit-identical to -j 1";
@@ -758,7 +758,7 @@ let x12 () =
      crash/decision subsets (by mask) are split into %d leases whose partial\n\
      sums merge in lease order.  The value depends on (leases, work) but never\n\
      on the worker count, so every row below must be bit-identical to -j 1.\n\n"
-    Par_fold.default_leases;
+    Par_fold.leases;
   let js = [ 1; 2; 4 ] in
   let js =
     match !jobs with Some j when not (List.mem j js) -> js @ [ j ] | _ -> js
@@ -807,7 +807,13 @@ let x13 () =
   section "X13" "latency telemetry soak: per-outcome histograms reconcile with responses";
   let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
-  Metrics.reset ();
+  (* The soak reads its own counts as deltas against the registry at its
+     start: a reset would wipe what earlier experiments recorded for the
+     run's single ledger entry. *)
+  let base = Metrics.snapshot () in
+  let value_in samples name =
+    List.find_map (fun (s : Metrics.sample) -> if s.name = name then Some s.value else None) samples
+  in
   Fun.protect
     ~finally:(fun () -> Metrics.set_enabled was_enabled)
     (fun () ->
@@ -850,15 +856,16 @@ let x13 () =
         (* one malformed body exercises the error outcome *)
         ignore (http_post ~port ~path:"/eval" "{not json");
         Serve.stop t;
+        let now = Metrics.snapshot () in
         let hist name =
-          match Metrics.find name with
-          | Some { Metrics.value = Metrics.Histogram_v { bounds; counts; sum; count }; _ } ->
-            (bounds, counts, sum, count)
+          match (value_in now name, value_in base name) with
+          | Some (Metrics.Histogram_v h), Some (Metrics.Histogram_v h0) ->
+            (h.bounds, Array.map2 ( - ) h.counts h0.counts, h.sum -. h0.sum, h.count - h0.count)
           | _ -> ([||], [| 0 |], 0., 0)
         in
         let counter name =
-          match Metrics.find name with
-          | Some { Metrics.value = Metrics.Counter_v v; _ } -> v
+          match (value_in now name, value_in base name) with
+          | Some (Metrics.Counter_v v), Some (Metrics.Counter_v v0) -> v - v0
           | _ -> 0
         in
         let row ?(scale = 1e3) label (bounds, counts, sum, count) =
@@ -933,8 +940,7 @@ closure's samples/sec (each side timed as the best of 3).\n\n" min_speedup;
     (fst (List.hd runs), List.fold_left (fun best (_, dt) -> Float.min best dt) infinity runs)
   in
   let hide p =
-    Dist_protocol.make ~deterministic:(Dist_protocol.is_deterministic p)
-      ~name:(Dist_protocol.name p) (Dist_protocol.decide p)
+    Dist_protocol.make ~name:(Dist_protocol.name p) (Dist_protocol.decide p)
   in
   let faults = Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 () in
   let rows =

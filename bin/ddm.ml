@@ -71,7 +71,7 @@ let samples_arg =
 (* Every Monte-Carlo path runs over lease-owned Rng.split streams and
    every exact path (grid cells, 2^n subset folds, sweep points) over
    index-range leases, each merging per-lease results in lease order — so
-   outputs depend only on (seed, leases, work), never on -j K, and
+   outputs depend only on (seed, work), never on -j K, and
    omitting -j is -j 1.  See docs/PARALLELISM.md. *)
 let jobs_arg =
   Arg.(

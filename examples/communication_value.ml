@@ -46,7 +46,7 @@ let () =
   (* 3 messages: chain 0 -> 1 -> 2 (player 2 sees both). *)
   let chain = Comm_pattern.chain ~n in
   let family p =
-    Dist_protocol.make ~deterministic:true ~name:"chain-family" (fun v ->
+    Dist_protocol.make ~name:"chain-family" (fun v ->
       match v.Dist_protocol.me with
       | 0 -> if v.Dist_protocol.own <= p.(0) then 1. else 0.
       | 1 -> (
@@ -93,7 +93,7 @@ let () =
      quality grows with the radius. *)
   let n6 = 6 and delta6 = 2. in
   let rank_balancer =
-    Dist_protocol.make ~deterministic:true ~name:"rank-balancer" (fun v ->
+    Dist_protocol.make ~name:"rank-balancer" (fun v ->
       let visible =
         List.sort
           (fun (i, a) (j, b) -> match compare b a with 0 -> compare i j | c -> c)

@@ -21,7 +21,7 @@ let () =
   let listen =
     (* source announces; player 1 joins it when it fits; everyone else
        balances on a plain threshold *)
-    Dist_protocol.make ~deterministic:true ~name:"broadcast-listen" (fun v ->
+    Dist_protocol.make ~name:"broadcast-listen" (fun v ->
       match v.Dist_protocol.me with
       | 0 -> 1.
       | 1 -> (

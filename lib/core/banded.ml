@@ -132,7 +132,7 @@ let optimal_q ~n ~delta ~t1 ~t2 =
     match Alg.to_rat_opt a with
     | Some r -> Poly.eval p r
     | None ->
-      let a = Alg.refine a ~eps:(Rat.of_string "1/1000000000000000000000000000000") in
+      let a = Alg.refine a ~eps:Roots.default_eps in
       Poly.eval p (Interval.mid (Alg.enclosure a))
   in
   List.fold_left

@@ -10,7 +10,6 @@ val protocol : Model.rule -> Dist_protocol.t
 
 val winning_probability :
   ?domains:int ->
-  ?leases:int ->
   rng:Rng.t ->
   samples:int ->
   Model.instance ->
@@ -18,9 +17,8 @@ val winning_probability :
   Mc.estimate
 (** {!Engine.win_probability_mc} of [protocol rule] on the
     no-communication pattern of the instance's [n] players, at capacity
-    [delta].  [?domains] (default 1) and [?leases] drive its
-    lease-sharded sampler (worker-count-independent estimates at a fixed
-    seed).
+    [delta].  [?domains] (default 1) drives its lease-sharded sampler
+    (worker-count-independent estimates at a fixed seed).
 
     The sampler follows the rule: {!Model.Oblivious} and
     {!Model.Single_threshold} rules are played by the batch kernel

@@ -116,11 +116,10 @@ let optimality_conditions ~n ~delta =
     (fun (p : Piecewise.piece) -> (p.Piecewise.lo, p.Piecewise.hi, Poly.derivative p.Piecewise.poly))
     (Piecewise.pieces (sym_threshold_curve ~n ~delta))
 
-let optimal_sym_threshold ?eps ~n ~delta () =
-  Piecewise.maximize ?eps (sym_threshold_curve ~n ~delta)
+let optimal_sym_threshold ~n ~delta () = Piecewise.maximize (sym_threshold_curve ~n ~delta)
 
-let optimal_sym_threshold_certified ?value_eps ~n ~delta () =
-  Piecewise.maximize_certified ?value_eps (sym_threshold_curve ~n ~delta)
+let optimal_sym_threshold_certified ~n ~delta () =
+  Piecewise.maximize_certified (sym_threshold_curve ~n ~delta)
 
 let monic_condition p =
   if Poly.is_zero p then p else Poly.scale (Rat.inv (Poly.leading p)) p

@@ -19,14 +19,13 @@ val sym_threshold_curve : n:int -> delta:Rat.t -> Piecewise.t
     [Threshold.Q.winning_probability_sym] on [[0,1]]. Guaranteed
     continuous; each piece has degree at most [n]. *)
 
-val optimal_sym_threshold : ?eps:Rat.t -> n:int -> delta:Rat.t -> unit -> Piecewise.max_result
+val optimal_sym_threshold : n:int -> delta:Rat.t -> unit -> Piecewise.max_result
 (** Certified global optimum of the symmetric threshold algorithm. The
     [stationaries] field exposes each piece's vanishing derivative — the
     paper's optimality conditions (e.g. [β² - 2β + 6/7 = 0] for
     [n=3, δ=1]). *)
 
-val optimal_sym_threshold_certified :
-  ?value_eps:Rat.t -> n:int -> delta:Rat.t -> unit -> Piecewise.certified_max
+val optimal_sym_threshold_certified : n:int -> delta:Rat.t -> unit -> Piecewise.certified_max
 (** Fully certified variant: the optimal threshold is returned as an exact
     algebraic number ({!Alg.t}) and the optimal winning probability as a
     rational interval enclosure; all candidate comparisons are performed in

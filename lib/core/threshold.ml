@@ -14,7 +14,7 @@ module Make (F : Field.S) = struct
     if not (F.leq F.zero v && F.leq v F.one) then
       invalid_arg ("Threshold: " ^ what ^ " must lie in [0,1]")
 
-  let winning_probability_caps ?(domains = 1) ?leases ~delta0 ~delta1 a =
+  let winning_probability_caps ?(domains = 1) ~delta0 ~delta1 a =
     Array.iter (check_unit "thresholds") a;
     let n = Array.length a in
     Metrics.add subset_terms (1 lsl n);
@@ -39,13 +39,13 @@ module Make (F : Field.S) = struct
     in
     (* 2^n decision vectors sharded by index range; partial sums merge in
        lease order, so the value is worker-count invariant. *)
-    Par_fold.fold ?leases ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n)
+    Par_fold.fold ~span:"threshold.subset.lease" ~domains ~items:(1 lsl n)
       ~init:(fun () -> F.zero)
       ~step:(fun acc mask -> F.add acc (term mask))
       ~merge:F.add ()
 
-  let winning_probability ?domains ?leases ~delta a =
-    winning_probability_caps ?domains ?leases ~delta0:delta ~delta1:delta a
+  let winning_probability ?domains ~delta a =
+    winning_probability_caps ?domains ~delta0:delta ~delta1:delta a
 
   (* Symmetric collapse: group decision vectors by the number k of bin-1
      players. P(y has k ones) = C(n,k) β^(n-k) (1-β)^k and the conditional
@@ -83,9 +83,9 @@ let optimality_residual_sym ~n ~delta beta =
   let lo = Float.max 0. (beta -. h) and hi = Float.min 1. (beta +. h) in
   (winning_probability_sym ~n ~delta hi -. winning_probability_sym ~n ~delta lo) /. (hi -. lo)
 
-let optimize_vector ?starts ~n ~delta () =
+let optimize_vector ~n ~delta () =
   let beta_sym, _ = optimum_sym ~n ~delta () in
-  let default_starts =
+  let starts =
     [
       Array.make n beta_sym;
       Array.init n (fun i -> if 2 * i < n then 1. else 0.);
@@ -93,13 +93,12 @@ let optimize_vector ?starts ~n ~delta () =
       Array.init n (fun i -> if i = 0 then 1. else 0.4);
     ]
   in
-  let starts = match starts with Some s -> s | None -> default_starts in
   let restarts = Metrics.counter ~help:"Multistart optimizer restarts" "ddm_opt_restarts_total" in
   let f a = winning_probability ~delta a in
   Trace.with_span "threshold.optimize_vector" @@ fun () ->
   List.fold_left
     (fun (bx, bv) x0 ->
       Metrics.incr restarts;
-      let x, v = Opt.coordinate_ascent ~f ~x0 ~bounds:(Array.make n (0., 1.)) ~sweeps:50 () in
+      let x, v = Opt.coordinate_ascent ~f ~x0 ~bounds:(Array.make n (0., 1.)) () in
       if v > bv then (x, v) else (bx, bv))
     ([||], neg_infinity) starts

@@ -14,26 +14,26 @@
     {!Q} the exact one. *)
 
 module Make (F : Field.S) : sig
-  val winning_probability : ?domains:int -> ?leases:int -> delta:F.t -> F.t array -> F.t
+  val winning_probability : ?domains:int -> delta:F.t -> F.t array -> F.t
   (** Theorem 5.1 for an arbitrary threshold vector [a].
 
-      The [2^n] decision vectors are sharded by index range over [leases]
-      leases (default {!Par_fold.default_leases}, capped at [2^n]) run on
-      [domains] workers (default 1) by {!Par_fold.fold}; partial sums
-      merge in lease order, so the value is bit-identical for every worker
-      count at fixed [leases] — this is the exact path behind [ddm eval
-      -j].  For [n <= 6] every lease holds one vector and the value is the
-      plain left-to-right sum.  The symmetric evaluators below stay
-      sequential: they are [O(n²)] and not worth a domain spawn.
+      The [2^n] decision vectors are sharded by index range over
+      {!Par_fold.leases} leases (capped at [2^n]) run on [domains]
+      workers (default 1) by {!Par_fold.fold}; partial sums merge in
+      lease order, so the value is bit-identical for every worker count
+      — this is the exact path behind [ddm eval -j].  For [n <= 6] every
+      lease holds one vector and the value is the plain left-to-right
+      sum.  The symmetric evaluators below stay sequential: they are
+      [O(n²)] and not worth a domain spawn.
       @raise Invalid_argument unless every [a_i] is in [[0, 1]] ([nan]
       included). *)
 
   val winning_probability_caps :
-    ?domains:int -> ?leases:int -> delta0:F.t -> delta1:F.t -> F.t array -> F.t
+    ?domains:int -> delta0:F.t -> delta1:F.t -> F.t array -> F.t
   (** Generalization to bins of unequal capacities [delta0] (bin 0) and
       [delta1] (bin 1) — the paper's framework supports this directly since
       the two conditional overflow events stay independent.  Same
-      [domains]/[leases] contract as {!winning_probability}. *)
+      [domains] contract as {!winning_probability}. *)
 
   val winning_probability_sym : n:int -> delta:F.t -> F.t -> F.t
   (** [winning_probability_sym ~n ~delta β]: all players share the threshold
@@ -61,11 +61,10 @@ val optimality_residual_sym : n:int -> delta:float -> float -> float
     optimality conditions of Theorem 5.2 (their exact form is produced by
     {!Symbolic.sym_threshold_curve} piece derivatives). *)
 
-val optimize_vector :
-  ?starts:float array list -> n:int -> delta:float -> unit -> float array * float
+val optimize_vector : n:int -> delta:float -> unit -> float array * float
 (** Multistart coordinate ascent over {e arbitrary} threshold vectors using
     the exact Theorem 5.1 evaluator — probes whether asymmetric protocols
     beat the symmetric optimum (experiment X4: they do exactly when a hard
     partition of the players fits the capacity well, e.g. [(1,1,0,0)] at
-    [n=4, δ=4/3]). Default starts: the symmetric optimum, a balanced hard
+    [n=4, δ=4/3]). The starts: the symmetric optimum, a balanced hard
     partition, and two mixed profiles. *)

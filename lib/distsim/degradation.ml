@@ -23,20 +23,19 @@ type report = {
   points : point list;
 }
 
-let sweep ?(grid_points = 64) ?domains ?leases ~rng ~samples ~rates ~model_of ~delta pattern
-    protocol =
+let sweep ?(grid_points = 64) ?domains ~rng ~samples ~rates ~model_of ~delta pattern protocol =
   Trace.with_span "faults.degradation_sweep" @@ fun () ->
   (* [domains] (default 1) runs both halves of every point: the MC
      estimate on Par_fold's split-stream leases, the exact grid on its
      index-sharded leases — each bit-identical across worker counts. *)
   let baseline_exact =
-    Engine.win_probability_grid ~points:grid_points ?domains ?leases ~delta pattern protocol
+    Engine.win_probability_grid ~points:grid_points ?domains ~delta pattern protocol
   in
   (* every sweep point owns a split-off stream: adding a rate or changing
      the sample count of one point never shifts another's randomness *)
   let baseline_mc =
-    Engine.win_probability_mc ?domains ?leases ~rng:(Rng.split rng) ~samples
-      ~faults:Fault_model.none ~delta pattern protocol
+    Engine.win_probability_mc ?domains ~rng:(Rng.split rng) ~samples ~faults:Fault_model.none
+      ~delta pattern protocol
   in
   let points =
     List.map
@@ -48,14 +47,14 @@ let sweep ?(grid_points = 64) ?domains ?leases ~rng ~samples ~rates ~model_of ~d
             [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("rate", Logx.Float rate);
               ("samples", Logx.Int samples) ];
         let estimate =
-          Engine.win_probability_mc ?domains ?leases ~rng:(Rng.split rng) ~samples ~faults ~delta
-            pattern protocol
+          Engine.win_probability_mc ?domains ~rng:(Rng.split rng) ~samples ~faults ~delta pattern
+            protocol
         in
         let exact =
           if Fault_model.crash_foldable faults then
             Some
-              (Engine.win_probability_grid ~points:grid_points ?domains ?leases ~faults ~delta
-                 pattern protocol)
+              (Engine.win_probability_grid ~points:grid_points ?domains ~faults ~delta pattern
+                 protocol)
           else None
         in
         { rate; faults; estimate; exact })
@@ -83,16 +82,15 @@ let sweep ?(grid_points = 64) ?domains ?leases ~rng ~samples ~rates ~model_of ~d
 (* Degradation should be monotone in the fault rate; MC points get slack
    for sampling noise (two standard errors of each neighbour), exact
    points only for float roundoff. *)
-let monotone_nonincreasing ?(slack = 0.) report =
+let monotone_nonincreasing report =
   let rec check = function
     | a :: (b :: _ as rest) ->
       let ok =
         match (a.exact, b.exact) with
-        | Some ea, Some eb -> eb <= ea +. slack +. 1e-12
+        | Some ea, Some eb -> eb <= ea +. 1e-12
         | _ ->
           b.estimate.Mc.mean
-          <= a.estimate.Mc.mean +. slack
-             +. (2. *. (a.estimate.Mc.stderr +. b.estimate.Mc.stderr))
+          <= a.estimate.Mc.mean +. (2. *. (a.estimate.Mc.stderr +. b.estimate.Mc.stderr))
       in
       ok && check rest
     | _ -> true

@@ -33,7 +33,6 @@ type report = {
 val sweep :
   ?grid_points:int ->
   ?domains:int ->
-  ?leases:int ->
   rng:Rng.t ->
   samples:int ->
   rates:float list ->
@@ -47,20 +46,19 @@ val sweep :
     stable under adding rates. [model_of] maps the swept rate to the full
     fault model (fix the other dimensions inside it).
 
-    [?domains] (default 1) and [?leases] drive {e both} halves of every
-    point: the MC estimate through {!Mc.probability}'s split-stream
-    leases and the exact grid fold through {!Par_fold}'s index-sharded
-    leases (each sweep point is an independent exact solve whose cells
-    go wide).  The report is bit-identical for every worker count at a
-    fixed seed and lease count.  Each MC half is an
-    {!Engine.win_probability_mc} run, so the sampler follows the question:
-    the batch kernel for a local rule on the no-communication pattern, the
-    closure otherwise. *)
+    [?domains] (default 1) drives {e both} halves of every point: the MC
+    estimate through {!Mc.probability}'s split-stream leases and the
+    exact grid fold through {!Par_fold}'s index-sharded leases (each
+    sweep point is an independent exact solve whose cells go wide).  The
+    report is bit-identical for every worker count at a fixed seed.  Each
+    MC half is an {!Engine.win_probability_mc} run, so the sampler
+    follows the question: the batch kernel for a local rule on the
+    no-communication pattern, the closure otherwise. *)
 
-val monotone_nonincreasing : ?slack:float -> report -> bool
+val monotone_nonincreasing : report -> bool
 (** Does the win probability degrade monotonically along [points]?
-    Exact values are compared directly; MC values get two standard
-    errors of slack per neighbour on top of [slack] (default 0). *)
+    Exact values are compared up to float roundoff; MC values get two
+    standard errors of slack per neighbour. *)
 
 val drop_vs_baseline : report -> point -> float
 (** Signed win-probability change of a sweep point vs the fault-free

@@ -8,20 +8,13 @@ let view_input v j =
    Engine.kernel_spec) replay it without calling [decide] per sample.  The
    closure stays authoritative — [local_rule] is an introspection hint
    that must describe the same decision function. *)
-type t = {
-  name : string;
-  decide : view -> float;
-  deterministic : bool;
-  local_rule : Mc_kernel.rule option;
-}
+type t = { name : string; decide : view -> float; local_rule : Mc_kernel.rule option }
 
 let name t = t.name
 let decide t view = t.decide view
-let is_deterministic t = t.deterministic
 let local_rule t = t.local_rule
 
-let make ?(deterministic = false) ~name decide =
-  { name; decide; deterministic; local_rule = None }
+let make ~name decide = { name; decide; local_rule = None }
 
 (* Resilience instrumentation (the ddm_faults_* family; Engine keeps the
    injection-side counters). *)
@@ -61,7 +54,7 @@ let single_threshold a =
   let len = Array.length a in
   check_nonempty "single_threshold" len;
   {
-    (make ~deterministic:true ~name:"single-threshold" (fun v ->
+    (make ~name:"single-threshold" (fun v ->
        check_player "single_threshold" len v;
        if v.own <= a.(v.me) then 1. else 0.))
     with
@@ -90,7 +83,7 @@ let weighted_threshold ~weights ~thresholds =
               weight per player)"
              i (Array.length row) n))
     weights;
-  make ~deterministic:true ~name:"weighted-threshold" (fun v ->
+  make ~name:"weighted-threshold" (fun v ->
     check_player "weighted_threshold" n v;
     let w = weights.(v.me) in
     let acc = ref (w.(v.me) *. v.own) in
@@ -111,15 +104,10 @@ let weighted_threshold ~weights ~thresholds =
 let view_complete ~expected v =
   List.for_all (fun j -> List.mem_assoc j v.others) (Comm_pattern.sees expected v.me)
 
-let with_fallback ~expected ?fallback inner =
-  let fallback =
-    match fallback with
-    | Some f -> f
-    | None -> { (fair_coin ~n:(Comm_pattern.n expected)) with name = "fair-coin" }
-  in
+let with_fallback ~expected inner =
+  let fallback = fair_coin ~n:(Comm_pattern.n expected) in
   {
     name = Printf.sprintf "%s+fallback(%s)" inner.name fallback.name;
-    deterministic = inner.deterministic && fallback.deterministic;
     (* Not a pure local rule: which branch decides depends on the view's
        completeness, which the kernel cannot see. *)
     local_rule = None;

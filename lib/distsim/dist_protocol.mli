@@ -22,10 +22,6 @@ val name : t -> string
 val decide : t -> view -> float
 (** Probability of choosing bin 0. *)
 
-val is_deterministic : t -> bool
-(** [true] when every decision probability is 0 or 1; enables the exact grid
-    integrator in {!Engine}. *)
-
 val local_rule : t -> Mc_kernel.rule option
 (** The batch kernel's form of the protocol, when its decision depends
     only on the deciding player's own input: [Some] for the
@@ -35,7 +31,7 @@ val local_rule : t -> Mc_kernel.rule option
     the rest of the view.  {!Engine.kernel_spec} uses this to hand a
     no-communication run to {!Mc_kernel}, which never calls [decide]. *)
 
-val make : ?deterministic:bool -> name:string -> (view -> float) -> t
+val make : name:string -> (view -> float) -> t
 
 (** {1 Standard families} *)
 
@@ -66,10 +62,9 @@ val weighted_threshold : weights:float array array -> thresholds:float array -> 
     protocol well-defined when links go missing and counts every degraded
     decision in the [ddm_faults_*] metrics family. *)
 
-val with_fallback : expected:Comm_pattern.t -> ?fallback:t -> t -> t
+val with_fallback : expected:Comm_pattern.t -> t -> t
 (** [with_fallback ~expected p] runs [p] on views that reveal every link
     [expected] promises to the deciding player, and routes incomplete
-    views (lost links, crashed senders — see {!Fault_model}) to
-    [fallback] instead (default: the fair coin, the paper's optimal
-    no-information rule). Fallbacks taken are counted in
-    [ddm_faults_fallbacks_total]. *)
+    views (lost links, crashed senders — see {!Fault_model}) to the fair
+    coin instead, the paper's optimal no-information rule. Fallbacks
+    taken are counted in [ddm_faults_fallbacks_total]. *)

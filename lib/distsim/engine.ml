@@ -211,13 +211,13 @@ let kernel_spec ?faults ~delta pattern protocol =
     Some (Mc_kernel.make ?fault ~on_lease:(count_lease ~n faults) ~n ~delta rule)
   | _ -> None
 
-let win_probability_mc ?domains ?leases ?faults ~rng ~samples ~delta pattern protocol =
+let win_probability_mc ?domains ?faults ~rng ~samples ~delta pattern protocol =
   Option.iter Fault_model.validate faults;
   Trace.with_span "engine.mc" @@ fun () ->
   (* the sampler follows the question: the kernel for the paper's game,
      the closure for everything else *)
   let kernel = kernel_spec ?faults ~delta pattern protocol in
-  Mc.probability ?domains ?leases ?kernel ~rng ~samples (fun rng ->
+  Mc.probability ?domains ?kernel ~rng ~samples (fun rng ->
       (run_once ?faults rng ~delta pattern protocol).win)
 
 (* ----------------------- exact conditional folds ----------------------- *)
@@ -303,7 +303,7 @@ let crash_term ~delta ~crash:(c, mode) probs inputs mask =
   end
   else 0.
 
-let win_probability_given ?(domains = 1) ?leases ?faults ~delta pattern protocol inputs =
+let win_probability_given ?(domains = 1) ?faults ~delta pattern protocol inputs =
   let crash = crash_of ~where:"win_probability_given" faults in
   let probs = decide_probs pattern protocol inputs in
   match crash with
@@ -311,7 +311,7 @@ let win_probability_given ?(domains = 1) ?leases ?faults ~delta pattern protocol
   | Some crash ->
     (* crash sets sharded by index range; per-lease partial sums merge in
        lease order, so the fold is worker-count invariant *)
-    Par_fold.sum ?leases ~span:"engine.fold.lease" ~domains ~items:(1 lsl Array.length inputs)
+    Par_fold.sum ~span:"engine.fold.lease" ~domains ~items:(1 lsl Array.length inputs)
       (crash_term ~delta ~crash probs inputs)
 
 exception Cancelled of { cells_done : int; cells_total : int }
@@ -335,8 +335,7 @@ let cancel_check cancel done_cells total =
         raise (Cancelled { cells_done; cells_total = total })
       end
 
-let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ?faults ~delta pattern
-    protocol =
+let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?faults ~delta pattern protocol =
   let crash = crash_of ~where:"win_probability_grid" faults in
   let n = Comm_pattern.n pattern in
   if points < 2 then
@@ -376,8 +375,8 @@ let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ?faults ~
   let tracked = Option.is_some cancel in
   (* Cells are sharded by flat row-major index (dimension 0 outermost)
      into contiguous lease ranges, and per-lease partial sums merge in
-     lease order, so the result depends on (points, leases) only — never
-     on the worker count.  A lease decodes its first cell once and then
+     lease order, so the result depends on [points] only — never on the
+     worker count.  A lease decodes its first cell once and then
      walks its range odometer-style, last dimension fastest, reusing one
      inputs array. *)
   let range acc ~lo ~hi =
@@ -407,13 +406,13 @@ let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ?faults ~
     !acc
   in
   let total =
-    Par_fold.fold_ranges ?leases ~span:"engine.grid.lease" ~domains ~items:cells_total
+    Par_fold.fold_ranges ~span:"engine.grid.lease" ~domains ~items:cells_total
       ~init:(fun () -> 0.)
       ~range ~merge:( +. ) ()
   in
   total /. cells
 
-let optimize_family ?points ?domains ?leases ~delta pattern ~family ~x0 ~bounds () =
+let optimize_family ?points ?domains ~delta pattern ~family ~x0 ~bounds () =
   Trace.with_span "engine.optimize_family" @@ fun () ->
   let clamp x =
     Array.mapi
@@ -422,6 +421,6 @@ let optimize_family ?points ?domains ?leases ~delta pattern ~family ~x0 ~bounds 
         Float.min hi (Float.max lo v))
       x
   in
-  let f x = win_probability_grid ?points ?domains ?leases ~delta pattern (family (clamp x)) in
+  let f x = win_probability_grid ?points ?domains ~delta pattern (family (clamp x)) in
   let best_x, best_v = Opt.nelder_mead ~f ~x0 ~scale:0.15 ~tol:1e-10 () in
   (clamp best_x, best_v)

@@ -87,14 +87,13 @@ val kernel_spec :
 
 val win_probability_mc :
   ?domains:int ->
-  ?leases:int ->
   ?faults:Fault_model.t ->
   rng:Rng.t -> samples:int -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> Mc.estimate
 (** Monte-Carlo estimate of the win probability (under [faults] when
     given), with a Wilson 95% CI, on {!Mc.probability}'s lease-sharded
-    path: [domains] (default 1) workers over [leases] split streams, so
-    the estimate is bit-identical for every worker count at a fixed seed
-    and fault counters stay exact (they are atomic).
+    path: [domains] (default 1) workers over {!Par_fold.leases} split
+    streams, so the estimate is bit-identical for every worker count at a
+    fixed seed and fault counters stay exact (they are atomic).
 
     The sampler follows the question.  A question {!kernel_spec} accepts
     is played by the batch kernel ({!Mc_kernel}), several times faster;
@@ -108,7 +107,6 @@ val win_probability_mc :
 
 val win_probability_given :
   ?domains:int ->
-  ?leases:int ->
   ?faults:Fault_model.t ->
   delta:float ->
   Comm_pattern.t ->
@@ -125,9 +123,9 @@ val win_probability_given :
     analytically: the sum runs over the [2^n] crash subsets (weighted
     [c^|S| (1-c)^(n-|S|)]), rerouting crashed inputs per the crash mode,
     and over the surviving players' decision branches.  The subsets are
-    sharded by index range over [leases] leases on [domains] (default 1)
-    workers ({!Par_fold.sum}), bit-identical for every worker count.  At
-    crash rate 0 only the empty crash set is visited.
+    sharded by index range over {!Par_fold.leases} leases on [domains]
+    (default 1) workers ({!Par_fold.sum}), bit-identical for every worker
+    count.  At crash rate 0 only the empty crash set is visited.
     @raise Invalid_argument unless {!Fault_model.crash_foldable} holds —
     only the crash dimension folds; estimate the rest by Monte-Carlo. *)
 
@@ -140,7 +138,6 @@ val win_probability_grid :
   ?points:int ->
   ?cancel:(unit -> bool) ->
   ?domains:int ->
-  ?leases:int ->
   ?faults:Fault_model.t ->
   delta:float -> Comm_pattern.t -> Dist_protocol.t -> float
 (** Midpoint-rule integration of {!win_probability_given} over [[0,1]^n];
@@ -148,13 +145,12 @@ val win_probability_grid :
     optimizers.  With a crash-foldable [faults] the integrand is the
     crash fold, each cell folding its crash sets in place.
 
-    Cells are sharded by flat row-major index into [leases] (default
-    {!Par_fold.default_leases}, capped at the cell count) contiguous
-    ranges executed on a [domains]-worker pool (default 1), with
-    per-lease partial sums merged in lease order: for fixed
-    [(points, leases)] the result is bit-identical for every worker
-    count.  Per-lease ["engine.grid.lease"] spans ride the tracing plane
-    when the pool is spawned.  See docs/PARALLELISM.md.
+    Cells are sharded by flat row-major index into {!Par_fold.leases}
+    (capped at the cell count) contiguous ranges executed on a
+    [domains]-worker pool (default 1), with per-lease partial sums merged
+    in lease order: for fixed [points] the result is bit-identical for
+    every worker count.  Per-lease ["engine.grid.lease"] spans ride the
+    tracing plane when the pool is spawned.  See docs/PARALLELISM.md.
 
     [cancel] is a cooperative cancellation hook consulted once per cell;
     when it returns [true] the sweep raises {!Cancelled} with its
@@ -168,7 +164,6 @@ val win_probability_grid :
 val optimize_family :
   ?points:int ->
   ?domains:int ->
-  ?leases:int ->
   delta:float ->
   Comm_pattern.t ->
   family:(float array -> Dist_protocol.t) ->

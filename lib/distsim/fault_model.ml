@@ -34,7 +34,7 @@ let make ?(crash = 0.) ?(crash_mode = Drop) ?(link_loss = 0.) ?(stale = 0.) ?(no
   validate t;
   t
 
-let crash_only ?(mode = Drop) p = make ~crash:p ~crash_mode:mode ()
+let crash_only p = make ~crash:p ()
 
 let is_none t =
   t.crash = 0. && t.link_loss = 0. && t.stale = 0. && t.noise = 0. && t.jitter = 0.

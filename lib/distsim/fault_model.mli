@@ -43,7 +43,15 @@ val make :
   t
 (** All rates default to 0; validates. *)
 
-val crash_only : ?mode:crash_mode -> float -> t
+val crash_only : float -> t
+(** [crash_only c]: players crash at rate [c] under the {!Drop} model, a
+    crashed player's input leaving the game.  This is the model the
+    [ddm serve] solver folds for a request's [crash] rate, while
+    [ddm chaos] defaults to [--crash-mode bin0]; the two answer the same
+    question differently.  At [n = 3], [delta = 1], the optimal common
+    threshold, crash rate 0.25 and 24 grid points the drop model wins
+    with probability 0.740051 and the bin-0 model with 0.487422.  For
+    another mode, call {!make} with [~crash_mode]. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on a rate outside [[0,1]] (noise and jitter

@@ -7,7 +7,7 @@ let expected_full_information = 0.75
 let no_communication = (Comm_pattern.none ~n, Dist_protocol.common_threshold ~n beta_star)
 
 let broadcast_family p =
-  Dist_protocol.make ~deterministic:true ~name:"py91-one-broadcast" (fun v ->
+  Dist_protocol.make ~name:"py91-one-broadcast" (fun v ->
     let own = v.Dist_protocol.own in
     match v.Dist_protocol.me with
     | 0 -> if own <= p.(0) then 1. else 0.
@@ -25,7 +25,7 @@ let one_broadcast =
   (Comm_pattern.broadcast ~n ~source:0, broadcast_family [| 0.998; 1.; 1.; -0.16; -0.02 |])
 
 let greedy_partition =
-  Dist_protocol.make ~deterministic:true ~name:"py91-greedy-partition" (fun v ->
+  Dist_protocol.make ~name:"py91-greedy-partition" (fun v ->
     (* Deterministic common knowledge: all three players compute the same
        largest-first greedy partition and take their assigned bin. Ties go
        by player index, so no player sorts itself first on equal inputs.

@@ -124,42 +124,8 @@ let json_of_sample { Metrics.name; help; value } =
 
 let to_json_lines samples = String.concat "" (List.map (fun s -> json_of_sample s ^ "\n") samples)
 
-let json_of_samples samples =
-  let buf = Buffer.create 512 in
-  let emit_group label filter =
-    let first = ref true in
-    Buffer.add_string buf (Printf.sprintf "\"%s\":{" label);
-    List.iter
-      (fun ({ Metrics.name; value; _ } as _s) ->
-        match filter value with
-        | None -> ()
-        | Some body ->
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape name) body))
-      samples;
-    Buffer.add_char buf '}'
-  in
-  Buffer.add_char buf '{';
-  emit_group "counters" (function Metrics.Counter_v v -> Some (string_of_int v) | _ -> None);
-  Buffer.add_char buf ',';
-  emit_group "gauges" (function Metrics.Gauge_v v -> Some (num v) | _ -> None);
-  Buffer.add_char buf ',';
-  emit_group "histograms" (function
-    | Metrics.Histogram_v { bounds; counts; sum; count } ->
-      let b = Buffer.create 64 in
-      Buffer.add_char b '{';
-      json_histogram_body b bounds counts sum count;
-      Buffer.add_char b '}';
-      Some (Buffer.contents b)
-    | _ -> None);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* What a run record keeps of the registry: the grouping of
-   json_of_samples as a Jsonx value, built directly rather than printed
-   and parsed back, holding only the metrics that moved. *)
-let moved_json samples =
+(* Built as a Jsonx value, so every float keeps its full precision. *)
+let grouped_json samples =
   let group pick =
     Jsonx.Obj
       (List.filter_map
@@ -181,14 +147,24 @@ let moved_json samples =
   in
   Jsonx.Obj
     [
-      ("counters", group (function Metrics.Counter_v v when v <> 0 -> Some (int v) | _ -> None));
-      ("gauges", group (function Metrics.Gauge_v v when v <> 0. -> Some (Jsonx.Num v) | _ -> None));
+      ("counters", group (function Metrics.Counter_v v -> Some (int v) | _ -> None));
+      ("gauges", group (function Metrics.Gauge_v v -> Some (Jsonx.Num v) | _ -> None));
       ( "histograms",
         group (function
-          | Metrics.Histogram_v { bounds; counts; sum; count } when count > 0 ->
+          | Metrics.Histogram_v { bounds; counts; sum; count } ->
             Some (histogram bounds counts sum count)
           | _ -> None) );
     ]
+
+let moved_json samples =
+  grouped_json
+    (List.filter
+       (fun { Metrics.value; _ } ->
+         match value with
+         | Metrics.Counter_v v -> v <> 0
+         | Metrics.Gauge_v v -> v <> 0.
+         | Metrics.Histogram_v { count; _ } -> count > 0)
+       samples)
 
 (* ---------------------------- Prometheus ---------------------------- *)
 

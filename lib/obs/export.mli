@@ -39,17 +39,17 @@ val prom_escape_label : string -> string
     two-character sequences backslash-backslash, backslash-quote and
     backslash-n. *)
 
-val json_of_samples : Metrics.sample list -> string
+val grouped_json : Metrics.sample list -> Jsonx.t
 (** A single JSON object grouping the snapshot by kind:
-    [{"counters":{...},"gauges":{...},"histograms":{...}}].  Used by the
-    [/snapshot] endpoint. *)
+    [{"counters":{...},"gauges":{...},"histograms":{...}}], floats at
+    full precision.  The [/snapshot] endpoint serves it for the full
+    registry. *)
 
 val moved_json : Metrics.sample list -> Jsonx.t
-(** {!json_of_samples}'s grouping as a {!Jsonx.t}, keeping only the
-    metrics that moved: counters and gauges other than 0, histograms
-    with at least one observation.  Run records ({!Ledger} entries and
-    perf-report experiments) carry this; [/metrics] and [/snapshot]
-    render the full registry. *)
+(** {!grouped_json} of the metrics that moved: counters and gauges other
+    than 0, histograms with at least one observation.  Run records
+    ({!Ledger} entries) carry this; [/metrics] and [/snapshot] render the
+    full registry. *)
 
 val histogram_quantile : bounds:float array -> counts:int array -> float -> float
 (** Prometheus-style quantile estimate from per-bucket (non-cumulative)

@@ -149,18 +149,13 @@ let history_json () =
 
 let snapshot_body ~started_s () =
   let now = Unix.gettimeofday () in
-  let metrics =
-    match Jsonx.parse (Export.json_of_samples (Metrics.snapshot ())) with
-    | Ok j -> j
-    | Error _ -> Jsonx.Null
-  in
   Jsonx.to_string
     (Jsonx.Obj
        [
          ("schema", Jsonx.Str "ddm.snapshot/v1");
          ("t_s", Jsonx.Num now);
          ("uptime_s", Jsonx.Num (now -. started_s));
-         ("metrics", metrics);
+         ("metrics", Export.grouped_json (Metrics.snapshot ()));
          ("profile", profile_json ());
          ("history", history_json ());
        ])

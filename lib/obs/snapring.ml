@@ -13,21 +13,21 @@ type sample = {
 }
 
 type state = {
-  mutable ring : sample array; (* capacity slots; dummy-filled until written *)
+  ring : sample array; (* capacity slots; dummy-filled until written *)
   mutable next : int; (* insertion cursor *)
   mutable total : int; (* samples ever written; min(total, capacity) are live *)
 }
 
+(* A minute of history. *)
+let capacity = 240
+let period_s = 0.25
 let dummy = { t_s = nan; counters = []; gauges = []; histograms = [] }
 let mu = Mutex.create ()
-let state = { ring = [||]; next = 0; total = 0 }
+let state = { ring = Array.make capacity dummy; next = 0; total = 0 }
 
 let locked f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
-let default_capacity = 240
-let default_period_s = 0.25
 
 let sample_now () =
   let s =
@@ -39,23 +39,19 @@ let sample_now () =
     }
   in
   locked (fun () ->
-    let cap = Array.length state.ring in
-    if cap > 0 then begin
-      state.ring.(state.next) <- s;
-      state.next <- (state.next + 1) mod cap;
-      state.total <- state.total + 1
-    end)
+    state.ring.(state.next) <- s;
+    state.next <- (state.next + 1) mod capacity;
+    state.total <- state.total + 1)
 
 let samples () =
   locked (fun () ->
-    let cap = Array.length state.ring in
-    let live = min state.total cap in
+    let live = min state.total capacity in
     (* oldest first: the slot after the cursor is the oldest when full *)
-    List.init live (fun i -> state.ring.((state.next - live + i + cap + cap) mod cap)))
+    List.init live (fun i -> state.ring.((state.next - live + i + (2 * capacity)) mod capacity)))
 
 let clear () =
   locked (fun () ->
-    Array.fill state.ring 0 (Array.length state.ring) dummy;
+    Array.fill state.ring 0 capacity dummy;
     state.next <- 0;
     state.total <- 0)
 
@@ -66,16 +62,8 @@ let sampler : unit Domain.t option ref = ref None
 
 let running () = Option.is_some !sampler
 
-let start ?(period_s = default_period_s) ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Snapring.start: capacity must be >= 1";
-  if not (period_s > 0.) then invalid_arg "Snapring.start: period_s must be positive";
+let start () =
   if not (running ()) then begin
-    locked (fun () ->
-      if Array.length state.ring <> capacity then begin
-        state.ring <- Array.make capacity dummy;
-        state.next <- 0;
-        state.total <- 0
-      end);
     Atomic.set stop_flag false;
     sample_now ();
     sampler :=

@@ -3,8 +3,8 @@
     {!start} spawns a sampler domain that records the scalar metrics
     (counters, gauges, and each histogram's count/sum pair, via
     {!Metrics.counter_samples} / {!Metrics.gauge_samples} /
-    {!Metrics.histogram_samples}) every [period_s] into a fixed-capacity
-    ring; the oldest samples are overwritten.  The ring powers the
+    {!Metrics.histogram_samples}) every 0.25 s into a ring of 240
+    samples, a minute of history; the oldest samples are overwritten.  The ring powers the
     /snapshot endpoint's history and the counter tracks of the Chrome
     trace export (histograms appear there as [name_count] and [name_sum]
     tracks, so request rate and latency mass plot over time).
@@ -22,12 +22,9 @@ type sample = {
           latency-mass evolution without copying bucket arrays *)
 }
 
-val start : ?period_s:float -> ?capacity:int -> unit -> unit
+val start : unit -> unit
 (** Start the sampler (idempotent while running; an immediate sample is
-    taken first).  Defaults: period 0.25 s, capacity 240 — a minute of
-    history.  A capacity change while stopped reallocates and clears the
-    ring.
-    @raise Invalid_argument on a nonpositive period or capacity. *)
+    taken first). *)
 
 val stop : unit -> unit
 (** Stop and join the sampler, recording one final sample.  No-op when not

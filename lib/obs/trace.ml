@@ -144,12 +144,12 @@ let with_span name f =
    e.g. a serve request admitted on the Httpd domain and answered from a
    worker.  The caller supplies the wall-clock start and the (monotonic)
    duration; GC deltas are meaningless across domains and stay zero. *)
-let emit ?(depth = 0) ~name ~start_s ~dur_s () =
+let emit ~name ~start_s ~dur_s () =
   if !on then
     record
       {
         name;
-        depth;
+        depth = 0;
         tid = (Domain.self () :> int);
         start_s;
         dur_s = Float.max 0. dur_s;

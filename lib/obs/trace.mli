@@ -43,9 +43,9 @@ val now_s : unit -> float
 val now_mono_s : unit -> float
 (** Monotonic-clock seconds (arbitrary epoch).  Use differences only. *)
 
-val emit : ?depth:int -> name:string -> start_s:float -> dur_s:float -> unit -> unit
-(** Record a pre-timed span on the calling domain's buffer (no-op while
-    disabled).  For intervals no single {!with_span} can cover — e.g. a
+val emit : name:string -> start_s:float -> dur_s:float -> unit -> unit
+(** Record a pre-timed top-level (depth 0) span on the calling domain's
+    buffer (no-op while disabled).  For intervals no single {!with_span} can cover — e.g. a
     serve request admitted on one domain and answered from another: the
     worker emits the admission→terminal span next to its own solve span,
     so the two line up on one track in the Chrome trace.  GC fields are

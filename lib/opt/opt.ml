@@ -28,7 +28,8 @@ let grid_max ~f ~lo ~hi ~points =
 
 let inv_phi = (sqrt 5. -. 1.) /. 2.
 
-let golden_section ~f ~lo ~hi ?(tol = 1e-12) ?(max_iter = 200) () =
+let golden_section ~f ~lo ~hi () =
+  let tol = 1e-12 and max_iter = 200 in
   let a = ref lo and b = ref hi in
   let c = ref (!b -. (inv_phi *. (!b -. !a))) in
   let d = ref (!a +. (inv_phi *. (!b -. !a))) in
@@ -57,11 +58,11 @@ let golden_section ~f ~lo ~hi ?(tol = 1e-12) ?(max_iter = 200) () =
   let x = (!a +. !b) /. 2. in
   (x, f x)
 
-let grid_then_golden ~f ~lo ~hi ?(points = 101) ?(tol = 1e-12) () =
+let grid_then_golden ~f ~lo ~hi ?(points = 101) () =
   let best_x, _ = grid_max ~f ~lo ~hi ~points in
   let step = (hi -. lo) /. float_of_int (points - 1) in
   let blo = Float.max lo (best_x -. step) and bhi = Float.min hi (best_x +. step) in
-  golden_section ~f ~lo:blo ~hi:bhi ~tol ()
+  golden_section ~f ~lo:blo ~hi:bhi ()
 
 let nelder_mead ~f ~x0 ?(scale = 0.1) ?(tol = 1e-10) ?(max_iter = 5000) () =
   let n = Array.length x0 in
@@ -142,7 +143,8 @@ let nelder_mead ~f ~x0 ?(scale = 0.1) ?(tol = 1e-10) ?(max_iter = 5000) () =
   let idx = order () in
   (Array.copy simplex.(idx.(0)), -.values.(idx.(0)))
 
-let coordinate_ascent ~f ~x0 ~bounds ?(sweeps = 20) ?(tol = 1e-11) () =
+let coordinate_ascent ~f ~x0 ~bounds () =
+  let sweeps = 50 and tol = 1e-11 in
   let n = Array.length x0 in
   if Array.length bounds <> n then invalid_arg "Opt.coordinate_ascent: bounds mismatch";
   let x = Array.copy x0 in

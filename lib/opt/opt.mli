@@ -10,13 +10,12 @@
 val grid_max : f:(float -> float) -> lo:float -> hi:float -> points:int -> float * float
 (** Evaluates on an inclusive uniform grid; returns [(argmax, max)]. *)
 
-val golden_section :
-  f:(float -> float) -> lo:float -> hi:float -> ?tol:float -> ?max_iter:int -> unit -> float * float
-(** Golden-section search; assumes unimodality on [[lo, hi]].
-    Default [tol = 1e-12]. *)
+val golden_section : f:(float -> float) -> lo:float -> hi:float -> unit -> float * float
+(** Golden-section search; assumes unimodality on [[lo, hi]].  Stops when
+    the bracket is narrower than [1e-12] or after 200 iterations. *)
 
 val grid_then_golden :
-  f:(float -> float) -> lo:float -> hi:float -> ?points:int -> ?tol:float -> unit -> float * float
+  f:(float -> float) -> lo:float -> hi:float -> ?points:int -> unit -> float * float
 (** Coarse grid to bracket the global maximum of a possibly multimodal
     function, then golden-section polish inside the best bracket. *)
 
@@ -37,8 +36,8 @@ val coordinate_ascent :
   f:(float array -> float) ->
   x0:float array ->
   bounds:(float * float) array ->
-  ?sweeps:int ->
-  ?tol:float ->
   unit ->
   float array * float
-(** Cyclic 1-D [grid_then_golden] over each coordinate within its bounds. *)
+(** Cyclic 1-D [grid_then_golden] over each coordinate within its bounds,
+    for at most 50 sweeps; a sweep that raises the value by no more than
+    [1e-11] ends the ascent. *)

@@ -66,7 +66,7 @@ type stationary = {
 
 type max_result = { argmax : Rat.t; value : Rat.t; stationaries : stationary list }
 
-let maximize ?(eps = Roots.default_eps) t =
+let maximize t =
   Trace.with_span "piecewise.maximize" @@ fun () ->
   let endpoint_candidates =
     List.concat_map (fun p -> [ (p.lo, Poly.eval p.poly p.lo); (p.hi, Poly.eval p.poly p.hi) ]) t
@@ -77,7 +77,7 @@ let maximize ?(eps = Roots.default_eps) t =
         let deriv = Poly.derivative p.poly in
         if Poly.is_zero deriv then []
         else begin
-          let enclosures = Roots.roots_in ~eps deriv ~lo:p.lo ~hi:p.hi in
+          let enclosures = Roots.roots_in deriv ~lo:p.lo ~hi:p.hi in
           List.filter_map
             (fun (e : Roots.enclosure) ->
               (* Keep strictly interior stationary points; endpoints are
@@ -108,7 +108,7 @@ type certified_max = { arg : Alg.t; arg_piece : Poly.t; value_enclosure : Interv
    treated as tied. *)
 let tiny = Rat.of_string "1/1000000000000000000000000000000000000000000000000000000000000"
 
-let maximize_certified ?(value_eps = Roots.default_eps) t =
+let maximize_certified t =
   (* Candidates: endpoints as exact rationals, interior stationary points as
      algebraic numbers, each paired with its piece's polynomial. *)
   let endpoint_candidates =
@@ -155,10 +155,10 @@ let maximize_certified ?(value_eps = Roots.default_eps) t =
       (List.hd candidates) (List.tl candidates)
   in
   let arg, arg_piece = best in
-  (* refine the value enclosure below value_eps *)
+  (* refine the value enclosure below Roots.default_eps *)
   let rec polish arg =
     let v = Alg.eval_poly_interval arg_piece arg in
-    if Rat.compare (Interval.width v) value_eps < 0 then (arg, v)
+    if Rat.compare (Interval.width v) Roots.default_eps < 0 then (arg, v)
     else
       polish (Alg.refine arg ~eps:(Rat.div_int (Interval.width (Alg.enclosure arg)) 16))
   in

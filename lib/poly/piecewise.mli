@@ -37,16 +37,17 @@ type stationary = {
 }
 
 type max_result = {
-  argmax : Rat.t;  (** maximizer, within [eps] of the true one *)
+  argmax : Rat.t;  (** maximizer, within {!Roots.default_eps} of the true one *)
   value : Rat.t;  (** function value at [argmax] *)
   stationaries : stationary list;  (** all interior stationary points *)
 }
 
-val maximize : ?eps:Rat.t -> t -> max_result
+val maximize : t -> max_result
 (** Exact global maximization: candidates are the piece endpoints plus all
     interior roots of each piece's derivative (isolated by Sturm sequences
-    and refined below [eps]). Candidate values are compared at refined
-    midpoints; for fully certified comparisons use {!maximize_certified}. *)
+    and refined below {!Roots.default_eps}). Candidate values are compared
+    at refined midpoints; for fully certified comparisons use
+    {!maximize_certified}. *)
 
 type certified_max = {
   arg : Alg.t;  (** the maximizer, as an exact algebraic number *)
@@ -54,8 +55,8 @@ type certified_max = {
   value_enclosure : Interval.t;  (** certified enclosure of the maximum *)
 }
 
-val maximize_certified : ?value_eps:Rat.t -> t -> certified_max
+val maximize_certified : t -> certified_max
 (** Like {!maximize}, but candidates are ranked by certified interval
     comparisons (refining algebraic candidates as needed; exact ties are
     resolved in favour of the leftmost candidate). The returned value
-    enclosure is refined below [value_eps] (default [10^-30]). *)
+    enclosure is refined below {!Roots.default_eps}. *)

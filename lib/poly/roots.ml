@@ -157,9 +157,9 @@ let refine p e ~eps = if Rat.equal e.lo e.hi then e else refine_squarefree (squa
 
 let default_eps = Rat.of_string "1/1000000000000000000000000000000"
 
-let roots_in ?(eps = default_eps) p ~lo ~hi =
+let roots_in p ~lo ~hi =
   let p = squarefree p in
-  List.map (fun e -> refine_squarefree p e ~eps) (isolate_squarefree p ~lo ~hi)
+  List.map (fun e -> refine_squarefree p e ~eps:default_eps) (isolate_squarefree p ~lo ~hi)
 
 let root_floats p ~lo ~hi =
   List.map (fun e -> Rat.to_float (Rat.mid e.lo e.hi)) (roots_in p ~lo ~hi)

@@ -32,11 +32,13 @@ val refine_squarefree : Poly.t -> enclosure -> eps:Rat.t -> enclosure
     square-free part. *)
 
 val default_eps : Rat.t
-(** [10^-30], the default width of {!roots_in}'s enclosures. *)
+(** [10^-30]: the width of {!roots_in}'s enclosures, and the precision
+    of the exact optima ({!Piecewise.maximize},
+    {!Piecewise.maximize_certified}). *)
 
-val roots_in : ?eps:Rat.t -> Poly.t -> lo:Rat.t -> hi:Rat.t -> enclosure list
-(** [isolate] followed by [refine], computing the square-free part once;
-    default [eps = default_eps]. *)
+val roots_in : Poly.t -> lo:Rat.t -> hi:Rat.t -> enclosure list
+(** [isolate] followed by [refine] below {!default_eps}, computing the
+    square-free part once. *)
 
 val root_floats : Poly.t -> lo:Rat.t -> hi:Rat.t -> float list
 (** Double-precision approximations of all distinct real roots in the

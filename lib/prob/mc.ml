@@ -26,15 +26,15 @@ let pp_estimate fmt e =
   Format.fprintf fmt "%.6f ± %.6f [%.6f, %.6f] (n=%d)" e.mean e.stderr lo hi e.samples
 
 (* Every estimate is lease-sharded: the sample budget is split over
-   [leases] Rng.split streams (Par_fold.sample), so an estimate depends on
-   (seed, leases, samples) but never on [domains], which defaults to 1.
+   Par_fold.leases Rng.split streams (Par_fold.sample), so an estimate
+   depends on (seed, samples) but never on [domains], which defaults to 1.
    Counters are merged on join and the throughput gauge is written once
    here, on the calling domain, so nothing races.
 
    The closure sampler: each lease folds [step] over its share of draws
    from its own stream, and the lease accumulators merge in lease order. *)
-let fold_draws ?leases ~domains ~rng ~samples ~init ~step ~merge =
-  Par_fold.sample ?leases ~span:"mc.par.lease" ~domains ~rng ~samples (fun rng share ->
+let fold_draws ~domains ~rng ~samples ~init ~step ~merge =
+  Par_fold.sample ~span:"mc.par.lease" ~domains ~rng ~samples (fun rng share ->
       let acc = ref init in
       for _ = 1 to share do
         acc := step !acc rng
@@ -48,15 +48,15 @@ let fold_draws ?leases ~domains ~rng ~samples ~init ~step ~merge =
    inside the same span and feeds the same finish_run counters, so
    throughput read from the span profile and ddm_mc_samples_total covers
    both. *)
-let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
+let probability ?(domains = 1) ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.probability: samples";
   Trace.with_span "mc.probability" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let hits =
     match kernel with
-    | Some k -> (Mc_kernel.run ?leases ~domains ~rng ~samples k).Mc_kernel.wins
+    | Some k -> (Mc_kernel.run ~domains ~rng ~samples k).Mc_kernel.wins
     | None ->
-      fold_draws ?leases ~domains ~rng ~samples ~init:0 ~merge:( + ) ~step:(fun k rng ->
+      fold_draws ~domains ~rng ~samples ~init:0 ~merge:( + ) ~step:(fun k rng ->
           if f rng then k + 1 else k)
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits;
@@ -66,12 +66,12 @@ let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   let ci95 = Stats.wilson_interval ~successes:hits ~trials:samples () in
   { mean = p; stderr; ci95; samples }
 
-let expectation ?(domains = 1) ?leases ~rng ~samples f =
+let expectation ?(domains = 1) ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.expectation: samples";
   Trace.with_span "mc.expectation" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let acc =
-    fold_draws ?leases ~domains ~rng ~samples ~init:Stats.empty ~merge:Stats.merge
+    fold_draws ~domains ~rng ~samples ~init:Stats.empty ~merge:Stats.merge
       ~step:(fun acc rng -> Stats.add acc (f rng))
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits:0;

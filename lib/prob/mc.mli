@@ -12,7 +12,6 @@ val pp_estimate : Format.formatter -> estimate -> unit
 
 val probability :
   ?domains:int ->
-  ?leases:int ->
   ?kernel:Mc_kernel.t ->
   rng:Rng.t ->
   samples:int ->
@@ -20,10 +19,10 @@ val probability :
   estimate
 (** Bernoulli estimation with a Wilson 95% interval.
 
-    The run is sharded over [?leases] (default {!Par_fold.default_leases})
-    lease-owned [Rng.split] streams ({!Par_fold.sample}) executed by
-    [?domains] (default 1) domains; the estimate is a function of
-    [(seed, leases, samples)] and bit-identical for every [domains >= 1].  The sampling closure must
+    The run is sharded over {!Par_fold.leases} lease-owned [Rng.split]
+    streams ({!Par_fold.sample}) executed by [?domains] (default 1)
+    domains; the estimate is a function of [(seed, samples)] and
+    bit-identical for every [domains >= 1].  The sampling closure must
     be safe to run on other domains (pure up to its own [Rng.t] draws —
     all closures in this repository qualify).
 
@@ -39,13 +38,12 @@ val probability :
 
 val expectation :
   ?domains:int ->
-  ?leases:int ->
   rng:Rng.t ->
   samples:int ->
   (Rng.t -> float) ->
   estimate
 (** Sample-mean estimation with a normal-approximation 95% interval.
-    [?domains]/[?leases] behave as in {!probability}. *)
+    [?domains] behaves as in {!probability}. *)
 
 val agrees : estimate -> float -> bool
 (** [agrees e v]: does [v] fall within the (slightly widened) 95% interval?

@@ -11,7 +11,7 @@
    keep per-event fault telemetry without a single extra draw.
 
    Determinism contract (docs/KERNEL.md): a kernel estimate is a pure
-   function of (seed, leases, samples, spec) — worker count never enters.
+   function of (seed, samples, spec) — worker count never enters.
    [run] samples through Par_fold.sample, one split stream per lease as
    the closure path, and merges per-lease results in lease order, so
    [-j k] is bit-identical to [-j 1].  The kernel draws in a different order than the scalar path
@@ -248,13 +248,12 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
     hist;
   }
 
-let run ?(leases = Par_fold.default_leases) ?hist ?(loads = false) ?(domains = 1) ~rng ~samples
-    t =
+let run ?hist ?(loads = false) ?(domains = 1) ~rng ~samples t =
   (* Chunk buffers live for this call only: a lease takes a set off the
      free list (allocating one when every set is in use) and returns it,
      so a call allocates one set per worker rather than one per lease.
-     A set fits the largest share, ceil (samples / leases); it is sized
-     inside a lease, after Par_fold.sample has validated [leases]. *)
+     A set fits the largest share, ceil (samples / leases). *)
+  let cap = min ((samples + Par_fold.leases - 1) / Par_fold.leases) chunk_plays in
   let free = ref [] and mu = Mutex.create () in
   let take () =
     Mutex.protect mu (fun () ->
@@ -262,11 +261,11 @@ let run ?(leases = Par_fold.default_leases) ?hist ?(loads = false) ?(domains = 1
         | b :: rest ->
           free := rest;
           b
-        | [] -> alloc_buffers ~cap:(min ((samples + leases - 1) / leases) chunk_plays) t)
+        | [] -> alloc_buffers ~cap t)
   in
   let give b = Mutex.protect mu (fun () -> free := b :: !free) in
   let parts =
-    Par_fold.sample ~leases ~span:"mc.kernel.lease" ~domains ~rng ~samples (fun stream share ->
+    Par_fold.sample ~span:"mc.kernel.lease" ~domains ~rng ~samples (fun stream share ->
         if share = 0 then empty_result ?hist ()
         else begin
           let buffers = take () in

@@ -14,7 +14,7 @@
     X14).
 
     {b Determinism.} A kernel estimate is a pure function of
-    [(seed, leases, samples, spec)].  {!run} samples through
+    [(seed, samples, spec)].  {!run} samples through
     {!Par_fold.sample}, the closure path's split-stream discipline, and
     merges per-lease results in lease order, so the result is bit-identical for every worker
     count [>= 1].  The kernel consumes randomness in a different
@@ -82,7 +82,6 @@ val make : ?fault:fault -> ?on_lease:(result -> unit) -> n:int -> delta:float ->
     parameter array is not of length [n]. *)
 
 val run :
-  ?leases:int ->
   ?hist:int * float * float ->
   ?loads:bool ->
   ?domains:int ->
@@ -91,15 +90,15 @@ val run :
   t ->
   result
 (** Lease-sharded batch run through {!Par_fold.sample} on a pool of
-    [domains] (default 1) workers: [rng] is advanced by exactly [leases]
-    (default {!Par_fold.default_leases}) splits, lease [i] plays its share
+    [domains] (default 1) workers: [rng] is advanced by exactly
+    {!Par_fold.leases} splits, lease [i] plays its share
     of [samples] from a fill stream derived from its own split, and
     per-lease results merge in lease order ({!Stats.merge} /
     [histogram_merge]) — bit-identical for every [domains >= 1] at fixed
-    [(seed, leases, samples)], the same contract as the closure path.
+    [(seed, samples)], the same contract as the closure path.
     [?hist:(bins, lo, hi)] requests the fused histogram; [~loads:true]
     (default false) requests the Welford accumulator — both are fused
     into the same pass, costing only their own arithmetic.  Chunk buffers
     are allocated once per worker for the call and dropped with it.
-    @raise Invalid_argument ({!Par_fold.sample}'s) when [domains < 1],
-    [leases < 1], or [samples < 0]. *)
+    @raise Invalid_argument ({!Par_fold.sample}'s) when [domains < 1]
+    or [samples < 0]. *)

@@ -1,4 +1,4 @@
-let default_leases = 64
+let leases = 64
 let recommended_domains () = Domain.recommended_domain_count ()
 
 let run_leases ?(span = "par.lease") ~domains ~leases run =
@@ -81,14 +81,13 @@ let logged event ~domains ~leases (what, count) run =
     r
   end
 
-let fold_ranges ?(leases = default_leases) ?span ~domains ~items ~init ~range ~merge () =
+let fold_ranges ?span ~domains ~items ~init ~range ~merge () =
   if domains < 1 then invalid_arg "Par_fold.fold: domains must be >= 1";
-  if leases < 1 then invalid_arg "Par_fold.fold: leases must be >= 1";
   if items < 0 then invalid_arg "Par_fold.fold: items must be >= 0";
   (* A lease past the last item would fold nothing and merge as [init ()],
      the identity, so capping the count changes no result — it only spares
      small folds the empty slots. *)
-  let leases = if items < 1 then 1 else if leases < items then leases else items in
+  let leases = max 1 (min leases items) in
   logged "par.fold" ~domains ~leases ("items", items) @@ fun () ->
   let start = lease_start ~leases ~items in
   let parts =
@@ -96,20 +95,19 @@ let fold_ranges ?(leases = default_leases) ?span ~domains ~items ~init ~range ~m
   in
   Array.fold_left merge (init ()) parts
 
-let sample ?(leases = default_leases) ?span ~domains ~rng ~samples run =
+let sample ?span ~domains ~rng ~samples run =
   if domains < 1 then invalid_arg "Par_fold.sample: domains must be >= 1";
-  if leases < 1 then invalid_arg "Par_fold.sample: leases must be >= 1";
   if samples < 0 then invalid_arg "Par_fold.sample: samples must be >= 0";
   logged "par.sample" ~domains ~leases ("samples", samples) @@ fun () ->
   (* Every stream is split off up front, in lease order, so lease i's draws
-     depend only on (root seed, leases, i), never on scheduling.  The lease
+     depend only on (root seed, i), never on scheduling.  The lease
      count is not capped: the root always advances by [leases] splits. *)
   let streams = Array.init leases (fun _ -> Rng.split rng) in
   let start = lease_start ~leases ~items:samples in
   run_leases ?span ~domains ~leases (fun i -> run streams.(i) (start (i + 1) - start i))
 
-let fold ?leases ?span ~domains ~items ~init ~step ~merge () =
-  fold_ranges ?leases ?span ~domains ~items ~init ~merge
+let fold ?span ~domains ~items ~init ~step ~merge () =
+  fold_ranges ?span ~domains ~items ~init ~merge
     ~range:(fun acc ~lo ~hi ->
       let acc = ref acc in
       for k = lo to hi - 1 do
@@ -118,8 +116,8 @@ let fold ?leases ?span ~domains ~items ~init ~step ~merge () =
       !acc)
     ()
 
-let sum ?leases ?span ~domains ~items f =
-  fold ?leases ?span ~domains ~items
+let sum ?span ~domains ~items f =
+  fold ?span ~domains ~items
     ~init:(fun () -> 0.)
     ~step:(fun acc k -> acc +. f k)
     ~merge:( +. ) ()

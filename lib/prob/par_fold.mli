@@ -7,18 +7,15 @@
     cursor, each lease folds its own range sequentially, and the main
     domain merges the per-lease accumulators {e in lease order}.  Which
     worker ran which lease therefore cannot affect the result: for a
-    fixed [(items, leases)] pair, [domains:1] and [domains:8] produce
-    bit-identical values — including for floating-point accumulators,
-    because the summation order is a function of the lease partition
-    alone.  Changing [leases] regroups the partial sums and may move the
-    result by float roundoff.
+    fixed [items], [domains:1] and [domains:8] produce bit-identical
+    values — including for floating-point accumulators, because the
+    summation order is a function of the lease partition alone.
 
     {!sample} is the Monte-Carlo form: the same partition shares a
     sample budget out over the leases, and each lease draws from its own
     stream split off the root generator.  A Monte-Carlo estimate is then
-    a function of [(seed, leases, samples)], never of [domains]; changing
-    [leases] selects different split streams and so a different (equally
-    valid) estimate.  {!Mc.probability}, {!Mc.expectation} and
+    a function of [(seed, samples)], never of [domains].
+    {!Mc.probability}, {!Mc.expectation} and
     {!Mc_kernel.run} all sample through it.
 
     Exceptions raised by a lease (including cooperative-cancellation
@@ -36,9 +33,11 @@
     caller's span, and a span per lease would cost more than a small
     fold's work.  See docs/PARALLELISM.md for the full contract. *)
 
-val default_leases : int
-(** 64 — comfortably more leases than any realistic worker count, so the
-    pool load-balances even when per-index or per-sample cost is uneven. *)
+val leases : int
+(** 64, the lease count of {!fold} and {!sample} — comfortably more
+    leases than any realistic worker count, so the pool load-balances
+    even when per-index or per-sample cost is uneven.  It is a constant:
+    every answer depends on [(seed, work)] alone. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible [-j] value for this
@@ -58,7 +57,6 @@ val run_leases : ?span:string -> domains:int -> leases:int -> (int -> 'a) -> 'a 
     domain's first), after all workers are joined. *)
 
 val fold :
-  ?leases:int ->
   ?span:string ->
   domains:int ->
   items:int ->
@@ -76,11 +74,9 @@ val fold :
     runs [min leases items] leases: a lease past the last item would
     only merge an [init ()], the identity, so the cap changes no result
     and spares small folds the empty slots.
-    @raise Invalid_argument when [domains < 1], [leases < 1], or
-    [items < 0]. *)
+    @raise Invalid_argument when [domains < 1] or [items < 0]. *)
 
 val fold_ranges :
-  ?leases:int ->
   ?span:string ->
   domains:int ->
   items:int ->
@@ -96,22 +92,21 @@ val fold_ranges :
     flat index).  [fold ~step] is [fold_ranges] with a [for] loop over
     [step]; the partition, merge order and validation are identical. *)
 
-val sum : ?leases:int -> ?span:string -> domains:int -> items:int -> (int -> float) -> float
+val sum : ?span:string -> domains:int -> items:int -> (int -> float) -> float
 (** [sum ~domains ~items f] is [f 0 +. ... +. f (items-1)] with
     per-lease partial sums merged in lease order — the worker-count-
     invariant building block under the parallel grid integrators and the
     2^n subset folds. *)
 
 val sample :
-  ?leases:int ->
   ?span:string ->
   domains:int ->
   rng:Rng.t ->
   samples:int ->
   (Rng.t -> int -> 'a) ->
   'a array
-(** [sample ~domains ~rng ~samples run] splits [leases] (default
-    {!default_leases}) streams off [rng], in lease order, before any
+(** [sample ~domains ~rng ~samples run] splits {!leases} streams off
+    [rng], in lease order, before any
     lease runs, then calls [run stream share] for each lease on a pool of
     [domains] workers and returns the results in lease order.  Lease [i]
     gets the [i]-th stream and the [i]-th share of [samples] in
@@ -119,5 +114,4 @@ val sample :
     [samples].  Unlike {!fold}, the lease count is never capped: [rng]
     advances by exactly [leases] splits, and a lease past the last sample
     runs with share 0.  [run] must be safe to call from another domain.
-    @raise Invalid_argument when [domains < 1], [leases < 1], or
-    [samples < 0]. *)
+    @raise Invalid_argument when [domains < 1] or [samples < 0]. *)

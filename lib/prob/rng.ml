@@ -75,7 +75,7 @@ let bernoulli t p = float01 t < p
    splitmix-style counter generator over OCaml's native 63-bit [int]
    (alloc-free), seeded from two parent xoshiro draws.  It is a pure
    function of the parent stream's state at [fill_of] time, so the
-   determinism contract is unchanged: same (seed, leases) => same fill
+   determinism contract is unchanged: same seed => same fill
    output, independent of worker count.  The fill stream is NOT the
    xoshiro stream — kernel consumers are pinned to the scalar path
    statistically, not bit-for-bit (see docs/KERNEL.md). *)

@@ -44,7 +44,7 @@ type fill
 
 val fill_of : t -> fill
 (** Derive a fill stream, advancing the parent by exactly two draws.  The
-    result is a pure function of the parent's state, so (seed, leases)
+    result is a pure function of the parent's state, so seed
     determinism carries over to every value the fill produces. *)
 
 val fill_float : fill -> float

@@ -122,16 +122,17 @@ type config = {
   solver_domains : int;
   queue_depth : int;
   default_budget_ms : int;
-  stuck_grace_s : float;
   lru_cap : int;
   cache_dir : string option;
   ledger_file : string option;
-  ledger_rotate_bytes : int;
-  drain_deadline_s : float;
   slow_request_s : float;
-  limits : Httpd.limits;
   chaos : chaos option;
 }
+
+(* Slack past a job's deadline before the watchdog supersedes its worker. *)
+let stuck_grace_s = 0.5
+let ledger_rotate_bytes = 4 * 1024 * 1024
+let default_drain_deadline_s = 5.0
 
 let default_config =
   {
@@ -141,14 +142,10 @@ let default_config =
     solver_domains = 1;
     queue_depth = 64;
     default_budget_ms = 5_000;
-    stuck_grace_s = 0.5;
     lru_cap = 256;
     cache_dir = None;
     ledger_file = None;
-    ledger_rotate_bytes = 4 * 1024 * 1024;
-    drain_deadline_s = 5.0;
     slow_request_s = 1.0;
-    limits = Httpd.default_limits;
     chaos = None;
   }
 
@@ -295,7 +292,7 @@ let ledger_note t job ~wall_s =
       }
     in
     Mutex.protect t.ledger_mu (fun () ->
-      try Ledger.append ~rotate_above:t.cfg.ledger_rotate_bytes ~file entry
+      try Ledger.append ~rotate_above:ledger_rotate_bytes ~file entry
       with Sys_error _ -> ())
 
 (* -------------------------- exactly-once ---------------------------- *)
@@ -487,7 +484,7 @@ let supervise_once t =
           end
           else
             match Atomic.get w.current with
-            | Some job when now > job.deadline_mono_s +. t.cfg.stuck_grace_s ->
+            | Some job when now > job.deadline_mono_s +. stuck_grace_s ->
               (* wedged in an un-cancellable pipeline well past its
                  deadline: answer 504 on its behalf, supersede it (it
                  exits silently when the solve returns) and re-staff *)
@@ -743,10 +740,7 @@ let validate cfg =
   if cfg.solver_domains < 1 then invalid_arg "Serve.start: solver_domains must be >= 1";
   if cfg.queue_depth < 1 then invalid_arg "Serve.start: queue_depth must be >= 1";
   if cfg.default_budget_ms < 1 then invalid_arg "Serve.start: default_budget_ms must be >= 1";
-  if not (cfg.stuck_grace_s > 0.) then invalid_arg "Serve.start: stuck_grace_s must be positive";
   if cfg.lru_cap < 1 then invalid_arg "Serve.start: lru_cap must be >= 1";
-  if not (cfg.drain_deadline_s > 0.) then
-    invalid_arg "Serve.start: drain_deadline_s must be positive";
   if not (cfg.slow_request_s > 0.) then
     invalid_arg "Serve.start: slow_request_s must be positive"
 
@@ -802,8 +796,7 @@ let start cfg =
     }
   in
   match
-    Httpd.start ~host:cfg.host ?ledger_file:cfg.ledger_file ~limits:cfg.limits
-      ~handler:(handler t) ~port:cfg.port ()
+    Httpd.start ~host:cfg.host ?ledger_file:cfg.ledger_file ~handler:(handler t) ~port:cfg.port ()
   with
   | Error e -> Error e
   | Ok httpd ->
@@ -819,8 +812,7 @@ let start cfg =
 
 let port t = match t.httpd with Some h -> Httpd.port h | None -> 0
 
-let stop ?drain_deadline_s t =
-  let budget = Option.value drain_deadline_s ~default:t.cfg.drain_deadline_s in
+let stop ?(drain_deadline_s = default_drain_deadline_s) t =
   Atomic.set t.draining true;
   (* transport down first: nothing new arrives, deferred fds stay live *)
   (match t.httpd with Some h -> Httpd.stop h | None -> ());
@@ -833,7 +825,7 @@ let stop ?drain_deadline_s t =
     t.watchdog <- None
   | None -> ());
   Workq.close t.queue;
-  let deadline = Trace.now_mono_s () +. budget in
+  let deadline = Trace.now_mono_s () +. drain_deadline_s in
   let pool = Mutex.protect t.pool_mu (fun () -> t.pool) in
   let rec wait () =
     if

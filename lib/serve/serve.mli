@@ -75,23 +75,20 @@ type config = {
           worker. *)
   queue_depth : int;  (** shed watermark *)
   default_budget_ms : int;  (** deadline for requests without [budget_ms] *)
-  stuck_grace_s : float;  (** slack past the deadline before the watchdog supersedes *)
   lru_cap : int;
   cache_dir : string option;  (** durable tier root; [None] = memory-only *)
-  ledger_file : string option;  (** per-request run ledger (rotated) *)
-  ledger_rotate_bytes : int;
-  drain_deadline_s : float;
+  ledger_file : string option;  (** per-request run ledger, rotated past 4 MiB *)
   slow_request_s : float;
       (** threshold for the structured [serve.slow_request] log record *)
-  limits : Httpd.limits;
   chaos : chaos option;
 }
+(** The watchdog supersedes a worker 0.5 s past its job's deadline, and
+    the transport runs under {!Httpd.default_limits}. *)
 
 val default_config : config
 (** Loopback, ephemeral port, 2 workers of 1 solver domain each, depth
-    64, 5 s budget, 0.5 s grace, 256-entry LRU, no durable tier, no
-    ledger, 4 MiB rotation, 5 s drain, 1 s slow-request threshold,
-    {!Httpd.default_limits}, no chaos. *)
+    64, 5 s budget, 256-entry LRU, no durable tier, no ledger, 1 s
+    slow-request threshold, no chaos. *)
 
 type t
 
@@ -100,13 +97,14 @@ val start : config -> (t, string) result
     transport, spawn the worker pool and watchdog.  [Error] on bind
     failure.
     @raise Invalid_argument on nonsensical config (no workers, empty
-    queue, non-positive budget/grace/drain).
+    queue, non-positive budget or slow-request threshold).
     @raise Sys_error / [Unix.Unix_error] when [cache_dir] is unusable. *)
 
 val port : t -> int
 val stop : ?drain_deadline_s:float -> t -> unit
-(** Graceful drain as described above.  Idempotent-ish: a second call
-    finds everything already down and returns quickly. *)
+(** Graceful drain as described above, within [drain_deadline_s]
+    (default 5 s).  Idempotent-ish: a second call finds everything
+    already down and returns quickly. *)
 
 val stats_json : t -> string
 (** The [GET /cache/stats] document ([ddm.cache.stats/v1]). *)

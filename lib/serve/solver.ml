@@ -225,8 +225,8 @@ let solve ?domains ~deadline_mono_s r =
   | (Threshold | Oblivious), Mc { samples; seed } ->
     (* Estimation at a client-pinned seed.  A local rule on the
        no-communication pattern is the batch kernel's game, so the engine
-       plays it there.  The estimate is a function of (seed, leases,
-       samples) alone, so forwarding ?domains keeps the answer byte-stable
+       plays it there.  The estimate is a function of (seed, samples)
+       alone, so forwarding ?domains keeps the answer byte-stable
        across server -j settings.  The sample cap bounds the run well
        under a second, so like the exact pipelines it only checks the
        deadline up front. *)

@@ -9,7 +9,7 @@
   "mode": "exact" | "grid" | "mc",   // default "exact"
   "points": 32,                      // grid resolution per dimension (grid only)
   "samples": 100000, "seed": 42,     // mc only; samples capped, seed pins the answer
-  "crash": 0.1,                      // fold a crash rate in (grid or mc mode)
+  "crash": 0.1,                      // crash rate, drop model (grid or mc mode)
   "budget_ms": 2000} v}
 
     [threshold]/[oblivious] evaluate the paper's Theorem 5.1 / 4.1 closed
@@ -18,6 +18,14 @@
     {!Engine.win_probability_mc} plays on the batch kernel {!Mc_kernel},
     the paper's game; [crash > 0] needs [grid] or [mc]); [opt] runs the
     certified symbolic optimum {!Symbolic.optimal_sym_threshold}.
+
+    [crash] folds {!Fault_model.crash_only}: a crashed player's input
+    leaves the game (the {!Fault_model.Drop} model).  [ddm chaos]
+    defaults to [--crash-mode bin0] instead, where it lands in bin 0, so
+    the two surfaces give different answers to one question: at [n = 3],
+    [delta = 1], the optimal threshold, crash rate 0.25 and 24 grid
+    points, [ddm chaos] prints 0.487422 and this solver answers
+    0.740051.
 
     {!solve} is deadline-aware: grid sweeps get a per-cell cooperative
     cancel hook and raise {!Engine.Cancelled} with partial progress when
@@ -75,7 +83,7 @@ val solve : ?domains:int -> deadline_mono_s:float -> req -> answer
     lease-sharded evaluators — grid sweeps ({!Engine.win_probability_grid},
     crash folds included), the threshold 2^n subset fold, and the [mc]
     batch kernel ({!Mc_kernel.run}).  Each answer is a function of the
-    request alone (an [mc] estimate of [(seed, leases, samples)]), so it
+    request alone (an [mc] estimate of [(seed, samples)]), so it
     is bit-identical for every [domains] and {!cache_key} stays
     [domains]-independent by construction.  Grid cancellation fires at
     every [domains], with merged progress across leases.  The [opt]

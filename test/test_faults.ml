@@ -27,8 +27,7 @@ let counter_value name =
 (* The same decisions with the local rule hidden: the engine can no
    longer hand the run to the batch kernel, so it takes the closure. *)
 let hide_local_rule p =
-  Dist_protocol.make ~deterministic:(Dist_protocol.is_deterministic p)
-    ~name:(Dist_protocol.name p ^ "/closure") (Dist_protocol.decide p)
+  Dist_protocol.make ~name:(Dist_protocol.name p ^ "/closure") (Dist_protocol.decide p)
 
 (* ------------------------- Fault_model ------------------------- *)
 
@@ -146,7 +145,7 @@ let engine_tests =
         let rng = Rng.create ~seed:21 in
         let pattern = Comm_pattern.none ~n:3 in
         let protocol = Dist_protocol.fair_coin ~n:3 in
-        let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.5 in
+        let faults = Fault_model.make ~crash:0.5 ~crash_mode:(Fault_model.Default_bin 0) () in
         for _ = 1 to 200 do
           ignore (Engine.run_once ~faults rng ~delta:1. pattern protocol)
         done;
@@ -189,7 +188,7 @@ let engine_tests =
       Alcotest.(check (float 1e-12)) "drop sheds all load" 1. p_drop;
       let bin0 r inputs =
         Engine.win_probability_given
-          ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
+          ~faults:(Fault_model.make ~crash:r ~crash_mode:(Fault_model.Default_bin 0) ())
           ~delta:1. pattern protocol inputs
       in
       Alcotest.(check (float 1e-12)) "total 0.9 fits in bin 0" 1. (bin0 1. [| 0.4; 0.3; 0.2 |]);
@@ -227,12 +226,12 @@ let engine_tests =
             Alcotest.(check (float 1e-12)) "fold = clean" (enumerate inputs)
               (Engine.win_probability_given ?faults ~delta pattern protocol inputs))
           [ None; Some Fault_model.none;
-            Some (Fault_model.crash_only ~mode:(Fault_model.Default_bin 1) 0.) ]
+            Some (Fault_model.make ~crash:0. ~crash_mode:(Fault_model.Default_bin 1) ()) ]
       done);
     Alcotest.test_case "crash fold agrees with Monte-Carlo" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
-      let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3 in
+      let faults = Fault_model.make ~crash:0.3 ~crash_mode:(Fault_model.Default_bin 0) () in
       let exact = Engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
       (* on the kernel, and on the closure the hidden local rule takes *)
       List.iter
@@ -261,7 +260,7 @@ let engine_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
       let fold r =
         Engine.win_probability_grid ~points:64
-          ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
+          ~faults:(Fault_model.make ~crash:r ~crash_mode:(Fault_model.Default_bin 0) ())
           ~delta:1. pattern protocol
       in
       let golden = [ (0., 0.546798706055); (0.1, 0.523612976073); (0.25, 0.482654571533) ] in
@@ -298,7 +297,7 @@ let combinator_tests =
     Alcotest.test_case "with_fallback routes incomplete views to the fallback" `Quick (fun () ->
       let full = Comm_pattern.full ~n:3 in
       let inner =
-        Dist_protocol.make ~deterministic:true ~name:"needs-links" (fun v ->
+        Dist_protocol.make ~name:"needs-links" (fun v ->
           if List.length v.Dist_protocol.others = 2 then 1. else Float.nan)
       in
       let resilient = Dist_protocol.with_fallback ~expected:full inner in
@@ -375,7 +374,7 @@ let kernel_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       List.iter
         (fun mode ->
-          let faults = Fault_model.crash_only ~mode 0.2 in
+          let faults = Fault_model.make ~crash:0.2 ~crash_mode:mode () in
           let est =
             Engine.win_probability_mc ~rng:(Rng.create ~seed:71) ~samples:120_000 ~faults ~delta
               pattern protocol
@@ -437,7 +436,7 @@ let kernel_tests =
       let threshold = Dist_protocol.common_threshold ~n:3 0.62 in
       let cases =
         [
-          ( Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.2,
+          ( Fault_model.make ~crash:0.2 ~crash_mode:(Fault_model.Default_bin 0) (),
             threshold,
             fun label d ->
               near label d "ddm_faults_crashes_total" ~trials:(3 * samples) ~p:0.2;
@@ -498,7 +497,7 @@ let degradation_tests =
       let sweep () =
         Degradation.sweep ~grid_points:64 ~rng:(Rng.create ~seed:42) ~samples:30_000
           ~rates:[ 0.; 0.1; 0.25 ]
-          ~model_of:(fun r -> Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
+          ~model_of:(fun r -> Fault_model.make ~crash:r ~crash_mode:(Fault_model.Default_bin 0) ())
           ~delta:1. pattern protocol
       in
       let report = sweep () in
@@ -551,7 +550,7 @@ let degradation_tests =
       let report =
         Degradation.sweep ~grid_points:16 ~rng:(Rng.create ~seed:3) ~samples:2_000
           ~rates:[ 0.; 0.5 ]
-          ~model_of:(fun r -> Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
+          ~model_of:(fun r -> Fault_model.make ~crash:r ~crash_mode:(Fault_model.Default_bin 0) ())
           ~delta:1. pattern protocol
       in
       let count_lines s = List.length (String.split_on_char '\n' (String.trim s)) in
@@ -666,7 +665,7 @@ let fold_par_tests =
         (Float.abs (f1 -. !by_subsets) < 1e-14);
       (* leases beyond the 16 subsets fold nothing *)
       Alcotest.(check (float 0.)) "leases > subsets" f1
-        (Engine.win_probability_given ~domains:3 ~leases:64 ~faults ~delta pattern protocol
+        (Engine.win_probability_given ~domains:3 ~faults ~delta pattern protocol
            inputs));
     Alcotest.test_case "fault grid is bit-identical across domains 1/2/4" `Quick (fun () ->
       let grid j =

@@ -333,7 +333,7 @@ let trace_tests =
       with_tracing (fun () ->
         let rng = Rng.create ~seed:11 in
         let est =
-          Mc.probability ~domains:2 ~leases:8 ~rng ~samples:1000 (fun rng ->
+          Mc.probability ~domains:2 ~rng ~samples:1000 (fun rng ->
             Rng.float01 rng < 0.5)
         in
         Alcotest.(check int) "all samples drawn" 1000 est.Mc.samples;
@@ -346,7 +346,7 @@ let trace_tests =
         (* Worker-domain lease spans are drained before join and absorbed on
            the main domain, so the profile sees every lease regardless of
            which domain ran it. *)
-        Alcotest.(check int) "one lease span per lease" 8 (calls "mc.par.lease");
+        Alcotest.(check int) "one lease span per lease" Par_fold.leases (calls "mc.par.lease");
         Alcotest.(check int) "top-level span on main" 1 (calls "mc.probability")));
     Alcotest.test_case "exact folds span their leases only on a pool" `Quick (fun () ->
       (* an inline fold already sits under its caller's span; a pooled one
@@ -412,9 +412,9 @@ let export_tests =
       |> List.iter (fun l -> Alcotest.(check bool) ("parses: " ^ l) true (json_valid l)));
     Alcotest.test_case "bench report JSON golden and valid" `Quick (fun () ->
       let expected =
-        "{\"counters\":{\"t_requests_total\":3},\"gauges\":{\"t_temperature\":2.5},\"histograms\":{\"t_latency_seconds\":{\"count\":6,\"sum\":4.5,\"buckets\":[{\"le\":0.1,\"count\":1},{\"le\":1,\"count\":3},{\"le\":\"+Inf\",\"count\":6}]}}}"
+        "{\"counters\":{\"t_requests_total\":3},\"gauges\":{\"t_temperature\":2.5},\"histograms\":{\"t_latency_seconds\":{\"count\":6,\"sum\":4.5,\"buckets\":[{\"le\":0.10000000000000001,\"count\":1},{\"le\":1,\"count\":3},{\"le\":\"+Inf\",\"count\":6}]}}}"
       in
-      let got = Export.json_of_samples golden_samples in
+      let got = Jsonx.to_string (Export.grouped_json golden_samples) in
       Alcotest.(check string) "grouped object" expected got;
       Alcotest.(check bool) "parses" true (json_valid got));
     Alcotest.test_case "table lists every metric with cumulative buckets" `Quick (fun () ->
@@ -846,6 +846,16 @@ let httpd_tests =
           Alcotest.(check bool) "distinct ports" true (p1 <> p2);
           Alcotest.(check int) "first alive" 200 (fst (http_request p1 "/healthz"));
           Alcotest.(check int) "second alive" 200 (fst (http_request p2 "/healthz")))));
+    Alcotest.test_case "snapshot gauges read back bit for bit" `Quick (fun () ->
+      with_metrics (fun () ->
+        let v = 0.1234567890123456 in
+        Metrics.set (Metrics.gauge "test_obs_snap_precise") v;
+        with_server (fun port ->
+          let _, body = http_request port "/snapshot" in
+          let metrics = Jsonx.member "metrics" (Jsonx.parse_exn body) in
+          let gauges = Option.bind metrics (Jsonx.member "gauges") in
+          Alcotest.(check (option (float 0.))) "16 significant digits" (Some v)
+            (Option.bind gauges (Jsonx.float_member "test_obs_snap_precise")))));
   ]
 
 (* ------------------------- concurrent scraping ------------------------- *)
@@ -968,11 +978,11 @@ let concurrency_tests =
     Alcotest.test_case "live_spans sees spans from joined workers" `Quick (fun () ->
       with_tracing (fun () ->
         let rng = Rng.create ~seed:3 in
-        ignore (Mc.probability ~domains:2 ~leases:4 ~rng ~samples:100 (fun rng ->
+        ignore (Mc.probability ~domains:2 ~rng ~samples:100 (fun rng ->
           Rng.float01 rng < 0.5));
         let rows = Trace.profile_of (Trace.live_spans ()) in
         match List.find_opt (fun r -> r.Trace.p_name = "mc.par.lease") rows with
-        | Some r -> Alcotest.(check int) "all leases visible" 4 r.Trace.calls
+        | Some r -> Alcotest.(check int) "all leases visible" Par_fold.leases r.Trace.calls
         | None -> Alcotest.fail "no lease spans in live view"));
   ]
 

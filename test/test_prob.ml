@@ -594,8 +594,8 @@ let kernel_tests =
 
 (* ------------------- Mc on Par_fold.sample ------------------- *)
 
-(* The determinism contract under test: for a fixed (seed, leases, samples)
-   the estimate must not depend on how many domains executed the leases. *)
+(* The determinism contract under test: for a fixed (seed, samples) the
+   estimate must not depend on how many domains executed the leases. *)
 let mc_par_tests =
   let bernoulli_03 rng = Rng.float01 rng < 0.3 in
   [
@@ -618,20 +618,6 @@ let mc_par_tests =
             ej.Mc.stderr)
         [ 2; 4 ];
       Alcotest.(check bool) "estimate is sane" true (Mc.agrees p1 0.3));
-    Alcotest.test_case "worker-count invariance holds for any lease count" `Quick (fun () ->
-      List.iter
-        (fun leases ->
-          let prob j =
-            Mc.probability ~domains:j ~leases ~rng:(Rng.create ~seed:5) ~samples:10_000
-              bernoulli_03
-          in
-          let p1 = prob 1 in
-          Alcotest.(check (float 0.)) (Printf.sprintf "leases=%d" leases) p1.Mc.mean
-            (prob 3).Mc.mean;
-          Alcotest.(check bool)
-            (Printf.sprintf "leases=%d agrees with p" leases)
-            true (Mc.agrees p1 0.3))
-        [ 1; 7; 64; 200 ]);
     Alcotest.test_case "merged metrics equal the sequential totals" `Quick (fun () ->
       let was = Metrics.enabled () in
       Fun.protect
@@ -660,7 +646,7 @@ let mc_par_tests =
       let zero =
         Par_fold.sample ~domains:4 ~rng:(Rng.create ~seed:1) ~samples:0 (fun _ share -> share)
       in
-      Alcotest.(check int) "samples:0 runs every lease" Par_fold.default_leases
+      Alcotest.(check int) "samples:0 runs every lease" Par_fold.leases
         (Array.length zero);
       Alcotest.(check int) "samples:0 shares nothing" 0 (Array.fold_left ( + ) 0 zero);
       (* fewer samples than leases: only some leases draw at all *)
@@ -669,20 +655,17 @@ let mc_par_tests =
       in
       Alcotest.(check (float 0.)) "samples < leases" 1. tiny.Mc.mean;
       Alcotest.(check int) "sample count preserved" 3 tiny.Mc.samples;
-      (* more domains than leases: surplus workers exit without work *)
-      let wide =
-        Mc.probability ~domains:8 ~leases:2 ~rng:(Rng.create ~seed:3) ~samples:100 (fun _ -> true)
-      in
-      Alcotest.(check (float 0.)) "domains > leases" 1. wide.Mc.mean;
+      (* more domains than leases: a 3-item fold runs 3 leases, so the
+         surplus workers exit without work *)
+      Alcotest.(check int) "domains > leases" 3
+        (Par_fold.fold ~domains:8 ~items:3
+           ~init:(fun () -> 0)
+           ~step:(fun acc _ -> acc + 1)
+           ~merge:( + ) ());
       Alcotest.check_raises "domains:0 rejected"
         (Invalid_argument "Par_fold.sample: domains must be >= 1") (fun () ->
           ignore
             (Mc.probability ~domains:0 ~rng:(Rng.create ~seed:4) ~samples:10 (fun _ -> true)));
-      Alcotest.check_raises "leases:0 rejected"
-        (Invalid_argument "Par_fold.sample: leases must be >= 1") (fun () ->
-          ignore
-            (Mc.probability ~domains:1 ~leases:0 ~rng:(Rng.create ~seed:4) ~samples:10
-               (fun _ -> true)));
       Alcotest.check_raises "samples:0 still rejected at the Mc level"
         (Invalid_argument "Mc.probability: samples") (fun () ->
           ignore
@@ -696,21 +679,17 @@ let mc_par_tests =
 
 (* ------------------- one sampling runner, as a property ------------------- *)
 
-(* Every Monte-Carlo sampler shares Par_fold.sample: for any (samples,
-   leases) the lease shares partition the budget, and the kernel (plain and
+(* Every Monte-Carlo sampler shares Par_fold.sample: for any sample count
+   the lease shares partition the budget, and the kernel (plain and
    crash-faulted, with the fused loads and histogram) and the closure
-   estimators are bit-identical at every worker count.  The draws mix the
-   general range with leases > samples and with a largest share past the
-   kernel's 4096-play chunk. *)
+   estimators are bit-identical at every worker count.  The fixed edge
+   cases put the budget below, at and just past the lease count, and give
+   a lease a share past the kernel's 4096-play chunk. *)
 let sampler_props =
   let open QCheck.Gen in
-  let general = pair (int_range 0 20_000) (int_range 1 300) in
-  let sparse = int_range 0 50 >>= fun s -> map (fun l -> (s, l)) (int_range (s + 1) 300) in
-  let long_lease = int_range 1 4 >>= fun l -> map (fun s -> (s, l)) (int_range (4097 * l) 20_000) in
-  let gen = pair (frequency [ (3, general); (1, sparse); (1, long_lease) ]) (int_range 0 10_000) in
+  let gen = pair (int_range 0 20_000) (int_range 0 10_000) in
   let arb =
-    QCheck.make gen ~print:(fun ((samples, leases), seed) ->
-        Printf.sprintf "samples=%d leases=%d seed=%d" samples leases seed)
+    QCheck.make gen ~print:(fun (samples, seed) -> Printf.sprintf "samples=%d seed=%d" samples seed)
   in
   let tau = [| 0.6; 0.62; 0.65 |] in
   let plain = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold tau) in
@@ -721,14 +700,14 @@ let sampler_props =
   in
   let same_at_every_j run = List.for_all (fun j -> compare (run 1) (run j) = 0) [ 2; 3 ] in
   let bernoulli rng = Rng.float01 rng < 0.3 in
-  let holds ((samples, leases), seed) =
+  let holds (samples, seed) =
     let rng () = Rng.create ~seed in
-    let shares j = Par_fold.sample ~leases ~domains:j ~rng:(rng ()) ~samples (fun _ s -> s) in
+    let shares j = Par_fold.sample ~domains:j ~rng:(rng ()) ~samples (fun _ s -> s) in
     let s = shares 1 in
     let kernel spec j =
-      Mc_kernel.run ~hist:(10, 0., 2.) ~loads:true ~leases ~domains:j ~rng:(rng ()) ~samples spec
+      Mc_kernel.run ~hist:(10, 0., 2.) ~loads:true ~domains:j ~rng:(rng ()) ~samples spec
     in
-    Array.length s = leases
+    Array.length s = Par_fold.leases
     && Array.fold_left ( + ) 0 s = samples
     && Array.fold_left max 0 s - Array.fold_left min max_int s <= 1
     && same_at_every_j shares
@@ -737,25 +716,22 @@ let sampler_props =
     && same_at_every_j (kernel faulty)
     && (samples = 0
        || same_at_every_j (fun j ->
-              Mc.probability ~leases ~domains:j ~rng:(rng ()) ~samples bernoulli)
+              Mc.probability ~domains:j ~rng:(rng ()) ~samples bernoulli)
           && same_at_every_j (fun j ->
-                 Mc.expectation ~leases ~domains:j ~rng:(rng ()) ~samples Rng.float01))
+                 Mc.expectation ~domains:j ~rng:(rng ()) ~samples Rng.float01))
   in
   [
     Alcotest.test_case "edge cases: empty, sparse and long-lease runs" `Quick (fun () ->
       List.iter
-        (fun (samples, leases) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "samples=%d leases=%d" samples leases)
-            true
-            (holds ((samples, leases), 7)))
-        [ (0, 64); (0, 1); (3, 300); (299, 300); (4096, 1); (4097, 1); (8193, 2); (20_000, 4) ]);
+        (fun samples ->
+          Alcotest.(check bool) (Printf.sprintf "samples=%d" samples) true (holds (samples, 7)))
+        [ 0; 3; 63; 64; 65; 20_000; Par_fold.leases * 4097 ]);
     qtest ~count:60 "shares partition and every -j agrees" arb holds;
   ]
 
 (* ------------------------- Par_fold ------------------------- *)
 
-(* The exact-path contract: for a fixed (items, leases) the fold must not
+(* The exact-path contract: for a fixed item count the fold must not
    depend on how many domains executed the leases — including for
    floating-point sums, whose grouping is a function of the partition. *)
 let par_fold_tests =
@@ -768,28 +744,19 @@ let par_fold_tests =
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) s1 (s j))
         [ 2; 4; 8 ];
-      (* and the lease partition is the only float-sensitive knob: a
-         single lease reproduces the plain sequential sum exactly *)
+      (* the lease partition regroups the sequential sum, moving it by
+         roundoff at most *)
       let seq = ref 0. in
       for k = 0 to 10_000 do
         seq := !seq +. f k
       done;
-      Alcotest.(check (float 0.))
-        "leases=1 equals the sequential sum" !seq
-        (Par_fold.sum ~domains:4 ~leases:1 ~items:10_001 f);
       Alcotest.(check bool)
         "default leases stay within roundoff of sequential" true
         (Float.abs (s1 -. !seq) < 1e-9));
-    Alcotest.test_case "worker-count invariance holds for any lease count" `Quick (fun () ->
-      List.iter
-        (fun leases ->
-          let s j = Par_fold.sum ~domains:j ~leases ~items:999 f in
-          Alcotest.(check (float 0.)) (Printf.sprintf "leases=%d" leases) (s 1) (s 3))
-        [ 1; 7; 64; 200 ]);
     Alcotest.test_case "lease count > work items: surplus leases fold init" `Quick (fun () ->
       let counted = Atomic.make 0 in
       let total =
-        Par_fold.fold ~domains:4 ~leases:64 ~items:5
+        Par_fold.fold ~domains:4 ~items:5
           ~init:(fun () -> 0)
           ~step:(fun acc k ->
             Atomic.incr counted;
@@ -814,9 +781,6 @@ let par_fold_tests =
       Alcotest.check_raises "domains:0 rejected"
         (Invalid_argument "Par_fold.fold: domains must be >= 1") (fun () ->
           ignore (Par_fold.sum ~domains:0 ~items:3 f));
-      Alcotest.check_raises "leases:0 rejected"
-        (Invalid_argument "Par_fold.fold: leases must be >= 1") (fun () ->
-          ignore (Par_fold.sum ~domains:1 ~leases:0 ~items:3 f));
       Alcotest.check_raises "negative items rejected"
         (Invalid_argument "Par_fold.fold: items must be >= 0") (fun () ->
           ignore (Par_fold.sum ~domains:1 ~items:(-1) f)));

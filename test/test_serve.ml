@@ -457,8 +457,8 @@ let solver_tests =
         (k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\"}"
         = k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\",\"budget_ms\":9}");
       (* seed-pinned estimates: byte-stable across repeat solves and across
-         the server's -j setting (an estimate depends on seed, leases and
-         samples only), statistically consistent with the closed form *)
+         the server's -j setting (an estimate depends on seed and samples
+         only), statistically consistent with the closed form *)
       let solve ?domains () =
         Solver.solve ?domains ~deadline_mono_s:far
           (parse_ok "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62,\"mode\":\"mc\"}")
@@ -537,6 +537,28 @@ let solver_tests =
       with Engine.Cancelled { cells_done; cells_total } ->
         check Alcotest.int "total cells" (200 * 200 * 200) cells_total;
         checkb "partial progress" true (cells_done > 0 && cells_done < cells_total));
+    Alcotest.test_case "a crash grid answer folds the drop model" `Quick (fun () ->
+      (* a crashed player's input leaves the game; `ddm chaos` defaults to
+         --crash-mode bin0 and answers the same question with 0.487422 *)
+      let beta =
+        Rat.to_float (Symbolic.optimal_sym_threshold ~n:3 ~delta:Rat.one ()).Piecewise.argmax
+      in
+      let body =
+        Printf.sprintf
+          {|{"rule":"threshold","n":3,"delta":"1","params":%.17g,"mode":"grid","points":24,"crash":0.25}|}
+          beta
+      in
+      let a = Solver.solve ~deadline_mono_s:(Trace.now_mono_s () +. 60.) (parse_ok body) in
+      let fold crash_mode =
+        Engine.win_probability_grid ~points:24
+          ~faults:(Fault_model.make ~crash:0.25 ~crash_mode ())
+          ~delta:1. (Comm_pattern.none ~n:3)
+          (Dist_protocol.common_threshold ~n:3 beta)
+      in
+      check (Alcotest.float 0.) "the drop fold" (fold Fault_model.Drop) a.Solver.p;
+      check Alcotest.string "as documented" "0.740051" (Printf.sprintf "%.6f" a.Solver.p);
+      check Alcotest.string "the bin-0 fold differs" "0.487422"
+        (Printf.sprintf "%.6f" (fold (Fault_model.Default_bin 0))));
   ]
 
 (* --------------------------- engine cancel --------------------------- *)
