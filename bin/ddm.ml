@@ -158,6 +158,31 @@ let log_json_arg =
         ~doc:"Render log records as JSON lines instead of the human format (implies --log info \
               unless --log is given).")
 
+(* --log LEVEL sets the level; --log-json switches the format and, alone,
+   logs at info. *)
+let set_logging log_level log_json =
+  (match (log_level, log_json) with
+  | (Some _ as l), _ -> Logx.set_level l
+  | None, true -> Logx.set_level (Some Logx.Info)
+  | None, false -> ());
+  if log_json then Logx.set_format Logx.Json
+
+(* SIGINT and SIGTERM request a stop from the moment this is called; the
+   returned function sleeps until one arrives or [duration] seconds pass. *)
+let stop_on_signal () =
+  let stop = Atomic.make false in
+  let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  (try Sys.set_signal Sys.sigint handler with Invalid_argument _ | Sys_error _ -> ());
+  (try Sys.set_signal Sys.sigterm handler with Invalid_argument _ | Sys_error _ -> ());
+  fun ~duration ->
+    let t0 = Unix.gettimeofday () in
+    let expired () =
+      match duration with Some d -> Unix.gettimeofday () -. t0 >= d | None -> false
+    in
+    while (not (Atomic.get stop)) && not (expired ()) do
+      try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done
+
 (* Every subcommand is wrapped so the observability switches work
    uniformly: enable them, optionally start the live HTTP plane and the
    metrics sampler, run, then write the requested reports/exports and shut
@@ -169,11 +194,7 @@ let with_obs metrics trace ledger obs_listen trace_out log_level log_json run =
     || Option.is_some trace_out
   then Metrics.set_enabled true;
   if trace || Option.is_some trace_out then Trace.set_enabled true;
-  (match (log_level, log_json) with
-  | (Some _ as l), _ -> Logx.set_level l
-  | None, true -> Logx.set_level (Some Logx.Info)
-  | None, false -> ());
-  if log_json then Logx.set_format Logx.Json;
+  set_logging log_level log_json;
   let command = if Array.length Sys.argv > 1 then Sys.argv.(1) else "ddm" in
   let server =
     match obs_listen with
@@ -652,10 +673,7 @@ let obs_serve_cmd =
       exit 2
     | Ok server ->
       Snapring.start ();
-      let stop = Atomic.make false in
-      let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-      (try Sys.set_signal Sys.sigint handler with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm handler with Invalid_argument _ | Sys_error _ -> ());
+      let wait_for_stop = stop_on_signal () in
       Printf.printf "obs: serving http://127.0.0.1:%d (/healthz /metrics /runs /snapshot)%s\n%!"
         (Httpd.port server)
         (match duration with
@@ -663,13 +681,7 @@ let obs_serve_cmd =
         | None -> "; Ctrl-C to stop");
       if Logx.would_log Logx.Info then
         Logx.info "obs.serve" [ ("port", Logx.Int (Httpd.port server)) ];
-      let t0 = Unix.gettimeofday () in
-      let expired () =
-        match duration with Some d -> Unix.gettimeofday () -. t0 >= d | None -> false
-      in
-      while (not (Atomic.get stop)) && not (expired ()) do
-        try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
+      wait_for_stop ~duration;
       Snapring.stop ();
       Httpd.stop server;
       Printf.printf "obs: stopped\n%!"
@@ -716,11 +728,7 @@ let serve_cmd =
       chaos_seed =
     Metrics.set_enabled true;
     Trace.set_enabled true;
-    (match (log_level, log_json) with
-    | (Some _ as l), _ -> Logx.set_level l
-    | None, true -> Logx.set_level (Some Logx.Info)
-    | None, false -> ());
-    if log_json then Logx.set_format Logx.Json;
+    set_logging log_level log_json;
     let chaos =
       if chaos_slow > 0. || chaos_panic > 0. || chaos_diskfail > 0. then
         Some
@@ -761,10 +769,7 @@ let serve_cmd =
       exit 2
     | Ok t ->
       Snapring.start ();
-      let stop = Atomic.make false in
-      let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-      (try Sys.set_signal Sys.sigint handler with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm handler with Invalid_argument _ | Sys_error _ -> ());
+      let wait_for_stop = stop_on_signal () in
       Printf.printf
         "serve: listening http://127.0.0.1:%d (POST /eval, GET /stats, GET /cache/stats + obs \
          routes), %d workers x %d solver domain(s), queue %d%s%s\n\
@@ -774,13 +779,7 @@ let serve_cmd =
         (match duration with
         | Some d -> Printf.sprintf ", stopping after %gs" d
         | None -> "; SIGTERM to drain");
-      let t0 = Unix.gettimeofday () in
-      let expired () =
-        match duration with Some d -> Unix.gettimeofday () -. t0 >= d | None -> false
-      in
-      while (not (Atomic.get stop)) && not (expired ()) do
-        try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
+      wait_for_stop ~duration;
       (* graceful drain: stop accepting, finish accepted work, fail the
          rest explicitly, then exit 0 *)
       Serve.stop t;

@@ -9,19 +9,13 @@
    origin; we rebase on the earliest span start (or counter sample) so
    traces start at ts=0 regardless of wall-clock epoch. *)
 
-let add_event buf ~first ~ph ~name ~tid ~ts_us extra =
-  if not first then Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f" (Jsonx.escape name)
-       ph tid ts_us);
-  Buffer.add_string buf extra;
-  Buffer.add_char buf '}'
+let int v = Jsonx.Num (float_of_int v)
+let args fields = [ ("args", Jsonx.Obj fields) ]
 
-let span_args (s : Trace.span) =
-  Printf.sprintf
-    ",\"cat\":\"span\",\"dur\":%.3f,\"args\":{\"depth\":%d,\"minor_words\":%.0f,\"major_words\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}"
-    (s.Trace.dur_s *. 1e6) s.Trace.depth s.Trace.minor_words s.Trace.major_words
-    s.Trace.minor_collections s.Trace.major_collections
+let event ~ph ~name ~tid ~ts_us extra =
+  Jsonx.Obj
+    (("name", Jsonx.Str name) :: ("ph", Jsonx.Str ph) :: ("pid", int 1) :: ("tid", int tid)
+    :: ("ts", Jsonx.Num ts_us) :: extra)
 
 let json ?(counters = []) spans =
   let t0 =
@@ -32,72 +26,69 @@ let json ?(counters = []) spans =
   in
   let t0 = if Float.is_finite t0 then t0 else 0. in
   let ts_of wall_s = (wall_s -. t0) *. 1e6 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let emit ~ph ~name ~tid ~ts_us extra =
-    add_event buf ~first:!first ~ph ~name ~tid ~ts_us extra;
-    first := false
-  in
   (* one thread_name metadata event per distinct tid, so Perfetto labels
      the tracks "domain N" instead of bare numbers *)
   let tids =
     List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.Trace.tid) spans)
   in
-  List.iter
-    (fun tid ->
-      emit ~ph:"M" ~name:"thread_name" ~tid ~ts_us:0.
-        (Printf.sprintf ",\"args\":{\"name\":\"domain %d\"}" tid))
-    tids;
-  List.iter
-    (fun (s : Trace.span) ->
-      emit ~ph:"X" ~name:s.Trace.name ~tid:s.Trace.tid ~ts_us:(ts_of s.Trace.start_s) (span_args s))
-    spans;
-  (* counter tracks: one ph:"C" event per sampled counter value; constant
-     zeros are skipped to keep the track list readable *)
-  let nonzero_counters =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (c : Snapring.sample) ->
-           List.filter_map (fun (k, v) -> if v <> 0 then Some k else None) c.Snapring.counters)
-         counters)
+  let metadata =
+    List.map
+      (fun tid ->
+        event ~ph:"M" ~name:"thread_name" ~tid ~ts_us:0.
+          (args [ ("name", Jsonx.Str (Printf.sprintf "domain %d" tid)) ]))
+      tids
   in
-  List.iter
-    (fun (c : Snapring.sample) ->
-      List.iter
-        (fun (k, v) ->
-          if List.mem k nonzero_counters then
-            emit ~ph:"C" ~name:k ~tid:0 ~ts_us:(ts_of c.Snapring.t_s)
-              (Printf.sprintf ",\"args\":{\"value\":%d}" v))
-        c.Snapring.counters)
-    counters;
-  (* histogram tracks: each sampled histogram contributes a [name_count]
-     and a [name_sum] counter track, so request rate and latency mass plot
-     over time next to the spans; never-observed histograms are skipped
-     like constant-zero counters *)
-  let live_histograms =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (c : Snapring.sample) ->
-           List.filter_map
-             (fun (k, (n, _)) -> if n <> 0 then Some k else None)
-             c.Snapring.histograms)
-         counters)
+  let complete =
+    List.map
+      (fun (s : Trace.span) ->
+        event ~ph:"X" ~name:s.Trace.name ~tid:s.Trace.tid ~ts_us:(ts_of s.Trace.start_s)
+          (("cat", Jsonx.Str "span") :: ("dur", Jsonx.Num (s.Trace.dur_s *. 1e6))
+          :: args
+               [ ("depth", int s.Trace.depth); ("minor_words", Jsonx.Num s.Trace.minor_words);
+                 ("major_words", Jsonx.Num s.Trace.major_words);
+                 ("minor_collections", int s.Trace.minor_collections);
+                 ("major_collections", int s.Trace.major_collections) ]))
+      spans
   in
-  List.iter
-    (fun (c : Snapring.sample) ->
-      List.iter
+  (* counter tracks: [points] reads a sample as (track, value, nonzero)
+     triples, and each becomes a ph:"C" event; a track that reads zero in
+     every sample is skipped to keep the track list readable *)
+  let tracks points =
+    let live =
+      List.sort_uniq compare
+        (List.concat_map
+           (fun c -> List.filter_map (fun (k, _, nz) -> if nz then Some k else None) (points c))
+           counters)
+    in
+    List.concat_map
+      (fun (c : Snapring.sample) ->
+        List.filter_map
+          (fun (k, v, _) ->
+            if List.mem k live then
+              Some
+                (event ~ph:"C" ~name:k ~tid:0 ~ts_us:(ts_of c.Snapring.t_s)
+                   (args [ ("value", v) ]))
+            else None)
+          (points c))
+      counters
+  in
+  let counter_tracks =
+    tracks (fun c -> List.map (fun (k, v) -> (k, int v, v <> 0)) c.Snapring.counters)
+  in
+  (* each sampled histogram contributes a [name_count] and a [name_sum]
+     track, so request rate and latency mass plot over time next to the
+     spans; a never-observed histogram is skipped like a zero counter *)
+  let histogram_tracks =
+    tracks (fun c ->
+      List.concat_map
         (fun (k, (n, sum)) ->
-          if List.mem k live_histograms then begin
-            emit ~ph:"C" ~name:(k ^ "_count") ~tid:0 ~ts_us:(ts_of c.Snapring.t_s)
-              (Printf.sprintf ",\"args\":{\"value\":%d}" n);
-            emit ~ph:"C" ~name:(k ^ "_sum") ~tid:0 ~ts_us:(ts_of c.Snapring.t_s)
-              (Printf.sprintf ",\"args\":{\"value\":%s}" (Jsonx.to_string (Jsonx.Num sum)))
-          end)
+          [ (k ^ "_count", int n, n <> 0); (k ^ "_sum", Jsonx.Num sum, n <> 0) ])
         c.Snapring.histograms)
-    counters;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  in
+  let events = List.concat [ metadata; complete; counter_tracks; histogram_tracks ] in
+  Jsonx.to_string
+    (Jsonx.Obj [ ("displayTimeUnit", Jsonx.Str "ms"); ("traceEvents", Jsonx.Arr events) ])
+  ^ "\n"
 
 let write ~file ?counters spans =
   let oc = open_out file in

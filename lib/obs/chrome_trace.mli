@@ -16,7 +16,8 @@
 
 val json : ?counters:Snapring.sample list -> Trace.span list -> string
 (** Render a complete trace document
-    ([{"displayTimeUnit":"ms","traceEvents":[...]}], newline-terminated).
+    ([{"displayTimeUnit":"ms","traceEvents":[...]}]) as one
+    newline-terminated line, by {!Jsonx}: numbers at full precision.
     Counters that are zero in every sample — and histograms with no
     observations in any sample — are omitted. *)
 

@@ -1,33 +1,11 @@
 type format = Table | Json | Prometheus
 
-let format_of_string = function
-  | "table" -> Some Table
-  | "json" -> Some Json
-  | "prom" | "prometheus" -> Some Prometheus
-  | _ -> None
-
-let format_to_string = function Table -> "table" | Json -> "json" | Prometheus -> "prom"
-
-(* Number rendering: integers stay integral, everything else goes through
-   %.12g; non-finite floats only ever appear as the +Inf bucket bound. *)
+(* Number rendering for the text surfaces (table, Prometheus, human log
+   records): integers stay integral, everything else goes through %.12g.
+   JSON goes through Jsonx, at full precision. *)
 let num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.12g" v
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let cumulative counts =
   let acc = ref 0 in
@@ -95,55 +73,41 @@ let to_table samples =
 
 (* ------------------------------ JSON ------------------------------- *)
 
-let json_histogram_body buf bounds counts sum count =
-  Buffer.add_string buf (Printf.sprintf "\"count\":%d,\"sum\":%s,\"buckets\":[" count (num sum));
-  let cum = cumulative counts in
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      let le =
-        if i < Array.length bounds then num bounds.(i) else "\"+Inf\""
-      in
-      Buffer.add_string buf (Printf.sprintf "{\"le\":%s,\"count\":%d}" le c))
-    cum;
-  Buffer.add_char buf ']'
+(* Built as Jsonx values, so every float keeps its full precision. *)
+let int v = Jsonx.Num (float_of_int v)
 
-let json_of_sample { Metrics.name; help; value } =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"name\":\"%s\"," (json_escape name));
-  if help <> "" then Buffer.add_string buf (Printf.sprintf "\"help\":\"%s\"," (json_escape help));
-  (match value with
-  | Metrics.Counter_v v -> Buffer.add_string buf (Printf.sprintf "\"type\":\"counter\",\"value\":%d" v)
-  | Metrics.Gauge_v v ->
-    Buffer.add_string buf (Printf.sprintf "\"type\":\"gauge\",\"value\":%s" (num v))
-  | Metrics.Histogram_v { bounds; counts; sum; count } ->
-    Buffer.add_string buf "\"type\":\"histogram\",";
-    json_histogram_body buf bounds counts sum count);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let histogram_fields bounds counts sum count =
+  let bucket i c =
+    let le = if i < Array.length bounds then Jsonx.Num bounds.(i) else Jsonx.Str "+Inf" in
+    Jsonx.Obj [ ("le", le); ("count", int c) ]
+  in
+  [
+    ("count", int count);
+    ("sum", Jsonx.Num sum);
+    ("buckets", Jsonx.Arr (Array.to_list (Array.mapi bucket (cumulative counts))));
+  ]
 
-let to_json_lines samples = String.concat "" (List.map (fun s -> json_of_sample s ^ "\n") samples)
+let json_line { Metrics.name; help; value } =
+  let kind, fields =
+    match value with
+    | Metrics.Counter_v v -> ("counter", [ ("value", int v) ])
+    | Metrics.Gauge_v v -> ("gauge", [ ("value", Jsonx.Num v) ])
+    | Metrics.Histogram_v { bounds; counts; sum; count } ->
+      ("histogram", histogram_fields bounds counts sum count)
+  in
+  let help = if help = "" then [] else [ ("help", Jsonx.Str help) ] in
+  Jsonx.to_string
+    (Jsonx.Obj ((("name", Jsonx.Str name) :: help) @ (("type", Jsonx.Str kind) :: fields)))
+  ^ "\n"
 
-(* Built as a Jsonx value, so every float keeps its full precision. *)
+let to_json_lines samples = String.concat "" (List.map json_line samples)
+
 let grouped_json samples =
   let group pick =
     Jsonx.Obj
       (List.filter_map
          (fun { Metrics.name; value; _ } -> Option.map (fun v -> (name, v)) (pick value))
          samples)
-  in
-  let int v = Jsonx.Num (float_of_int v) in
-  let histogram bounds counts sum count =
-    let bucket i c =
-      let le = if i < Array.length bounds then Jsonx.Num bounds.(i) else Jsonx.Str "+Inf" in
-      Jsonx.Obj [ ("le", le); ("count", int c) ]
-    in
-    Jsonx.Obj
-      [
-        ("count", int count);
-        ("sum", Jsonx.Num sum);
-        ("buckets", Jsonx.Arr (Array.to_list (Array.mapi bucket (cumulative counts))));
-      ]
   in
   Jsonx.Obj
     [
@@ -152,7 +116,7 @@ let grouped_json samples =
       ( "histograms",
         group (function
           | Metrics.Histogram_v { bounds; counts; sum; count } ->
-            Some (histogram bounds counts sum count)
+            Some (Jsonx.Obj (histogram_fields bounds counts sum count))
           | _ -> None) );
     ]
 

@@ -6,12 +6,13 @@
 
 type format = Table | Json | Prometheus
 
-val format_of_string : string -> format option
-(** Recognizes ["table"], ["json"], ["prom"] and ["prometheus"]. *)
-
-val format_to_string : format -> string
-
 val render : format -> Metrics.sample list -> string
+
+val num : float -> string
+(** The text surfaces' number rendering (table, Prometheus, human
+    {!Logx} records): integral values below [1e15] print without a
+    fraction, everything else at [%.12g].  JSON surfaces print through
+    {!Jsonx} at full precision instead. *)
 
 val to_table : Metrics.sample list -> string
 (** Aligned human-readable table; histograms get one indented row per
@@ -19,7 +20,10 @@ val to_table : Metrics.sample list -> string
 
 val to_json_lines : Metrics.sample list -> string
 (** One JSON object per line, e.g.
-    [{"name":"ddm_mc_samples_total","type":"counter","value":200000}].
+    [{"name":"ddm_mc_samples_total","type":"counter","value":200000}]:
+    [name], [help] (when non-empty), [type], then [value] or the
+    histogram's [count], [sum] and [buckets].  Rendered by {!Jsonx}, so
+    floats print at full precision and non-finite ones as [null].
     Histogram bucket counts are cumulative with an explicit ["+Inf"]
     bucket, mirroring the Prometheus exposition. *)
 

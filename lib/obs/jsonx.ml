@@ -1,6 +1,6 @@
-(* Minimal JSON tree: just enough to parse and re-emit the repo's own
-   machine-readable artifacts (ledger lines, serve answers) without pulling
-   a JSON dependency into the build.  Not a general-purpose validator: it
+(* Minimal JSON tree: just enough to parse and emit the repo's own
+   machine-readable artifacts (ledger lines, serve answers, metric and log
+   lines, traces) without pulling a JSON dependency into the build.  Not a general-purpose validator: it
    accepts the JSON grammar plus a few lenient corners (number syntax is
    delegated to [float_of_string]). *)
 
@@ -191,7 +191,7 @@ let escape s =
   Buffer.contents buf
 
 let num_to_string v =
-  if Float.is_nan v then "null" (* NaN has no JSON encoding; degrade to null *)
+  if not (Float.is_finite v) then "null" (* NaN and the infinities have no JSON encoding *)
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 

@@ -1,7 +1,9 @@
 (** Minimal JSON tree for the repo's own machine-readable artifacts
-    (ledger lines, serve answers, snapshots): parse, print, and a few
-    accessors.  Numbers are floats throughout (ints survive to [1e15]).
-    Kept tiny on purpose — no dependency on an external JSON library. *)
+    (ledger lines, serve answers, snapshots, [--metrics json] and
+    [--log-json] lines, Chrome traces): parse, print, and a few accessors.
+    It is the one JSON writer in [lib/obs].  Numbers are floats throughout
+    (ints survive to [1e15]).  Kept tiny on purpose — no dependency on an
+    external JSON library. *)
 
 type t =
   | Null
@@ -18,11 +20,9 @@ val parse_exn : string -> t
 (** @raise Parse_error on malformed input (including trailing garbage). *)
 
 val to_string : t -> string
-(** Compact (single-line) rendering.  Round-trips with {!parse} for every
-    value except NaN, which is emitted as [null]. *)
-
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
+(** Compact (single-line) rendering, numbers at full precision.  Round-trips
+    with {!parse} for every value except the non-finite numbers (NaN and
+    the infinities), which are emitted as [null]. *)
 
 (** {1 Accessors} — all total; [None] on a kind mismatch or missing key. *)
 

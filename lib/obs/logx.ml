@@ -11,13 +11,6 @@ type level = Debug | Info | Warn | Error
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let level_to_string = function Debug -> "debug" | Info -> "info" | Warn -> "warn" | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type value = Str of string | Int of int | Float of float | Bool of bool
 type field = string * value
 type format = Human | Json
@@ -33,26 +26,15 @@ let set_level = function
   | None -> threshold := max_int
   | Some l -> threshold := severity l
 
-let current_level () =
-  match !threshold with 0 -> Some Debug | 1 -> Some Info | 2 -> Some Warn | 3 -> Some Error | _ -> None
-
 let sink_format = ref Human
 let sink_channel = ref stderr
 let set_format f = sink_format := f
 let set_channel oc = sink_channel := oc
 
 let mu = Mutex.create ()
-let n_emitted = ref 0
-let emitted () = !n_emitted
 
 let records =
   Metrics.counter ~help:"Structured log records emitted (post level filter)" "ddm_log_records_total"
-
-(* %.12g matches the exporters' float rendering; integral floats print
-   without an exponent so field values stay grep-able. *)
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
 
 let add_human_value buf = function
   | Str s ->
@@ -60,19 +42,14 @@ let add_human_value buf = function
       Buffer.add_string buf s
     else Buffer.add_string buf (Printf.sprintf "%S" s)
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float v -> Buffer.add_string buf (float_str v)
+  | Float v -> Buffer.add_string buf (Export.num v)
   | Bool b -> Buffer.add_string buf (string_of_bool b)
 
-let add_json_value buf = function
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (Jsonx.escape s);
-    Buffer.add_char buf '"'
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float v ->
-    if Float.is_finite v then Buffer.add_string buf (float_str v)
-    else Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
+let json_value = function
+  | Str s -> Jsonx.Str s
+  | Int i -> Jsonx.Num (float_of_int i)
+  | Float v -> Jsonx.Num v
+  | Bool b -> Jsonx.Bool b
 
 let emit l msg fields =
   let t = Unix.gettimeofday () in
@@ -94,16 +71,13 @@ let emit l msg fields =
       fields
   | Json ->
     Buffer.add_string buf
-      (Printf.sprintf "{\"t\":%.6f,\"level\":\"%s\",\"domain\":%d,\"msg\":\"%s\"" t
-         (level_to_string l) tid (Jsonx.escape msg));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf ",\"";
-        Buffer.add_string buf (Jsonx.escape k);
-        Buffer.add_string buf "\":";
-        add_json_value buf v)
-      fields;
-    Buffer.add_char buf '}');
+      (Jsonx.to_string
+         (Jsonx.Obj
+            (("t", Jsonx.Num t)
+            :: ("level", Jsonx.Str (level_to_string l))
+            :: ("domain", Jsonx.Num (float_of_int tid))
+            :: ("msg", Jsonx.Str msg)
+            :: List.map (fun (k, v) -> (k, json_value v)) fields))));
   Buffer.add_char buf '\n';
   let line = Buffer.contents buf in
   Metrics.incr records;
@@ -111,7 +85,6 @@ let emit l msg fields =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock mu)
     (fun () ->
-      incr n_emitted;
       output_string !sink_channel line;
       flush !sink_channel)
 

@@ -24,14 +24,16 @@ type value = Str of string | Int of int | Float of float | Bool of bool
 type field = string * value
 
 type format =
-  | Human  (** [HH:MM:SS.mmm LEVEL \[dN\] msg k=v ...] *)
-  | Json  (** one JSON object per line: [{"t":..,"level":..,"domain":..,"msg":..,k:v,..}] *)
+  | Human  (** [HH:MM:SS.mmm LEVEL \[dN\] msg k=v ...], floats by {!Export.num} *)
+  | Json
+      (** one JSON object per line, rendered by {!Jsonx}:
+          [{"t":..,"level":..,"domain":..,"msg":..,k:v,..}], floats at
+          full precision and non-finite ones as [null] *)
 
 val set_level : level option -> unit
 (** [Some l] enables records at [l] and above; [None] (the default)
     disables logging entirely. *)
 
-val current_level : unit -> level option
 val would_log : level -> bool
 (** One load-and-compare; true iff a record at this level would be
     emitted. *)
@@ -42,16 +44,8 @@ val set_format : format -> unit
 val set_channel : out_channel -> unit
 (** Default [stderr].  The channel is flushed after every record. *)
 
-val level_of_string : string -> level option
-(** Recognizes ["debug"], ["info"], ["warn"]/["warning"], ["error"]. *)
-
-val level_to_string : level -> string
-
 val log : level -> string -> field list -> unit
 val debug : string -> field list -> unit
 val info : string -> field list -> unit
 val warn : string -> field list -> unit
 val error : string -> field list -> unit
-
-val emitted : unit -> int
-(** Total records written since process start (all levels, all domains). *)

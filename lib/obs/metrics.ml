@@ -184,35 +184,6 @@ let snapshot () =
 
 let find name = locked @@ fun () -> Option.map (sample_of name) (Hashtbl.find_opt registry name)
 
-(* Cheap per-kind readings for the periodic snapshot ring (Snapring): no
-   bound-array copies, just the scalar cells (a histogram's scalars are
-   its count and sum — enough to plot request rate and latency mass). *)
-let counter_samples () =
-  locked (fun () ->
-    Hashtbl.fold
-      (fun name { metric; _ } acc ->
-        match metric with C c -> (name, Atomic.get c.c_value) :: acc | _ -> acc)
-      registry [])
-  |> List.sort compare
-
-let gauge_samples () =
-  locked (fun () ->
-    Hashtbl.fold
-      (fun name { metric; _ } acc ->
-        match metric with G g -> (name, Afloat.get g.g_value) :: acc | _ -> acc)
-      registry [])
-  |> List.sort compare
-
-let histogram_samples () =
-  locked (fun () ->
-    Hashtbl.fold
-      (fun name { metric; _ } acc ->
-        match metric with
-        | H h -> (name, (histogram_count h, Afloat.get h.h_sum)) :: acc
-        | _ -> acc)
-      registry [])
-  |> List.sort compare
-
 let reset () =
   locked @@ fun () ->
   Hashtbl.iter

@@ -95,22 +95,11 @@ type sample = { name : string; help : string; value : value }
 
 val snapshot : unit -> sample list
 (** Every registered metric, sorted by name (registration order depends on
-    link order, so it is not stable across binaries). *)
+    link order, so it is not stable across binaries).  Every reader of the
+    whole registry (the exporters, the HTTP plane, the {!Snapring}
+    sampler) goes through it. *)
 
 val find : string -> sample option
-
-val counter_samples : unit -> (string * int) list
-(** Every registered counter's current value, sorted by name.  Cheaper than
-    {!snapshot} (no histogram copies); used by the periodic snapshot ring. *)
-
-val gauge_samples : unit -> (string * float) list
-(** Every registered gauge's current value, sorted by name. *)
-
-val histogram_samples : unit -> (string * (int * float)) list
-(** Every registered histogram's current [(count, sum)], sorted by name —
-    the scalar pair the snapshot ring records so request-rate and
-    latency-mass evolution survive into [/snapshot] history and the
-    Chrome-trace counter tracks. *)
 
 val reset : unit -> unit
 (** Zero every registered metric's value; registrations survive. *)

@@ -29,15 +29,20 @@ let locked f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
+(* One registry walk, projected onto the scalars: a histogram keeps only
+   its (count, sum), so the ring never holds bucket arrays. *)
 let sample_now () =
-  let s =
-    {
-      t_s = Unix.gettimeofday ();
-      counters = Metrics.counter_samples ();
-      gauges = Metrics.gauge_samples ();
-      histograms = Metrics.histogram_samples ();
-    }
+  let t_s = Unix.gettimeofday () in
+  let counters, gauges, histograms =
+    List.fold_right
+      (fun { Metrics.name; value; _ } (cs, gs, hs) ->
+        match value with
+        | Metrics.Counter_v v -> ((name, v) :: cs, gs, hs)
+        | Metrics.Gauge_v v -> (cs, (name, v) :: gs, hs)
+        | Metrics.Histogram_v { count; sum; _ } -> (cs, gs, (name, (count, sum)) :: hs))
+      (Metrics.snapshot ()) ([], [], [])
   in
+  let s = { t_s; counters; gauges; histograms } in
   locked (fun () ->
     state.ring.(state.next) <- s;
     state.next <- (state.next + 1) mod capacity;
@@ -48,12 +53,6 @@ let samples () =
     let live = min state.total capacity in
     (* oldest first: the slot after the cursor is the oldest when full *)
     List.init live (fun i -> state.ring.((state.next - live + i + (2 * capacity)) mod capacity)))
-
-let clear () =
-  locked (fun () ->
-    Array.fill state.ring 0 capacity dummy;
-    state.next <- 0;
-    state.total <- 0)
 
 (* ------------------------------ sampler ------------------------------ *)
 

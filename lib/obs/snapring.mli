@@ -1,10 +1,9 @@
 (** Periodic metrics-snapshot ring buffer.
 
     {!start} spawns a sampler domain that records the scalar metrics
-    (counters, gauges, and each histogram's count/sum pair, via
-    {!Metrics.counter_samples} / {!Metrics.gauge_samples} /
-    {!Metrics.histogram_samples}) every 0.25 s into a ring of 240
-    samples, a minute of history; the oldest samples are overwritten.  The ring powers the
+    (counters, gauges, and each histogram's count/sum pair, projected from
+    one {!Metrics.snapshot}) every 0.25 s into a ring of 240 samples, a
+    minute of history; the oldest samples are overwritten.  The ring powers the
     /snapshot endpoint's history and the counter tracks of the Chrome
     trace export (histograms appear there as [name_count] and [name_sum]
     tracks, so request rate and latency mass plot over time).
@@ -37,5 +36,3 @@ val sample_now : unit -> unit
 
 val samples : unit -> sample list
 (** Live samples, oldest first. *)
-
-val clear : unit -> unit

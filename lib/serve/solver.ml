@@ -166,10 +166,10 @@ let cache_key r =
     | Mc { samples; seed } -> Printf.sprintf "mc:%d:%d" samples seed
   in
   (* The prefix versions the answers: bump it whenever an evaluator's
-     answer for a key changes (v2: lease-sharded sums and MC streams), so
-     a durable store filled by an older build misses instead of serving
-     stale values. *)
-  Printf.sprintf "v2|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
+     answer for a key changes (v2: lease-sharded sums and MC streams; v3:
+     crash answers name their crash model), so a durable store filled by
+     an older build misses instead of serving stale values. *)
+  Printf.sprintf "v3|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
     r.n (Rat.to_string r.delta) params mode r.crash
 
 type answer = { p : float; detail : (string * Jsonx.t) list }
@@ -193,6 +193,23 @@ let solve ?domains ~deadline_mono_s r =
   let cancel () = Trace.now_mono_s () >= deadline_mono_s in
   let delta_f = Rat.to_float r.delta in
   let faults = if r.crash > 0. then Some (Fault_model.crash_only r.crash) else None in
+  (* grid and mc play the rule on the no-communication pattern *)
+  let game () =
+    let protocol =
+      match r.rule with
+      | Threshold -> Dist_protocol.single_threshold r.params
+      | _ -> Dist_protocol.oblivious r.params
+    in
+    (Comm_pattern.none ~n:r.n, protocol)
+  in
+  (* a crash answer names the model it folded: [ddm chaos] defaults to
+     another one, and the two answer one question differently *)
+  let crash_model =
+    match faults with
+    | Some f ->
+      [ ("crash_model", Jsonx.Str (Fault_model.crash_mode_to_string f.Fault_model.crash_mode)) ]
+    | None -> []
+  in
   match (r.rule, r.mode) with
   | Opt, _ ->
     check_not_expired ~deadline_mono_s;
@@ -212,16 +229,11 @@ let solve ?domains ~deadline_mono_s r =
     check_not_expired ~deadline_mono_s;
     { p = Oblivious.winning_probability ~delta:delta_f r.params; detail = [] }
   | (Threshold | Oblivious), Grid points ->
-    let pattern = Comm_pattern.none ~n:r.n in
-    let protocol =
-      match r.rule with
-      | Threshold -> Dist_protocol.single_threshold r.params
-      | _ -> Dist_protocol.oblivious r.params
-    in
+    let pattern, protocol = game () in
     let p =
       Engine.win_probability_grid ~points ~cancel ?domains ?faults ~delta:delta_f pattern protocol
     in
-    { p; detail = [ ("points", Jsonx.Num (float_of_int points)) ] }
+    { p; detail = ("points", Jsonx.Num (float_of_int points)) :: crash_model }
   | (Threshold | Oblivious), Mc { samples; seed } ->
     (* Estimation at a client-pinned seed.  A local rule on the
        no-communication pattern is the batch kernel's game, so the engine
@@ -231,12 +243,7 @@ let solve ?domains ~deadline_mono_s r =
        under a second, so like the exact pipelines it only checks the
        deadline up front. *)
     check_not_expired ~deadline_mono_s;
-    let pattern = Comm_pattern.none ~n:r.n in
-    let protocol =
-      match r.rule with
-      | Threshold -> Dist_protocol.single_threshold r.params
-      | _ -> Dist_protocol.oblivious r.params
-    in
+    let pattern, protocol = game () in
     let rng = Rng.create ~seed in
     let e =
       Engine.win_probability_mc ?domains ?faults ~rng ~samples ~delta:delta_f pattern protocol
@@ -247,5 +254,6 @@ let solve ?domains ~deadline_mono_s r =
       detail =
         [ ("samples", Jsonx.Num (float_of_int samples));
           ("seed", Jsonx.Num (float_of_int seed)); ("stderr", Jsonx.Num e.Mc.stderr);
-          ("ci_lo", Jsonx.Num ci_lo); ("ci_hi", Jsonx.Num ci_hi) ];
+          ("ci_lo", Jsonx.Num ci_lo); ("ci_hi", Jsonx.Num ci_hi) ]
+        @ crash_model;
     }

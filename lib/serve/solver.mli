@@ -9,7 +9,8 @@
   "mode": "exact" | "grid" | "mc",   // default "exact"
   "points": 32,                      // grid resolution per dimension (grid only)
   "samples": 100000, "seed": 42,     // mc only; samples capped, seed pins the answer
-  "crash": 0.1,                      // crash rate, drop model (grid or mc mode)
+  "crash": 0.1,                      // crash rate, drop model (grid or mc mode);
+                                     // the answer names it: "crash_model": "drop"
   "budget_ms": 2000} v}
 
     [threshold]/[oblivious] evaluate the paper's Theorem 5.1 / 4.1 closed
@@ -25,7 +26,9 @@
     the two surfaces give different answers to one question: at [n = 3],
     [delta = 1], the optimal threshold, crash rate 0.25 and 24 grid
     points, [ddm chaos] prints 0.487422 and this solver answers
-    0.740051.
+    0.740051.  So every answer with [crash > 0] names its model in its
+    detail (["crash_model": "drop"], via
+    {!Fault_model.crash_mode_to_string}).
 
     {!solve} is deadline-aware: grid sweeps get a per-cell cooperative
     cancel hook and raise {!Engine.Cancelled} with partial progress when
@@ -60,9 +63,10 @@ val cache_key : req -> string
 (** Canonical identity of the {e answer}: rule family, [n], exact
     [delta], parameters at full precision, mode, and crash rate.
     [budget_ms] is excluded — the deadline shapes whether an answer is
-    produced, not its value.  The key carries a format prefix ([v2|]):
+    produced, not its value.  The key carries a format prefix ([v3|]):
     a build whose evaluators answer differently bumps it, so answers an
-    older build stored in a durable cache miss instead of being served. *)
+    older build stored in a durable cache miss instead of being served
+    ([v3] added [crash_model] to crash answers). *)
 
 type answer = {
   p : float;  (** winning probability (the optimum's value for [Opt]) *)

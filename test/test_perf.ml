@@ -60,6 +60,16 @@ let jsonx_tests =
       Alcotest.(check bool) "list" true (Jsonx.list_member "l" v = Some [ Jsonx.Num 1. ]);
       Alcotest.(check (option int)) "missing" None (Jsonx.int_member "zzz" v);
       Alcotest.(check (option int)) "wrong type" None (Jsonx.int_member "s" v));
+    Alcotest.test_case "non-finite numbers render as null" `Quick (fun () ->
+      let doc =
+        Jsonx.to_string
+          (Jsonx.Obj
+             [ ("a", Jsonx.Num infinity); ("b", Jsonx.Num neg_infinity); ("c", Jsonx.Num nan) ])
+      in
+      Alcotest.(check string) "rendered" {|{"a":null,"b":null,"c":null}|} doc;
+      match Jsonx.parse doc with
+      | Ok v -> Alcotest.(check bool) "parses" true (Jsonx.member "a" v = Some Jsonx.Null)
+      | Error msg -> Alcotest.fail msg);
   ]
 
 (* ------------------------------- ledger ------------------------------- *)

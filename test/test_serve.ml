@@ -492,7 +492,7 @@ let solver_tests =
       (* the answer cached under a key must not depend on the server's
          --solver-jobs: the default and every domains value agree bit for
          bit on the threshold fold, the crash grid and the mc kernel; the
-         mc answers are pinned, because a v2| key promises them unchanged *)
+         mc answers are pinned: no key format bump has moved their values *)
       let far = Trace.now_mono_s () +. 60. in
       List.iter
         (fun (body, pinned) ->
@@ -558,7 +558,22 @@ let solver_tests =
       check (Alcotest.float 0.) "the drop fold" (fold Fault_model.Drop) a.Solver.p;
       check Alcotest.string "as documented" "0.740051" (Printf.sprintf "%.6f" a.Solver.p);
       check Alcotest.string "the bin-0 fold differs" "0.487422"
-        (Printf.sprintf "%.6f" (fold (Fault_model.Default_bin 0))));
+        (Printf.sprintf "%.6f" (fold (Fault_model.Default_bin 0)));
+      (* the answer names the model it folded, on the grid and mc paths,
+         and a crash-free answer carries no such field *)
+      let crash_model (a : Solver.answer) = List.assoc_opt "crash_model" a.Solver.detail in
+      checkb "grid answer names drop" true (crash_model a = Some (Jsonx.Str "drop"));
+      let mc =
+        Solver.solve ~deadline_mono_s:(Trace.now_mono_s () +. 60.)
+          (parse_ok
+             {|{"rule":"threshold","n":3,"delta":"1","params":0.6,"mode":"mc","samples":20000,"seed":1,"crash":0.25}|})
+      in
+      checkb "mc answer names drop" true (crash_model mc = Some (Jsonx.Str "drop"));
+      let clean =
+        Solver.solve ~deadline_mono_s:(Trace.now_mono_s () +. 60.)
+          (parse_ok {|{"rule":"threshold","n":3,"delta":"1","params":0.6,"mode":"grid","points":8}|})
+      in
+      checkb "crash-free answer has no crash_model" true (crash_model clean = None));
   ]
 
 (* --------------------------- engine cancel --------------------------- *)
@@ -1120,17 +1135,19 @@ let serve_tests =
         ~finally:(fun () -> rm_rf dir)
         (fun () ->
           let key = Solver.cache_key (parse_ok eval_req) in
-          check Alcotest.string "current key format" "v2|" (String.sub key 0 3);
-          let v1_key = "v1|" ^ String.sub key 3 (String.length key - 3) in
+          check Alcotest.string "current key format" "v3|" (String.sub key 0 3);
           let store, _ = Cache_store.open_store ~dir in
-          Cache_store.put store ~key:v1_key
-            (Solver.answer_to_json { Solver.p = 0.125; detail = [] });
+          List.iter
+            (fun prefix ->
+              Cache_store.put store ~key:(prefix ^ String.sub key 3 (String.length key - 3))
+                (Solver.answer_to_json { Solver.p = 0.125; detail = [] }))
+            [ "v1|"; "v2|" ];
           with_serve { Serve.default_config with Serve.cache_dir = Some dir } (fun t ->
             let status, body = post ~body:eval_req (Serve.port t) "/eval" in
             check Alcotest.int "200" 200 status;
             let j = json_exn body in
             checkb "answered cold" true (Jsonx.member "cached" j = Some (Jsonx.Bool false));
-            checkb "not the stale v1 value" true (Jsonx.float_member "p" j <> Some 0.125))));
+            checkb "not the stale v1 or v2 value" true (Jsonx.float_member "p" j <> Some 0.125))));
     Alcotest.test_case "a drained 504 counts its deadline expiry once" `Quick (fun () ->
       (* the per-instance counter, the process-global counter and the
          timeout histogram all see the drain's 504, once each *)
