@@ -4,7 +4,6 @@
    Usage:
      dune exec bench/main.exe                 # run all experiment groups
      dune exec bench/main.exe -- t1 x2        # run selected groups
-     dune exec bench/main.exe -- --bechamel   # also run timing benchmarks
      dune exec bench/main.exe -- t1 t3 --ledger FILE
         # also append one ddm.ledger/v1 entry for the whole run (wall
         # time, GC delta, the metrics that moved)
@@ -23,15 +22,12 @@
      x5         - capacity sweep: where the threshold/coin inversion lives
      x6         - scaling in n: certified optima to n=12, numeric to n=48
      x7         - unequal bin capacities (delta0 <> delta1)
-     x8         - chaos: win-probability degradation and degraded-mode
-                  throughput under crash fault injection
+     x8         - chaos: win-probability degradation under crash fault
+                  injection
      x10        - parallel Monte-Carlo: lease-sharded sampling across
-                  domains (speedup + worker-count bit-identity)
-     x11        - serve soak: the evaluation service end to end over
-                  real HTTP (cold/warm throughput, cache hit rate,
-                  shedding at saturation)
+                  domains (worker-count bit-identity)
      x12        - parallel exact paths: lease-sharded grid cells and
-                  2^n subset folds (speedup + worker-count bit-identity)
+                  2^n subset folds (worker-count bit-identity)
      x13        - latency telemetry soak: concurrent serve traffic across
                   every outcome, then an exact reconciliation of the
                   per-outcome latency histograms against responses_total
@@ -41,7 +37,13 @@
 
    -j N runs the Monte-Carlo groups (x8, x10) and the exact group (x12)
    on N worker domains; lease sharding keeps every result bit-identical
-   for every N (see docs/PARALLELISM.md). *)
+   for every N (see docs/PARALLELISM.md).
+
+   Every group prints answers, never timings, so its output is the same
+   bytes on every run and at every -j, except x13 (its burst races
+   chaos-stalled workers) and x14 (whose 2x kernel/closure floor is a
+   timing gate).  Serve throughput and per-layer time belong to
+   perfbench and its A/B gate, bench/ab.py. *)
 
 let section id title =
   Printf.printf "\n=============================================================\n";
@@ -542,29 +544,20 @@ let x8 () =
     ]
   in
   Printf.printf
-    "Crashed players dump their input on a stuck default route (bin 0); the win\n\
-     probability degrades while fault bookkeeping taxes the play loop.\n\n";
-  Printf.printf "%-26s %-8s %-12s %-12s %-12s %s\n" "protocol" "crash" "P(win) MC" "exact fold"
-    "plays/sec" "vs fault-free plays/sec";
+    "Crashed players dump their input on a stuck default route (bin 0), and the\n\
+     win probability degrades.\n\n";
+  Printf.printf "%-26s %-8s %-12s %s\n" "protocol" "crash" "P(win) MC" "exact fold";
   List.iter
     (fun (name, protocol) ->
-      let clean_rate = ref 0. in
       List.iter
         (fun crash ->
           let faults = Fault_model.make ~crash ~crash_mode:(Fault_model.Default_bin 0) () in
           let rng = Rng.create ~seed:81 in
-          let t0 = Trace.now_mono_s () in
           let est =
             Engine.win_probability_mc ?domains:!jobs ~rng ~samples ~faults ~delta pattern protocol
           in
-          let dt = Trace.now_mono_s () -. t0 in
-          let rate = if dt > 0. then float_of_int samples /. dt else 0. in
-          if crash = 0. then clean_rate := rate;
           let exact = Engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol in
-          Printf.printf "%-26s %-8.2f %-12.6f %-12.6f %-12.0f %s\n" name crash est.Mc.mean exact
-            rate
-            (if crash = 0. then "1.00x (baseline)"
-             else Printf.sprintf "%.2fx" (rate /. Float.max 1. !clean_rate)))
+          Printf.printf "%-26s %-8.2f %-12.6f %.6f\n" name crash est.Mc.mean exact)
         [ 0.; 0.1; 0.25 ])
     protocols;
   (* resilience combinators under lossy links: fallback keeps a
@@ -587,7 +580,7 @@ let x8 () =
     (Dist_protocol.name resilient) est.Mc.mean
 
 (* ------------------------------------------------------------------ *)
-(* X10: parallel Monte-Carlo - speedup and worker-count bit-identity   *)
+(* X10: parallel Monte-Carlo - worker-count bit-identity               *)
 (* ------------------------------------------------------------------ *)
 
 let x10 () =
@@ -598,10 +591,8 @@ let x10 () =
   let beta_star = 1. -. (1. /. sqrt 7.) in
   let protocol = Dist_protocol.common_threshold ~n beta_star in
   let run j =
-    let rng = Rng.create ~seed:101 in
-    let t0 = Trace.now_mono_s () in
-    let est = Engine.win_probability_mc ~domains:j ~rng ~samples ~delta pattern protocol in
-    (est, Trace.now_mono_s () -. t0)
+    Engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:101) ~samples ~delta pattern
+      protocol
   in
   Printf.printf
     "Samples are partitioned into %d leases, each owning an Rng.split-derived\n\
@@ -609,25 +600,20 @@ let x10 () =
      estimate depends on (seed, leases, samples) but never on the worker count:\n\
      every row below must be bit-identical to -j 1.\n\n"
     Par_fold.leases;
-  let est1, dt1 = run 1 in
-  Printf.printf "%-4s %-14s %-14s %-9s %s\n" "j" "P(win) MC" "samples/sec" "speedup"
-    "bit-identical to -j 1";
+  let est1 = run 1 in
+  Printf.printf "%-4s %-14s %s\n" "j" "P(win) MC" "bit-identical to -j 1";
   let js = [ 1; 2; 4 ] in
   let js =
     match !jobs with Some j when not (List.mem j js) -> js @ [ j ] | _ -> js
   in
   List.iter
     (fun j ->
-      let est, dt = if j = 1 then (est1, dt1) else run j in
-      Printf.printf "%-4d %-14.10f %-14.0f %-9s %b\n" j est.Mc.mean
-        (if dt > 0. then float_of_int samples /. dt else 0.)
-        (Printf.sprintf "%.2fx" (dt1 /. Float.max 1e-9 dt))
-        (est.Mc.mean = est1.Mc.mean))
-    js;
-  Printf.printf "\nrecommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
+      let est = if j = 1 then est1 else run j in
+      Printf.printf "%-4d %-14.10f %b\n" j est.Mc.mean (est.Mc.mean = est1.Mc.mean))
+    js
 
 (* ------------------------------------------------------------------ *)
-(* x11: serve soak — the evaluation service end to end over real HTTP   *)
+(* HTTP client for the serve soak (X13)                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Minimal blocking HTTP/1.1 client, enough to drive the serve loopback
@@ -677,78 +663,8 @@ let http_read fd =
 
 let http_post ~port ~path body = http_read (http_post_open ~port ~path body)
 
-let x11 () =
-  section "X11" "serve soak: throughput, cache hit rate, shedding at saturation";
-  let dir = Filename.temp_file "ddm_serve_bench" "" in
-  Sys.remove dir;
-  let cfg =
-    {
-      Serve.default_config with
-      Serve.workers = 2;
-      queue_depth = 4;
-      cache_dir = Some dir;
-      default_budget_ms = 30_000;
-    }
-  in
-  match Serve.start cfg with
-  | Error e -> Printf.printf "serve failed to start: %s\n" e
-  | Ok t ->
-    let port = Serve.port t in
-    let reqs =
-      List.init 24 (fun i ->
-        Printf.sprintf "{\"rule\":\"threshold\",\"n\":6,\"params\":%.3f}"
-          (0.3 +. (0.02 *. float_of_int i)))
-    in
-    let run_phase name =
-      let t0 = Unix.gettimeofday () in
-      let ok = List.length (List.filter (fun b -> fst (http_post ~port ~path:"/eval" b) = 200) reqs) in
-      let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf "%-18s %d/%d ok  %8.1f req/s\n" name ok (List.length reqs)
-        (float_of_int (List.length reqs) /. dt);
-      dt
-    in
-    Printf.printf "%-18s %s\n" "phase" "result";
-    let cold = run_phase "cold (solve)" in
-    let warm = run_phase "warm (cache)" in
-    Printf.printf "%-18s %.1fx\n" "warm speedup" (cold /. warm);
-    Serve.stop t;
-    Printf.printf "%-18s %s\n" "final stats" (Serve.stats_json t);
-    (* saturation: a separate instance whose every solve is stalled by
-       the chaos knob, hit with a 16-deep in-flight burst of distinct
-       keys — far past the queue watermark, so the excess must shed as
-       429 while every accepted job still completes *)
-    let slow_cfg =
-      {
-        Serve.default_config with
-        Serve.workers = 2;
-        queue_depth = 4;
-        default_budget_ms = 30_000;
-        chaos =
-          Some
-            { Serve.slow_rate = 1.0; slow_s = 0.25; panic_rate = 0.; diskfail_rate = 0.; seed = 11 };
-      }
-    in
-    (match Serve.start slow_cfg with
-    | Error e -> Printf.printf "slow serve failed to start: %s\n" e
-    | Ok slow ->
-      let burst =
-        List.init 16 (fun i ->
-          Printf.sprintf "{\"rule\":\"threshold\",\"n\":3,\"params\":%.4f}"
-            (0.31 +. (0.013 *. float_of_int i)))
-      in
-      let t0 = Unix.gettimeofday () in
-      let fds = List.map (fun b -> http_post_open ~port:(Serve.port slow) ~path:"/eval" b) burst in
-      let statuses = List.map (fun fd -> fst (http_read fd)) fds in
-      let dt = Unix.gettimeofday () -. t0 in
-      let count c = List.length (List.filter (( = ) c) statuses) in
-      Printf.printf "%-18s 200:%d 429:%d other:%d in %.2fs (queue %d, 250ms/solve)\n"
-        "burst (16 in-flight)" (count 200) (count 429)
-        (List.length statuses - count 200 - count 429)
-        dt slow_cfg.Serve.queue_depth;
-      Serve.stop slow)
-
 (* ------------------------------------------------------------------ *)
-(* X12: parallel exact paths - lease-sharded grids and 2^n folds       *)
+(* X12: parallel exact paths - worker-count bit-identity              *)
 (* ------------------------------------------------------------------ *)
 
 let x12 () =
@@ -764,40 +680,29 @@ let x12 () =
     match !jobs with Some j when not (List.mem j js) -> js @ [ j ] | _ -> js
   in
   let table name work_desc run =
-    let v1, dt1 = run 1 in
+    let v1 = run 1 in
     Printf.printf "%s (%s)\n" name work_desc;
-    Printf.printf "  %-4s %-18s %-10s %-9s %s\n" "j" "P(win) exact" "wall (s)" "speedup"
-      "bit-identical to -j 1";
+    Printf.printf "  %-4s %-18s %s\n" "j" "P(win) exact" "bit-identical to -j 1";
     List.iter
       (fun j ->
-        let v, dt = if j = 1 then (v1, dt1) else run j in
-        Printf.printf "  %-4d %-18.12f %-10.3f %-9s %b\n" j v dt
-          (Printf.sprintf "%.2fx" (dt1 /. Float.max 1e-9 dt))
-          (v = v1))
+        let v = if j = 1 then v1 else run j in
+        Printf.printf "  %-4d %-18.12f %b\n" j v (v = v1))
       js;
     print_newline ()
   in
-  let time f j =
-    let t0 = Trace.now_mono_s () in
-    let v = f j in
-    (v, Trace.now_mono_s () -. t0)
-  in
   let pattern = Comm_pattern.none ~n:3 in
   let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
-  table "Engine.win_probability_grid" "n = 3, 48^3 = 110,592 cells"
-    (time (fun j ->
-         Engine.win_probability_grid ~points:48 ~domains:j ~delta:1. pattern protocol));
+  table "Engine.win_probability_grid" "n = 3, 48^3 = 110,592 cells" (fun j ->
+      Engine.win_probability_grid ~points:48 ~domains:j ~delta:1. pattern protocol);
   let a = Array.init 14 (fun i -> 0.25 +. (0.035 *. float_of_int i)) in
-  table "Threshold.winning_probability" "n = 14, 2^14 = 16,384 subsets, O(3^n) work"
-    (time (fun j -> Threshold.winning_probability ~domains:j ~delta:(14. /. 3.) a));
+  table "Threshold.winning_probability" "n = 14, 2^14 = 16,384 subsets, O(3^n) work" (fun j ->
+      Threshold.winning_probability ~domains:j ~delta:(14. /. 3.) a);
   let pat12 = Comm_pattern.none ~n:12 in
   let proto12 = Dist_protocol.common_threshold ~n:12 0.55 in
   let faults = Fault_model.crash_only 0.12 in
   let inputs = Array.init 12 (fun i -> 0.2 +. (0.06 *. float_of_int i)) in
-  table "Engine.win_probability_given ~faults" "n = 12, 2^12 = 4,096 crash masks"
-    (time (fun j ->
-         Engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs));
-  Printf.printf "recommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
+  table "Engine.win_probability_given ~faults" "n = 12, 2^12 = 4,096 crash masks" (fun j ->
+      Engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs)
 
 (* ------------------------------------------------------------------ *)
 (* X13: latency telemetry soak — per-outcome histograms reconcile      *)
@@ -991,96 +896,6 @@ closure's samples/sec (each side timed as the best of 3).\n\n" min_speedup;
          (String.concat "; " failures))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  section "BENCH" "Bechamel timings (one group per experiment id)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"f1-sym-eval-n5 (O(n^2))"
-        (Staged.stage (fun () ->
-           ignore (Threshold.winning_probability_sym ~n:5 ~delta:(5. /. 3.) 0.62)));
-      Test.make ~name:"f1-gen-eval-n5 (O(3^n))"
-        (Staged.stage (fun () ->
-           ignore (Threshold.winning_probability ~delta:(5. /. 3.) (Array.make 5 0.62))));
-      Test.make ~name:"f1-gen-eval-n10 (O(3^n))"
-        (Staged.stage (fun () ->
-           ignore (Threshold.winning_probability ~delta:(10. /. 3.) (Array.make 10 0.62))));
-      Test.make ~name:"t1-symbolic-curve-n3"
-        (Staged.stage (fun () -> ignore (Symbolic.sym_threshold_curve ~n:3 ~delta:Rat.one)));
-      Test.make ~name:"t2-symbolic-curve-n4"
-        (Staged.stage (fun () ->
-           ignore (Symbolic.sym_threshold_curve ~n:4 ~delta:(Rat.of_ints 4 3))));
-      Test.make ~name:"t2-certified-optimum-n4"
-        (Staged.stage (fun () ->
-           ignore (Symbolic.optimal_sym_threshold ~n:4 ~delta:(Rat.of_ints 4 3) ())));
-      Test.make ~name:"t3-oblivious-exact-n10"
-        (Staged.stage (fun () ->
-           ignore (Oblivious.Q.winning_probability_uniform ~n:10 ~delta:(Rat.of_ints 10 3))));
-      Test.make ~name:"t3-oblivious-float-n10"
-        (Staged.stage (fun () ->
-           ignore (Oblivious.winning_probability_uniform ~n:10 ~delta:(10. /. 3.))));
-      Test.make ~name:"l1-ih-cdf-float-m20"
-        (Staged.stage (fun () -> ignore (Uniform_sum.irwin_hall_cdf ~m:20 7.1)));
-      Test.make ~name:"l1-cdf-general-m10 (O(2^m))"
-        (Staged.stage
-           (let widths = Array.init 10 (fun i -> 0.3 +. (0.07 *. float_of_int i)) in
-            fun () -> ignore (Uniform_sum.cdf ~widths 2.5)));
-      Test.make ~name:"p1-volume-exact-dim6"
-        (Staged.stage
-           (let sigma = Array.make 6 (Rat.of_ints 3 2) and pi = Array.make 6 (Rat.of_ints 4 5) in
-            fun () -> ignore (Geometry.Q.sigma_pi_volume ~sigma ~pi)));
-      Test.make ~name:"x1-grid-integrator-n3-48"
-        (Staged.stage
-           (let pat = Comm_pattern.none ~n:3 in
-            let proto = Dist_protocol.common_threshold ~n:3 0.62 in
-            fun () -> ignore (Engine.win_probability_grid ~points:48 ~delta:1. pat proto)));
-      Test.make ~name:"x8-faulty-run-once-n3"
-        (Staged.stage
-           (let rng = Rng.create ~seed:8 in
-            let pat = Comm_pattern.none ~n:3 in
-            let proto = Dist_protocol.common_threshold ~n:3 0.62 in
-            let faults =
-              Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) ~link_loss:0.1
-                ~stale:0.05 ~noise:0.01 ~jitter:0.05 ()
-            in
-            fun () -> ignore (Engine.run_once ~faults rng ~delta:1. pat proto)));
-      Test.make ~name:"mc-10k-plays-n3"
-        (Staged.stage
-           (let rng = Rng.create ~seed:7 in
-            let inst = Model.instance ~n:3 ~delta:1. in
-            let rule = Model.Single_threshold (Array.make 3 0.62) in
-            fun () -> ignore (Mc_eval.winning_probability ~rng ~samples:10_000 inst rule)));
-      Test.make ~name:"bigint-mul-500-digit"
-        (Staged.stage
-           (let a = Bigint.pow (Bigint.of_string "123456789123456789") 500 in
-            fun () -> ignore (Bigint.mul a a)));
-    ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let grouped = Test.make_grouped ~name:"ddm" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  Printf.printf "%-40s %s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, ols) ->
-      let time = match Analyze.OLS.estimates ols with Some [ t ] -> t | _ -> Float.nan in
-      let pretty t =
-        if t >= 1e9 then Printf.sprintf "%.3f s" (t /. 1e9)
-        else if t >= 1e6 then Printf.sprintf "%.3f ms" (t /. 1e6)
-        else if t >= 1e3 then Printf.sprintf "%.3f us" (t /. 1e3)
-        else Printf.sprintf "%.1f ns" t
-      in
-      Printf.printf "%-40s %s\n" name (pretty time))
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1088,8 +903,8 @@ let groups =
   [
     ("fig1", fig1); ("fig2", fig2); ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4);
     ("l1", l1); ("p1", p1); ("x1", x1); ("x2", x2); ("x3", x3); ("x4", x4);
-    ("x5", x5); ("x6", x6); ("x7", x7); ("x8", x8); ("x10", x10); ("x11", x11);
-    ("x12", x12); ("x13", x13); ("x14", x14);
+    ("x5", x5); ("x6", x6); ("x7", x7); ("x8", x8); ("x10", x10); ("x12", x12);
+    ("x13", x13); ("x14", x14);
   ]
 
 (* Fail before the experiments run, not after tens of seconds of work. *)
@@ -1102,7 +917,6 @@ let check_writable file =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let want_bechamel = List.mem "--bechamel" args in
   let flag_with_value flag docv args =
     let rec split acc = function
       | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
@@ -1124,19 +938,18 @@ let () =
     | _ ->
       Printf.eprintf "-j requires a positive integer (got %S)\n" s;
       exit 2));
-  let selected = List.filter (fun a -> a <> "--bechamel") args in
   let to_run =
-    if selected = [] then groups
+    if args = [] then groups
     else
       List.map
         (fun id ->
           match List.assoc_opt id groups with
           | Some f -> (id, f)
           | None ->
-            Printf.eprintf "unknown experiment %S; known: %s --bechamel --ledger FILE -j N\n" id
+            Printf.eprintf "unknown experiment %S; known: %s --ledger FILE -j N\n" id
               (String.concat " " (List.map fst groups));
             exit 2)
-        selected
+        args
   in
   let run_all () = List.iter (fun (_, f) -> f ()) to_run in
   (match ledger_file with
@@ -1147,5 +960,4 @@ let () =
        same experiments as its wall time and GC delta *)
     Metrics.set_enabled true;
     Ledger.recording ~file ~command:"bench" ~argv:(List.tl (Array.to_list Sys.argv)) run_all);
-  if want_bechamel then bechamel ();
   print_newline ()

@@ -287,7 +287,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let hash t = Hashtbl.hash (t.sign, t.mag)
 
@@ -308,8 +307,6 @@ let pred t = sub t one
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero else mk (a.sign * b.sign) (mag_mul a.mag b.mag)
-
-let mul_int a v = mul a (of_int v)
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero

@@ -47,7 +47,6 @@ val is_one : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val min : t -> t -> t
-val max : t -> t -> t
 val hash : t -> int
 
 (** {1 Arithmetic} *)
@@ -59,7 +58,6 @@ val pred : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r], [q] rounded toward zero and

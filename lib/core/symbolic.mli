@@ -35,9 +35,6 @@ val monic_condition : Poly.t -> Poly.t
 (** Normalizes an optimality condition to a monic polynomial for display and
     comparison against the paper's printed equations. *)
 
-val breakpoints_caps : n:int -> delta0:Rat.t -> delta1:Rat.t -> Rat.t list
-(** Breakpoints when the two bins have different capacities. *)
-
 val sym_threshold_curve_caps : n:int -> delta0:Rat.t -> delta1:Rat.t -> Piecewise.t
 (** Exact curve for bins of unequal capacities [delta0] (bin 0, the
     "below-threshold" bin) and [delta1] (bin 1). *)

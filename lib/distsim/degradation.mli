@@ -60,10 +60,6 @@ val monotone_nonincreasing : report -> bool
     Exact values are compared up to float roundoff; MC values get two
     standard errors of slack per neighbour. *)
 
-val drop_vs_baseline : report -> point -> float
-(** Signed win-probability change of a sweep point vs the fault-free
-    exact baseline (exact value when present, MC mean otherwise). *)
-
 val to_table : report -> string
 (** Aligned human-readable sweep table. *)
 

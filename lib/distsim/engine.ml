@@ -193,22 +193,13 @@ let count_lease ~n faults (r : Mc_kernel.result) =
 
 (* The kernel plays the paper's game: a local rule on the
    no-communication pattern.  There no player reveals an input, so link
-   loss and stale reads have nothing to degrade and the spec drops them;
-   crash / noise / jitter translate one-to-one. *)
+   loss and stale reads have nothing to degrade; the kernel plays crash,
+   noise and jitter from the same model. *)
 let kernel_spec ?faults ~delta pattern protocol =
   match Dist_protocol.local_rule protocol with
   | Some rule when Comm_pattern.message_count pattern = 0 ->
-    let fault =
-      Option.map
-        (fun (m : Fault_model.t) ->
-          Mc_kernel.fault ~crash_rate:m.crash
-            ~crash_bin:
-              (match m.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b)
-            ~noise:m.noise ~jitter:m.jitter ())
-        faults
-    in
     let n = Comm_pattern.n pattern in
-    Some (Mc_kernel.make ?fault ~on_lease:(count_lease ~n faults) ~n ~delta rule)
+    Some (Mc_kernel.make ?faults ~on_lease:(count_lease ~n faults) ~n ~delta rule)
   | _ -> None
 
 let win_probability_mc ?domains ?faults ~rng ~samples ~delta pattern protocol =

@@ -3,15 +3,17 @@
     PY91 asked how the best winning probability at [n = 3, δ = 1] grows with
     the information available to the players; the reproduced paper settles
     the bottom rung (no communication) exactly. This module packages one
-    protocol per rung so the ladder can be run end to end on the {!Engine}:
+    protocol per rung so the ladder can be run end to end on the {!Engine}
+    ({!ladder} lists them in this order):
 
-    - {!no_communication}: the optimal single common threshold
+    - no communication: the optimal single common threshold
       [β* = 1 − √(1/7)], winning probability [1/6 + 1/√7 ≈ 0.5446]
       (certified by [Symbolic] in [ddm_core]; the constant is inlined here
       to keep the dependency direction substrate → core);
-    - {!one_broadcast}: player 0 announces its input; {!broadcast_family}
-      at frozen, numerically optimized parameters, achieving [≈ 0.66]
-      (PY91's exact optimum for this rung is not in the available text);
+    - one broadcast: player 0 announces its input; {!broadcast_family}
+      at [[|0.998; 1; 1; -0.16; -0.02|]], frozen numerically optimized
+      parameters, achieving [≈ 0.66] (PY91's exact optimum for this rung
+      is not in the available text);
     - {!full_information}: everyone sees everything; {!greedy_partition}
       is optimal for three players, achieving the feasibility bound [3/4].
 
@@ -34,12 +36,6 @@ val greedy_partition : Dist_protocol.t
     players compute the same partition, so for three players it wins
     exactly when some partition fits. *)
 
-val no_communication : Comm_pattern.t * Dist_protocol.t
-
-val one_broadcast : Comm_pattern.t * Dist_protocol.t
-(** [broadcast_family [|0.998; 1; 1; -0.16; -0.02|]] on
-    [Comm_pattern.broadcast ~source:0]. *)
-
 val full_information : Comm_pattern.t * Dist_protocol.t
 (** {!greedy_partition} on [Comm_pattern.full]. *)
 
@@ -49,6 +45,3 @@ val ladder : (string * (Comm_pattern.t * Dist_protocol.t) * float) list
 
 val expected_no_communication : float
 (** [1/6 + 1/√7]. *)
-
-val expected_full_information : float
-(** [3/4]: the probability that a feasible partition exists. *)

@@ -29,8 +29,6 @@ module Q : module type of Make (Field.Q)
 
 (** {1 Membership} *)
 
-val mem_simplex : sigma:float array -> float array -> bool
-val mem_box : pi:float array -> float array -> bool
 val mem_sigma_pi : sigma:float array -> pi:float array -> float array -> bool
 
 (** {1 General H-polytopes} *)

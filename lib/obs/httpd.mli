@@ -49,15 +49,8 @@ type response = {
   headers : (string * string) list;  (** extra response headers, e.g. [("Retry-After", "1")] *)
 }
 
-val text : ?status:int -> ?headers:(string * string) list -> string -> response
-(** [text/plain] response; default status 200, no extra headers. *)
-
 val json : ?status:int -> ?headers:(string * string) list -> string -> response
 (** [application/json] response. *)
-
-val status_text : int -> string
-(** Reason phrase for the status codes this stack emits (200, 202, 400,
-    404, 405, 408, 413, 429, 431, 500, 503, 504). *)
 
 type request = {
   meth : string;
@@ -84,10 +77,6 @@ type limits = {
   read_timeout_s : float;  (** per-read [SO_RCVTIMEO]/[SO_SNDTIMEO] *)
 }
 
-val default_limits : limits
-(** 4 KiB request line, 16 KiB headers, 64 KiB body, 5 s read deadline,
-    2 s per-read timeout. *)
-
 type server
 
 val start :
@@ -100,7 +89,9 @@ val start :
   (server, string) result
 (** Bind [host] (default ["127.0.0.1"]) on [port] and start serving on a
     fresh domain.  [port = 0] picks an ephemeral port — read it back with
-    {!port}.  [ledger_file] backs the [/runs] endpoint.  [handler], when
+    {!port}.  [ledger_file] backs the [/runs] endpoint.  [limits]
+    defaults to a 4 KiB request line, 16 KiB of headers, a 64 KiB body,
+    a 5 s read deadline and a 2 s per-read timeout.  [handler], when
     given, is consulted before the built-in routes for every well-formed
     request; it runs on the server domain, so it must be quick (check a
     cache, enqueue work — never solve inline).  [Error msg] when the

@@ -30,7 +30,6 @@ val member : string -> t -> t option
 val to_float_opt : t -> float option
 val to_int_opt : t -> int option
 val to_string_opt : t -> string option
-val to_list_opt : t -> t list option
 val float_member : string -> t -> float option
 val int_member : string -> t -> int option
 val string_member : string -> t -> string option

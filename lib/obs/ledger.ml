@@ -66,101 +66,50 @@ let gc_of_json json =
 
 (* ---------------------------- provenance ---------------------------- *)
 
-let read_first_line path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> match input_line ic with line -> Some (String.trim line) | exception End_of_file -> None)
+(* [git -C dir ARGS]'s stdout when it exits 0; [None] when git is
+   missing or fails.  stderr goes to /dev/null, so a probe outside a
+   repository prints nothing.  [Unix.create_process] spawns without an
+   OCaml-level fork, so the probe is safe while other domains run. *)
+let git_output ~dir args =
+  let argv = Array.of_list ("git" :: "-C" :: dir :: args) in
+  match Unix.pipe ~cloexec:true () with
+  | exception Unix.Unix_error _ -> None
+  | r, w -> (
+    let pid =
+      match Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+      | exception Unix.Unix_error _ -> None
+      | null ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close null)
+          (fun () ->
+            try Some (Unix.create_process "git" argv null w null) with Unix.Unix_error _ -> None)
+    in
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let out = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic) in
+    let rec wait pid =
+      match Unix.waitpid [] pid with
+      | _, status -> status
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pid
+    in
+    match pid with Some pid when wait pid = Unix.WEXITED 0 -> Some out | _ -> None)
 
-let fold_lines path f acc =
-  match open_in path with
-  | exception Sys_error _ -> acc
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let acc = ref acc in
-        (try
-           while true do
-             acc := f !acc (input_line ic)
-           done
-         with End_of_file -> ());
-        !acc)
-
-(* A ref that was packed by `git pack-refs` (or by a fresh clone) has no
-   loose file under refs/; its tip lives in .git/packed-refs as
-   "<hash> <refname>" lines ('#' starts a header comment, '^' a peeled-tag
-   line).  Loose wins over packed, matching git's own precedence. *)
-let resolve_ref git_dir ref_path =
-  match read_first_line (Filename.concat git_dir ref_path) with
-  | Some hash when hash <> "" -> Some hash
-  | _ ->
-    fold_lines (Filename.concat git_dir "packed-refs")
-      (fun acc line ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if line = "" || line.[0] = '#' || line.[0] = '^' then None
-          else (
-            match String.index_opt line ' ' with
-            | Some i
-              when String.sub line (i + 1) (String.length line - i - 1) = ref_path ->
-              Some (String.sub line 0 i)
-            | _ -> None))
-      None
-
-(* A path git wrote into one of its files is relative to [base]. *)
-let relative_to base path = if Filename.is_relative path then Filename.concat base path else path
-
-(* Resolve HEAD without shelling out: walk up to the enclosing .git (which
-   may be a worktree pointer file), then follow one level of "ref:".  A
-   linked worktree's own gitdir holds only its HEAD; branch refs and
-   packed-refs live in the common directory its "commondir" file names. *)
+(* Untracked files do not count as dirty: build output, perfbench's work
+   directory and the A/B driver's worktrees live untracked in the
+   checkout.  --no-optional-locks keeps status from rewriting the index
+   while another git process works in the same checkout. *)
 let git_rev_at ~dir =
-  let rec find_git dir depth =
-    if depth > 40 then None
-    else
-      let cand = Filename.concat dir ".git" in
-      if Sys.file_exists cand then
-        if Sys.is_directory cand then Some cand
-        else
-          (* worktree: ".git" is a file containing "gitdir: PATH" *)
-          Option.bind (read_first_line cand) (fun line ->
-            let prefix = "gitdir:" in
-            if String.length line > String.length prefix
-               && String.sub line 0 (String.length prefix) = prefix
-            then
-              Some
-                (relative_to dir
-                   (String.trim
-                      (String.sub line (String.length prefix)
-                         (String.length line - String.length prefix))))
-            else None)
-      else
-        let parent = Filename.dirname dir in
-        if parent = dir then None else find_git parent (depth + 1)
-  in
-  match find_git dir 0 with
+  match git_output ~dir [ "rev-parse"; "HEAD" ] with
   | None -> None
-  | Some git_dir -> (
-    match read_first_line (Filename.concat git_dir "HEAD") with
-    | None -> None
-    | Some head ->
-      let prefix = "ref: " in
-      if String.length head > String.length prefix && String.sub head 0 (String.length prefix) = prefix
-      then
-        let ref_path = String.sub head (String.length prefix) (String.length head - String.length prefix) in
-        let common_dir =
-          match read_first_line (Filename.concat git_dir "commondir") with
-          | Some c when c <> "" -> relative_to git_dir c
-          | _ -> git_dir
-        in
-        resolve_ref common_dir ref_path
-      else Some head)
-
-let git_rev () = git_rev_at ~dir:(Sys.getcwd ())
+  | Some out ->
+    let dirty =
+      match
+        git_output ~dir [ "--no-optional-locks"; "status"; "--porcelain"; "--untracked-files=no" ]
+      with
+      | Some status -> String.trim status <> ""
+      | None -> false
+    in
+    Some (String.trim out ^ if dirty then "-dirty" else "")
 
 (* ------------------------------ entries ------------------------------ *)
 
@@ -283,7 +232,7 @@ let entry_of_run ~command ~argv ?seed ~wall_seconds ~gc () =
     command;
     argv;
     seed;
-    rev = git_rev ();
+    rev = git_rev_at ~dir:".";
     wall_seconds;
     gc;
     metrics = Export.moved_json (Metrics.snapshot ());

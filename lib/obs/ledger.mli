@@ -6,9 +6,6 @@
     crash-consistency property of append-only JSONL — by skipping
     unparseable lines and reporting how many were skipped. *)
 
-val schema : string
-(** ["ddm.ledger/v1"]. *)
-
 (** {1 GC statistics} *)
 
 type gc_stats = {
@@ -29,16 +26,12 @@ val gc_of_json : Jsonx.t -> gc_stats
 
 (** {1 Provenance} *)
 
-val git_rev : unit -> string option
-(** HEAD commit hash of the enclosing git checkout, resolved by reading
-    [.git/HEAD] (no subprocess); refs with no loose file fall back to
-    [.git/packed-refs].  In a linked worktree, HEAD is read from the
-    worktree's gitdir and refs from the common directory its [commondir]
-    file names.  [None] outside a checkout or on any read failure. *)
-
 val git_rev_at : dir:string -> string option
-(** Same resolution starting the [.git] walk from [dir] instead of the
-    current working directory (unit-testable against a synthetic layout). *)
+(** The HEAD commit hash of the git checkout holding [dir], as
+    [git -C dir rev-parse HEAD] prints it, with ["-dirty"] appended when
+    a tracked file differs from HEAD (untracked files do not count).
+    [None] when git is missing, [dir] is not in a work tree, or git
+    refuses the repository. *)
 
 (** {1 Entries} *)
 
@@ -87,8 +80,9 @@ val entry_of_run :
   gc:gc_stats ->
   unit ->
   entry
-(** Build an entry stamped with the current time, git revision, and the
-    metrics that moved ({!Export.moved_json}). *)
+(** Build an entry stamped with the current time, the git revision of
+    the working directory ({!git_rev_at}), and the metrics that moved
+    ({!Export.moved_json}). *)
 
 val recording : file:string -> command:string -> argv:string list -> ?seed:int -> (unit -> 'a) -> 'a
 (** Run the thunk, then append one entry covering it (monotonic wall time,

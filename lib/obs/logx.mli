@@ -44,7 +44,6 @@ val set_format : format -> unit
 val set_channel : out_channel -> unit
 (** Default [stderr].  The channel is flushed after every record. *)
 
-val log : level -> string -> field list -> unit
 val debug : string -> field list -> unit
 val info : string -> field list -> unit
 val warn : string -> field list -> unit

@@ -70,7 +70,6 @@ let buffer_key =
     b)
 
 let buffer () = Domain.DLS.get buffer_key
-let dropped () = (buffer ()).n_dropped
 
 let clear () =
   let b = buffer () in

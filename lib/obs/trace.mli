@@ -52,8 +52,9 @@ val emit : name:string -> start_s:float -> dur_s:float -> unit -> unit
     recorded as zero; negative durations clamp to 0. *)
 
 val spans : unit -> span list
-(** Completed spans in chronological (start-time) order.  At most
-    {!max_recorded} spans are kept; see {!dropped}. *)
+(** Completed spans in chronological (start-time) order.  Each domain
+    keeps at most 10 000 spans; later ones are counted as dropped, and
+    {!report} prints the count. *)
 
 val live_spans : unit -> span list
 (** Completed spans across {e every} live domain's buffer, chronological.
@@ -63,9 +64,6 @@ val live_spans : unit -> span list
     so a concurrent reader sees a consistent, possibly slightly stale,
     prefix of each domain's history.  Exact totals are only guaranteed
     after the owning domains have joined. *)
-
-val max_recorded : int
-val dropped : unit -> int
 
 (** {1 Per-name profile} *)
 
@@ -104,8 +102,8 @@ val drain : unit -> span list
 
 val absorb : span list -> unit
 (** Append spans drained on another domain to the calling domain's buffer,
-    preserving their recorded order and depths.  Spans beyond
-    {!max_recorded} count as dropped. *)
+    preserving their recorded order and depths.  Spans beyond the
+    10 000-span cap count as dropped. *)
 
 val report : unit -> string
 (** Human-readable report: an indented chronological tree of spans (capped)

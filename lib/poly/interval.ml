@@ -19,10 +19,6 @@ let mul a b =
   let p4 = Rat.mul a.hi b.hi in
   { lo = Rat.min (Rat.min p1 p2) (Rat.min p3 p4); hi = Rat.max (Rat.max p1 p2) (Rat.max p3 p4) }
 
-let scale c i =
-  if Rat.sign c >= 0 then { lo = Rat.mul c i.lo; hi = Rat.mul c i.hi }
-  else { lo = Rat.mul c i.hi; hi = Rat.mul c i.lo }
-
 let eval_poly p i =
   let acc = ref (point Rat.zero) in
   let coeffs = Poly.coeffs p in

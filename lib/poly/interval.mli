@@ -19,8 +19,6 @@ val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val scale : Rat.t -> t -> t
-
 val eval_poly : Poly.t -> t -> t
 (** Horner evaluation in interval arithmetic: an enclosure of
     [{ p(x) : x in i }] (not necessarily tight, always sound). *)

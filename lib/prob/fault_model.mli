@@ -4,7 +4,9 @@
     information; a fault model makes the missing-ness adversarial. Every
     fault dimension is a per-play, per-site rate drawn from the run's
     seeded {!Rng}, so a chaos run is exactly as reproducible as a clean
-    one. Injection itself is {!Engine}'s [?faults] argument. *)
+    one. Two samplers read the model: [Engine]'s per-play closure, through
+    its [?faults] argument, and the batch kernel ({!Mc_kernel.make}), which
+    plays the crash, noise and jitter dimensions for local rules. *)
 
 type crash_mode =
   | Drop  (** a crashed player's input reaches neither bin *)
@@ -29,7 +31,7 @@ type t = {
 }
 
 val none : t
-(** The fault-free model: {!Engine.run_once} under [~faults:none]
+(** The fault-free model: [Engine.run_once] under [~faults:none]
     replays the clean [Engine.run_once] draw-for-draw. *)
 
 val make :
@@ -62,7 +64,7 @@ val is_none : t -> bool
 
 val crash_foldable : t -> bool
 (** Only the crash dimension is active: the model folds analytically over
-    the [2^n] crash subsets, so {!Engine.win_probability_given} is
+    the [2^n] crash subsets, so [Engine.win_probability_given] is
     exact. *)
 
 val crash_mode_to_string : crash_mode -> string

@@ -23,8 +23,6 @@ type rule =
   | Threshold of float array  (* player i picks bin 0 iff its input <= tau.(i) *)
   | Oblivious of float array  (* player i picks bin 0 with probability alpha.(i) *)
 
-type fault = { crash_rate : float; crash_bin : int; noise : float; jitter : float }
-
 type result = {
   samples : int;
   wins : int;
@@ -36,25 +34,15 @@ type result = {
   hist : Stats.histogram option;
 }
 
-type t = { n : int; delta : float; rule : rule; fault : fault option; on_lease : result -> unit }
+type t = {
+  n : int;
+  delta : float;
+  rule : rule;
+  faults : Fault_model.t option;
+  on_lease : result -> unit;
+}
 
-let check_rate what p =
-  if not (Float.is_finite p && p >= 0. && p <= 1.) then
-    invalid_arg (Printf.sprintf "Mc_kernel.fault: %s = %h is not in [0,1]" what p)
-
-let fault ?(crash_rate = 0.) ?(crash_bin = -1) ?(noise = 0.) ?(jitter = 0.) () =
-  check_rate "crash_rate" crash_rate;
-  check_rate "noise" noise;
-  check_rate "jitter" jitter;
-  if crash_bin < -1 || crash_bin > 1 then
-    invalid_arg
-      (Printf.sprintf "Mc_kernel.fault: crash_bin = %d (-1 drops the input, 0/1 reroute it)"
-         crash_bin);
-  { crash_rate; crash_bin; noise; jitter }
-
-let fault_is_none f = f.crash_rate = 0. && f.noise = 0. && f.jitter = 0.
-
-let make ?fault ?(on_lease = ignore) ~n ~delta rule =
+let make ?faults ?(on_lease = ignore) ~n ~delta rule =
   if n < 1 then invalid_arg "Mc_kernel.make: n must be >= 1";
   if not (delta > 0.) then invalid_arg "Mc_kernel.make: delta must be positive";
   (match rule with
@@ -71,9 +59,15 @@ let make ?fault ?(on_lease = ignore) ~n ~delta rule =
         if not (Float.is_finite p) then
           invalid_arg (Printf.sprintf "Mc_kernel.make: parameter %d is not finite (%h)" i p))
       a);
-  (* A fault spec whose every dimension is off routes to the plain loops. *)
-  let fault = match fault with Some f when fault_is_none f -> None | f -> f in
-  { n; delta; rule; fault; on_lease }
+  Option.iter Fault_model.validate faults;
+  (* Link loss and stale reads reach no local rule, so a model whose
+     crash, noise and jitter are all off routes to the plain loops. *)
+  let faults =
+    match faults with
+    | Some (f : Fault_model.t) when f.crash = 0. && f.noise = 0. && f.jitter = 0. -> None
+    | f -> f
+  in
+  { n; delta; rule; faults; on_lease }
 
 let empty_result ?hist () =
   {
@@ -116,21 +110,21 @@ let chunk_plays = 4096
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type buffers = { u : buffer; db : buffer; cb : buffer; nb : buffer; jb : buffer }
 
-let the_fault t = match t.fault with Some f -> f | None -> fault ()
+let the_faults t = Option.value t.faults ~default:Fault_model.none
 let oblivious t = match t.rule with Oblivious _ -> true | Threshold _ -> false
 
 (* Noise perturbs the value a rule reads, never the load it contributes;
    oblivious rules read no value, so their noise draws are skipped (the
    distribution of outcomes is unchanged — see docs/KERNEL.md). *)
-let noise_on t = (the_fault t).noise > 0. && not (oblivious t)
+let noise_on t = (the_faults t).noise > 0. && not (oblivious t)
 
 let alloc_buffers ~cap t =
-  let n = t.n and f = the_fault t in
+  let n = t.n and f = the_faults t in
   let mk len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
   {
     u = mk (cap * n);
     db = (if oblivious t then mk (cap * n) else mk 0);
-    cb = (if f.crash_rate > 0. then mk (cap * n) else mk 0);
+    cb = (if f.crash > 0. then mk (cap * n) else mk 0);
     nb = (if noise_on t then mk (cap * n) else mk 0);
     jb = (if f.jitter > 0. then mk cap else mk 0);
   }
@@ -144,8 +138,12 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
   let delta = t.delta in
   let cap = if samples < chunk_plays then samples else chunk_plays in
   let u = b.u and db = b.db and cb = b.cb and nb = b.nb and jb = b.jb in
-  let f = the_fault t in
-  let crash_on = f.crash_rate > 0. in
+  let f = the_faults t in
+  let plain = Option.is_none t.faults in
+  let crash_rate = f.crash in
+  (* -1: a crashed player's input reaches neither bin *)
+  let crash_bin = match f.crash_mode with Fault_model.Drop -> -1 | Default_bin b -> b in
+  let crash_on = crash_rate > 0. in
   let jitter_on = f.jitter > 0. in
   let noise_on = noise_on t in
   let oblivious = oblivious t in
@@ -168,7 +166,7 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
     for p = 0 to m - 1 do
       let base = p * n in
       let l0 = ref 0. and l1 = ref 0. in
-      if t.fault = None then
+      if plain then
         (* Plain loops: no fault buffers to consult, so the whole play is
            [n] buffer reads and [n] compare-accumulate steps. *)
         if oblivious then
@@ -190,12 +188,12 @@ let run_fill ?hist ~loads ~buffers:b ~fill ~samples t =
         let crashed_before = !crashes in
         for i = 0 to n - 1 do
           let x = Bigarray.Array1.unsafe_get u (base + i) in
-          if crash_on && Bigarray.Array1.unsafe_get cb (base + i) < f.crash_rate then begin
+          if crash_on && Bigarray.Array1.unsafe_get cb (base + i) < crash_rate then begin
             (* Crashed player: its decision is the crash mode, its raw
                input still weighs on whichever bin receives it. *)
             incr crashes;
-            if f.crash_bin = 0 then l0 := !l0 +. x
-            else if f.crash_bin = 1 then l1 := !l1 +. x
+            if crash_bin = 0 then l0 := !l0 +. x
+            else if crash_bin = 1 then l1 := !l1 +. x
           end
           else begin
             let x' =

@@ -35,23 +35,6 @@ type rule =
           outside [[0,1]] behave as the scalar path: clamped in
           effect). *)
 
-type fault = private { crash_rate : float; crash_bin : int; noise : float; jitter : float }
-
-val fault :
-  ?crash_rate:float -> ?crash_bin:int -> ?noise:float -> ?jitter:float -> unit -> fault
-(** Flat fault spec mirroring the kernel-foldable subset of
-    [Fault_model.t]: each player crashes independently with probability
-    [crash_rate] ([crash_bin = -1] drops its input from both bins —
-    [Drop]; [0]/[1] reroute the raw input to that bin — [Default_bin]);
-    [noise] perturbs the value a rule {e reads} by [U(-noise, noise)]
-    clamped to [[0,1]] while loads keep the raw input; [jitter] judges
-    each play against [delta * (1 + U(-jitter, jitter))].  Link faults
-    ([link_loss], [stale]) have no kernel dimension because the kernel
-    rules are local — they never read another player's value, so link
-    faults cannot change any outcome (callers accept and drop them).
-    @raise Invalid_argument on a rate outside [[0,1]] or a [crash_bin]
-    outside [{-1, 0, 1}]. *)
-
 type result = {
   samples : int;
   wins : int;  (** plays with both loads within the (jittered) capacity *)
@@ -68,9 +51,19 @@ type result = {
 
 type t
 
-val make : ?fault:fault -> ?on_lease:(result -> unit) -> n:int -> delta:float -> rule -> t
-(** Validated play specification.  A [fault] whose every dimension is off
-    is normalized away, so the plain (fault-free) loops run.
+val make :
+  ?faults:Fault_model.t -> ?on_lease:(result -> unit) -> n:int -> delta:float -> rule -> t
+(** Validated play specification.  [faults] (default: none) plays three
+    of the model's dimensions: each player crashes independently with
+    probability [crash], and its raw input then lands as [crash_mode]
+    says ([Drop]: neither bin; [Default_bin b]: bin [b]); [noise]
+    perturbs the value a rule {e reads} by [U(-noise, noise)] clamped to
+    [[0,1]] while loads keep the raw input; [jitter] judges each play
+    against [delta * (1 + U(-jitter, jitter))].  Link loss and stale
+    reads have no kernel dimension: the kernel's rules are local, they
+    never read another player's value, so link faults cannot change an
+    outcome.  A model whose crash, noise and jitter are all 0 runs the
+    plain (fault-free) loops.
 
     [on_lease] (default: nothing) receives each lease's own result as the
     lease finishes, on the worker domain that played it, so it must be
@@ -78,8 +71,9 @@ val make : ?fault:fault -> ?on_lease:(result -> unit) -> n:int -> delta:float ->
     telemetry from a kernel run: the tallies come from draws the pass
     already makes, the hot loop stays free of shared state, and the
     counts rise while a long run is still going.
-    @raise Invalid_argument when [n < 1], [delta <= 0], or the rule's
-    parameter array is not of length [n]. *)
+    @raise Invalid_argument when [n < 1], [delta <= 0], the rule's
+    parameter array is not of length [n], or [faults] fails
+    {!Fault_model.validate}. *)
 
 val run :
   ?hist:int * float * float ->

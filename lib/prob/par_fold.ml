@@ -1,5 +1,4 @@
 let leases = 64
-let recommended_domains () = Domain.recommended_domain_count ()
 
 let run_leases ?(span = "par.lease") ~domains ~leases run =
   if domains < 1 then invalid_arg "Par_fold.run_leases: domains must be >= 1";

@@ -39,10 +39,6 @@ val leases : int
     even when per-index or per-sample cost is uneven.  It is a constant:
     every answer depends on [(seed, work)] alone. *)
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()]: a sensible [-j] value for this
-    machine. *)
-
 val run_leases : ?span:string -> domains:int -> leases:int -> (int -> 'a) -> 'a array
 (** [run_leases ~domains ~leases run] executes the [leases] independent
     jobs [run 0 .. run (leases-1)] on a pool of [domains] worker domains

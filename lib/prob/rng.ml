@@ -64,7 +64,6 @@ let int_below t n =
   in
   go ()
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 let bernoulli t p = float01 t < p
 
 (* {2 Batch fill streams}

@@ -27,8 +27,6 @@ val uniform : t -> float -> float -> float
 val int_below : t -> int -> int
 (** Uniform in [[0, n)], unbiased (rejection sampling). [n > 0]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

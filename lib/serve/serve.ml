@@ -189,7 +189,6 @@ type t = {
   next_wid : int Atomic.t;
   pool_mu : Mutex.t;
   mutable pool : (worker * unit Domain.t) list;
-  mutable zombies : unit Domain.t list;  (** superseded domains still finishing a solve *)
   watchdog_stop : bool Atomic.t;
   mutable watchdog : unit Domain.t option;
   started_mono_s : float;
@@ -491,7 +490,6 @@ let supervise_once t =
               orphan_response t job ~reason:"deadline" ~status:504;
               Atomic.set w.current None;
               Atomic.set w.superseded true;
-              t.zombies <- d :: t.zombies;
               if Logx.would_log Logx.Warn then
                 Logx.warn "serve.worker_superseded" [ ("worker", Logx.Int w.wid) ];
               None
@@ -774,7 +772,6 @@ let start cfg =
       next_wid = Atomic.make 0;
       pool_mu = Mutex.create ();
       pool = [];
-      zombies = [];
       watchdog_stop = Atomic.make false;
       watchdog = None;
       started_mono_s = Trace.now_mono_s ();

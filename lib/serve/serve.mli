@@ -28,8 +28,11 @@
     [GET /cache/stats] (counters + cache/queue/pool state,
     [ddm.cache.stats/v1]) and [GET /stats] ([ddm.serve.stats/v1], a
     superset of [/cache/stats] adding a [latency] section with
-    count/sum/mean/p50/p90/p99/p999 per phase and per outcome; see
-    {!serve_stats_json}).
+    count/sum/mean/p50/p90/p99/p999 per phase and per outcome).  Each
+    [latency] leaf is interpolated from the live histogram bucket
+    counts ({!Export.histogram_quantile}), and reads zero while the
+    process-global metrics switch is off ([latency.metrics_enabled]
+    says which).
 
     {b Request-latency telemetry}: every job is stamped at admission,
     dequeue, solve start/end and terminal; queue-wait, solve and
@@ -83,7 +86,9 @@ type config = {
   chaos : chaos option;
 }
 (** The watchdog supersedes a worker 0.5 s past its job's deadline, and
-    the transport runs under {!Httpd.default_limits}. *)
+    the transport runs under {!Httpd.start}'s default limits: a 4 KiB
+    request line, 16 KiB of headers, a 64 KiB body, a 5 s read deadline
+    and a 2 s per-read timeout. *)
 
 val default_config : config
 (** Loopback, ephemeral port, 2 workers of 1 solver domain each, depth
@@ -109,12 +114,3 @@ val stop : ?drain_deadline_s:float -> t -> unit
 val stats_json : t -> string
 (** The [GET /cache/stats] document ([ddm.cache.stats/v1]). *)
 
-val serve_stats_json : t -> string
-(** The [GET /stats] document ([ddm.serve.stats/v1]): every
-    [/cache/stats] field plus a [latency] object —
-    [{metrics_enabled; total; phases: {queue_wait; solve; cache_lookup;
-    budget_used}; outcomes: {hit_lru; ...; error}}] — where each leaf
-    carries [count]/[sum]/[mean] and interpolated [p50]/[p90]/[p99]/
-    [p999] computed from the live histogram bucket counts
-    ({!Export.histogram_quantile}).  All zeros while the process-global
-    metrics switch is off ([metrics_enabled] says which). *)

@@ -97,4 +97,3 @@ val solve : ?domains:int -> deadline_mono_s:float -> req -> answer
     an un-cancellable exact pipeline starts), with partial progress.
     @raise Invalid_argument on instance limits (grid too large). *)
 
-val rule_to_string : rule -> string

@@ -153,53 +153,6 @@ let ledger_tests =
           Alcotest.(check int) "no skips" 0 skipped;
           Alcotest.(check (list string)) "file order" [ "first"; "second" ]
             (List.map (fun e -> e.Ledger.command) entries)));
-    Alcotest.test_case "git rev resolves packed refs" `Quick (fun () ->
-      (* Synthetic checkout layout: HEAD points at a ref that has no loose
-         file, only a packed-refs line — the state `git pack-refs` (or a
-         fresh clone) leaves behind. *)
-      let root = Filename.temp_file "test_perf_git" "" in
-      Sys.remove root;
-      let git = Filename.concat root ".git" in
-      let refs_heads = Filename.concat git (Filename.concat "refs" "heads") in
-      List.iter (fun d -> Unix.mkdir d 0o755) [ root; git; Filename.concat git "refs"; refs_heads ];
-      let rm_rf = Printf.sprintf "rm -rf %s" (Filename.quote root) in
-      Fun.protect
-        ~finally:(fun () -> ignore (Sys.command rm_rf))
-        (fun () ->
-          let packed_hash = String.make 40 'a' in
-          write_file (Filename.concat git "HEAD") "ref: refs/heads/main\n";
-          write_file
-            (Filename.concat git "packed-refs")
-            (Printf.sprintf
-               "# pack-refs with: peeled fully-peeled sorted\n%s refs/heads/main\n^%s\n%s \
-                refs/heads/other\n"
-               packed_hash (String.make 40 'b') (String.make 40 'c'));
-          Alcotest.(check (option string))
-            "packed ref resolves" (Some packed_hash)
-            (Ledger.git_rev_at ~dir:root);
-          (* a loose ref file shadows the packed entry *)
-          let loose_hash = String.make 40 'd' in
-          write_file (Filename.concat refs_heads "main") (loose_hash ^ "\n");
-          Alcotest.(check (option string))
-            "loose ref wins" (Some loose_hash)
-            (Ledger.git_rev_at ~dir:root);
-          (* detached HEAD: the hash is stored directly *)
-          write_file (Filename.concat git "HEAD") (loose_hash ^ "\n");
-          Alcotest.(check (option string))
-            "detached HEAD" (Some loose_hash)
-            (Ledger.git_rev_at ~dir:root)));
-    Alcotest.test_case "git rev is None for a missing packed ref" `Quick (fun () ->
-      let root = Filename.temp_file "test_perf_git" "" in
-      Sys.remove root;
-      let git = Filename.concat root ".git" in
-      List.iter (fun d -> Unix.mkdir d 0o755) [ root; git ];
-      let rm_rf = Printf.sprintf "rm -rf %s" (Filename.quote root) in
-      Fun.protect
-        ~finally:(fun () -> ignore (Sys.command rm_rf))
-        (fun () ->
-          write_file (Filename.concat git "HEAD") "ref: refs/heads/main\n";
-          write_file (Filename.concat git "packed-refs") "# pack-refs with: sorted\n";
-          Alcotest.(check (option string)) "unresolvable" None (Ledger.git_rev_at ~dir:root)));
     Alcotest.test_case "torn final line is skipped, earlier entries survive" `Quick (fun () ->
       let file = tmp_file ".jsonl" in
       Fun.protect
@@ -232,30 +185,46 @@ let ledger_tests =
       Alcotest.(check (float 0.)) "present" 10. gc.Ledger.minor_words;
       Alcotest.(check (float 0.)) "absent float" 0. gc.Ledger.major_words;
       Alcotest.(check int) "absent int" 0 gc.Ledger.compactions);
-    Alcotest.test_case "git rev resolves a worktree branch through commondir" `Quick (fun () ->
-      (* the layout `git worktree add -b topic` leaves: the checkout's ".git"
-         file names its own gitdir relative to the checkout; that gitdir
-         holds HEAD and a "commondir" pointer, and the branch tip is packed
-         in the common dir *)
+    Alcotest.test_case "git rev names HEAD and marks a dirty checkout" `Quick (fun () ->
       let root = Filename.temp_file "test_perf_git" "" in
       Sys.remove root;
-      let common = Filename.concat root "main.git" in
-      let worktrees = Filename.concat common "worktrees" in
-      let gitdir = Filename.concat worktrees "topic" in
-      let checkout = Filename.concat root "topic" in
-      List.iter (fun d -> Unix.mkdir d 0o755) [ root; common; worktrees; gitdir; checkout ];
+      Unix.mkdir root 0o755;
+      let repo = Filename.concat root "repo" and linked = Filename.concat root "linked" in
+      let git args =
+        let cmd =
+          Printf.sprintf "git -C %s -c user.name=ddm -c user.email=ddm@example.invalid %s"
+            (Filename.quote repo) args
+        in
+        let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+        let out = String.trim (In_channel.input_all ic) in
+        if Unix.close_process_in ic <> Unix.WEXITED 0 then Alcotest.failf "%s failed" cmd;
+        out
+      in
+      let rev dir = Ledger.git_rev_at ~dir in
       let rm_rf = Printf.sprintf "rm -rf %s" (Filename.quote root) in
       Fun.protect
         ~finally:(fun () -> ignore (Sys.command rm_rf))
         (fun () ->
-          let tip = String.make 40 'e' in
-          write_file (Filename.concat checkout ".git") "gitdir: ../main.git/worktrees/topic\n";
-          write_file (Filename.concat gitdir "HEAD") "ref: refs/heads/topic\n";
-          write_file (Filename.concat gitdir "commondir") "../..\n";
-          write_file (Filename.concat common "packed-refs") (tip ^ " refs/heads/topic\n");
-          Alcotest.(check (option string))
-            "branch tip from the common dir" (Some tip)
-            (Ledger.git_rev_at ~dir:checkout)));
+          Alcotest.(check (option string)) "not a repository" None (rev root);
+          Unix.mkdir repo 0o755;
+          let file = Filename.concat repo "tracked" in
+          write_file file "one\n";
+          ignore (git "init -q");
+          ignore (git "add tracked");
+          ignore (git "commit -q -m one");
+          let first = git "rev-parse HEAD" in
+          Alcotest.(check (option string)) "committed" (Some first) (rev repo);
+          write_file file "two\n";
+          Alcotest.(check (option string)) "modified tracked file" (Some (first ^ "-dirty"))
+            (rev repo);
+          ignore (git "commit -q -a -m two");
+          let second = git "rev-parse HEAD" in
+          write_file (Filename.concat repo "untracked") "x\n";
+          Alcotest.(check (option string)) "untracked files stay clean" (Some second) (rev repo);
+          ignore (git ("checkout -q --detach " ^ first));
+          Alcotest.(check (option string)) "detached HEAD" (Some first) (rev repo);
+          ignore (git (Printf.sprintf "worktree add -q %s %s" (Filename.quote linked) second));
+          Alcotest.(check (option string)) "linked worktree" (Some second) (rev linked)));
   ]
 
 (* ----------------------------- integration ----------------------------- *)

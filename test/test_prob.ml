@@ -500,7 +500,9 @@ let kernel_tests =
     Alcotest.test_case "run is bit-identical across domains 1/2/4" `Quick (fun () ->
       let k =
         Mc_kernel.make ~n:3 ~delta:1.
-          ~fault:(Mc_kernel.fault ~crash_rate:0.1 ~crash_bin:0 ~noise:0.05 ~jitter:0.1 ())
+          ~faults:
+            (Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) ~noise:0.05
+               ~jitter:0.1 ())
           (Mc_kernel.Threshold (Array.make 3 0.62))
       in
       let go j =
@@ -533,7 +535,7 @@ let kernel_tests =
       (* crash_rate 1 + Drop: no load ever lands, every play wins *)
       let all_drop =
         Mc_kernel.make ~n:3 ~delta:1.
-          ~fault:(Mc_kernel.fault ~crash_rate:1. ~crash_bin:(-1) ())
+          ~faults:(Fault_model.make ~crash:1. ~crash_mode:Fault_model.Drop ())
           (Mc_kernel.Threshold (Array.make 3 0.62))
       in
       let r = Mc_kernel.run ~rng:(Rng.create ~seed:41) ~samples:10_000 all_drop in
@@ -542,7 +544,7 @@ let kernel_tests =
          so P(win) = P(X1+X2+X3 <= 1) = 1/6 *)
       let all_bin0 =
         Mc_kernel.make ~n:3 ~delta:1.
-          ~fault:(Mc_kernel.fault ~crash_rate:1. ~crash_bin:0 ())
+          ~faults:(Fault_model.make ~crash:1. ~crash_mode:(Fault_model.Default_bin 0) ())
           (Mc_kernel.Threshold (Array.make 3 0.62))
       in
       let r0 = Mc_kernel.run ~rng:(Rng.create ~seed:42) ~samples:120_000 all_bin0 in
@@ -573,12 +575,6 @@ let kernel_tests =
       Alcotest.check_raises "non-finite parameter"
         (Invalid_argument "Mc_kernel.make: parameter 1 is not finite (nan)") (fun () ->
           ignore (Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold [| 0.5; Float.nan; 0.5 |])));
-      Alcotest.check_raises "crash_rate out of range"
-        (Invalid_argument "Mc_kernel.fault: crash_rate = 0x1.8p+0 is not in [0,1]") (fun () ->
-          ignore (Mc_kernel.fault ~crash_rate:1.5 ()));
-      Alcotest.check_raises "crash_bin out of range"
-        (Invalid_argument "Mc_kernel.fault: crash_bin = 2 (-1 drops the input, 0/1 reroute it)")
-        (fun () -> ignore (Mc_kernel.fault ~crash_bin:2 ()));
       let k = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold tau3) in
       (* run validates through the sampler it shares with the closure path *)
       Alcotest.check_raises "negative samples"
@@ -695,7 +691,9 @@ let sampler_props =
   let plain = Mc_kernel.make ~n:3 ~delta:1. (Mc_kernel.Threshold tau) in
   let faulty =
     Mc_kernel.make
-      ~fault:(Mc_kernel.fault ~crash_rate:0.1 ~crash_bin:0 ~noise:0.05 ~jitter:0.1 ())
+      ~faults:
+        (Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) ~noise:0.05
+           ~jitter:0.1 ())
       ~n:3 ~delta:1. (Mc_kernel.Threshold tau)
   in
   let same_at_every_j run = List.for_all (fun j -> compare (run 1) (run j) = 0) [ 2; 3 ] in
