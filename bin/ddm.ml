@@ -791,7 +791,7 @@ let serve_cmd =
            ring as counter/histogram tracks, in one Perfetto-loadable
            document *)
         (try
-           Chrome_trace.write ~file ~counters:(Snapring.samples ()) (Trace.live_spans ());
+           Chrome_trace.write ~file ~counters:(Snapring.samples ()) (Trace.spans ());
            Printf.printf "serve: trace written to %s\n%!" file
          with Sys_error msg -> Printf.eprintf "ddm serve: cannot write trace: %s\n%!" msg));
       Printf.printf "serve: drained and stopped\n%!"

@@ -1,7 +1,7 @@
 (* Chrome trace-event JSON export (the format Perfetto and chrome://tracing
    load).  Each recorded span becomes a ph:"X" complete event on the track
    of the domain it ran on (tid = Domain.self at record time), with the
-   span's GC allocation delta attached as args.  A thread_name metadata
+   span's depth and allocated words attached as args.  A thread_name metadata
    event labels every track, and the optional Snapring history becomes
    ph:"C" counter events so counter evolution lines up with the spans.
 
@@ -45,9 +45,7 @@ let json ?(counters = []) spans =
           (("cat", Jsonx.Str "span") :: ("dur", Jsonx.Num (s.Trace.dur_s *. 1e6))
           :: args
                [ ("depth", int s.Trace.depth); ("minor_words", Jsonx.Num s.Trace.minor_words);
-                 ("major_words", Jsonx.Num s.Trace.major_words);
-                 ("minor_collections", int s.Trace.minor_collections);
-                 ("major_collections", int s.Trace.major_collections) ]))
+                 ("major_words", Jsonx.Num s.Trace.major_words) ]))
       spans
   in
   (* counter tracks: [points] reads a sample as (track, value, nonzero)

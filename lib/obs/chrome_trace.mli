@@ -2,9 +2,9 @@
     {{:https://ui.perfetto.dev}Perfetto} and [chrome://tracing].
 
     Every {!Trace.span} becomes a complete event (ph ["X"]) on the track of
-    the domain it ran on ([span.tid]), carrying the span's GC allocation
-    delta as event args; tracks are labeled ["domain N"] via thread_name
-    metadata events.  An optional {!Snapring} history adds counter events
+    the domain it ran on ([span.tid]), carrying exactly three args: the
+    span's [depth], [minor_words] and [major_words]; tracks are labeled
+    ["domain N"] via thread_name metadata events.  An optional {!Snapring} history adds counter events
     (ph ["C"]) so metric evolution can be read against the span timeline;
     sampled histograms contribute [name_count] and [name_sum] tracks, so
     request rate and latency mass plot over time next to the spans.

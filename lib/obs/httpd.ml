@@ -121,10 +121,8 @@ let profile_json () =
              ("total_s", Jsonx.Num r.Trace.total_s);
              ("minor_words", Jsonx.Num r.Trace.p_minor_words);
              ("major_words", Jsonx.Num r.Trace.p_major_words);
-             ("gc_collections",
-              Jsonx.Num (float_of_int (r.Trace.p_minor_collections + r.Trace.p_major_collections)));
            ])
-       (Trace.profile_of (Trace.live_spans ())))
+       (Trace.profile (Trace.spans ())))
 
 let history_json () =
   Jsonx.Arr

@@ -20,7 +20,7 @@
                    {!Ledger.load_rotated})
     - [/snapshot]  one JSON document ([ddm.snapshot/v1]) with the full
                    metrics snapshot, the cross-domain span profile
-                   ({!Trace.live_spans}), and the recent counter history
+                   ({!Trace.spans}), and the recent counter history
                    ({!Snapring.samples})
 
     A custom [handler] can be layered in front of the built-in routes,

@@ -232,7 +232,7 @@ let entry_of_run ~command ~argv ?seed ~wall_seconds ~gc () =
     command;
     argv;
     seed;
-    rev = git_rev_at ~dir:".";
+    rev = Build_rev.rev;
     wall_seconds;
     gc;
     metrics = Export.moved_json (Metrics.snapshot ());

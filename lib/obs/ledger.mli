@@ -80,9 +80,12 @@ val entry_of_run :
   gc:gc_stats ->
   unit ->
   entry
-(** Build an entry stamped with the current time, the git revision of
-    the working directory ({!git_rev_at}), and the metrics that moved
-    ({!Export.moved_json}). *)
+(** Build an entry stamped with the current time, the git revision the
+    running binary was built from, and the metrics that moved
+    ({!Export.moved_json}).  The revision is taken at build time, as
+    {!git_rev_at} reads the source tree ([-dirty] when a tracked file
+    differed from HEAD), so it names the build wherever the binary runs;
+    [None] when the tree was not a git checkout. *)
 
 val recording : file:string -> command:string -> argv:string list -> ?seed:int -> (unit -> 'a) -> 'a
 (** Run the thunk, then append one entry covering it (monotonic wall time,

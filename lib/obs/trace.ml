@@ -6,8 +6,6 @@ type span = {
   dur_s : float;
   minor_words : float;
   major_words : float;
-  minor_collections : int;
-  major_collections : int;
 }
 
 let on = ref false
@@ -20,6 +18,12 @@ let now_s () = Unix.gettimeofday ()
    duration; the epoch timestamp is kept only for [start_s]. *)
 let now_mono_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
+(* The calling domain's major-heap allocation count, in words; see
+   trace_stubs.c for why Gc.counters is not read instead. *)
+external major_words : unit -> (int[@untagged])
+  = "ddm_trace_major_words" "ddm_trace_major_words_untagged"
+[@@noalloc]
+
 let max_recorded = 10_000
 
 (* Span storage is domain-local: each domain records into its own buffer so
@@ -31,19 +35,21 @@ type buffer = {
   mutable n_recorded : int;
   mutable n_dropped : int;
   mutable depth : int;
-  mutable registered : bool; (* this buffer is on the live-read registry *)
+  mutable registered : bool; (* this buffer is on the registry [spans] reads *)
 }
 
-(* Live registry of every domain's buffer, so the observability plane
-   (Httpd's /snapshot, running on its own domain) can read spans mid-run
-   without waiting for a join.  Registration is mutex-guarded; the reads in
-   [live_spans] are deliberately unsynchronized — a racy load of [recorded]
+(* Registry of every domain's buffer: [spans] reads them all, so a CLI
+   report, serve's trace export and the observability plane (Httpd's
+   /snapshot, running on its own domain, mid-run, without waiting for a
+   join) read spans one way.  Registration is mutex-guarded; the reads in
+   [spans] are deliberately unsynchronized — a racy load of [recorded]
    returns some previously-published cons cell (span fields are immutable,
    list cells are never mutated), so a live reader sees a consistent,
    possibly slightly stale, prefix of the history.  Exact totals are only
    guaranteed after the owning domain finishes (Domain.join publishes).
-   [drain] unregisters so buffers of exited worker domains do not pile up:
-   workers drain right before they join. *)
+   [drain] unregisters so buffers of exited worker domains do not pile up
+   and their absorbed spans are not read twice: workers drain right before
+   they join. *)
 let registry_mu = Mutex.create ()
 let registry : buffer list ref = ref []
 
@@ -70,13 +76,7 @@ let buffer_key =
     b)
 
 let buffer () = Domain.DLS.get buffer_key
-
-let clear () =
-  let b = buffer () in
-  b.recorded <- [];
-  b.n_recorded <- 0;
-  b.n_dropped <- 0;
-  b.depth <- 0
+let registered () = Mutex.protect registry_mu (fun () -> !registry)
 
 let record s =
   let b = buffer () in
@@ -96,11 +96,8 @@ let drain () =
   unregister_buffer b;
   spans
 
-let live_spans () =
-  Mutex.lock registry_mu;
-  let buffers = !registry in
-  Mutex.unlock registry_mu;
-  List.concat_map (fun b -> List.rev b.recorded) buffers
+let spans () =
+  List.concat_map (fun b -> List.rev b.recorded) (registered ())
   |> List.stable_sort (fun a b -> compare (a.start_s, a.depth) (b.start_s, b.depth))
 
 let absorb spans = List.iter record (List.rev spans)
@@ -111,18 +108,19 @@ let with_span name f =
     let b = buffer () in
     let d = b.depth in
     b.depth <- d + 1;
+    (* The allocation counters are read outside the timed interval, so a
+       span's duration holds only its own work.  Gc.minor_words reads the
+       live minor-heap pointer, so a short span's minor words are exact;
+       the GC's other minor counts catch up only at a minor collection. *)
+    let maj0 = major_words () in
+    let mw0 = Gc.minor_words () in
     let start_s = now_s () in
     let t0 = now_mono_s () in
-    (* quick_stat.minor_words is only refreshed at minor collections, so a
-       short span would read as allocation-free; Gc.minor_words reads the
-       live minor-heap pointer and is accurate. *)
-    let mw0 = Gc.minor_words () in
-    let g0 = Gc.quick_stat () in
     Fun.protect
       ~finally:(fun () ->
         let dur_s = now_mono_s () -. t0 in
         let mw1 = Gc.minor_words () in
-        let g1 = Gc.quick_stat () in
+        let maj1 = major_words () in
         b.depth <- b.depth - 1;
         record
           {
@@ -132,9 +130,7 @@ let with_span name f =
             start_s;
             dur_s;
             minor_words = mw1 -. mw0;
-            major_words = g1.Gc.major_words -. g0.Gc.major_words;
-            minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-            major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
+            major_words = float_of_int (maj1 - maj0);
           })
       f
   end
@@ -154,14 +150,7 @@ let emit ~name ~start_s ~dur_s () =
         dur_s = Float.max 0. dur_s;
         minor_words = 0.;
         major_words = 0.;
-        minor_collections = 0;
-        major_collections = 0;
       }
-
-let spans () =
-  List.stable_sort
-    (fun a b -> compare (a.start_s, a.depth) (b.start_s, b.depth))
-    (List.rev (buffer ()).recorded)
 
 type profile_row = {
   p_name : string;
@@ -169,15 +158,13 @@ type profile_row = {
   total_s : float;
   p_minor_words : float;
   p_major_words : float;
-  p_minor_collections : int;
-  p_major_collections : int;
 }
 
-(* Per-name totals over every recorded span.  Nested spans contribute to
-   both their own name and every enclosing name (no self-time subtraction);
-   none of the instrumented span names recurse today, so totals do not
+(* Per-name totals over a span list.  Nested spans contribute to both
+   their own name and every enclosing name (no self-time subtraction); none
+   of the instrumented span names recurse today, so totals do not
    double-count within one name. *)
-let profile_of spans =
+let profile spans =
   let agg = Hashtbl.create 16 in
   List.iter
     (fun s ->
@@ -190,8 +177,6 @@ let profile_of spans =
               total_s = 0.;
               p_minor_words = 0.;
               p_major_words = 0.;
-              p_minor_collections = 0;
-              p_major_collections = 0;
             }
           (Hashtbl.find_opt agg s.name)
       in
@@ -202,14 +187,10 @@ let profile_of spans =
           total_s = row.total_s +. s.dur_s;
           p_minor_words = row.p_minor_words +. s.minor_words;
           p_major_words = row.p_major_words +. s.major_words;
-          p_minor_collections = row.p_minor_collections + s.minor_collections;
-          p_major_collections = row.p_major_collections + s.major_collections;
         })
     spans;
   Hashtbl.fold (fun _ row acc -> row :: acc) agg []
   |> List.sort (fun a b -> compare b.total_s a.total_s)
-
-let profile () = profile_of (buffer ()).recorded
 
 let pp_duration dur =
   if dur >= 1. then Printf.sprintf "%8.3f s " dur
@@ -223,14 +204,15 @@ let pp_words w =
   else Printf.sprintf "%8.0f w" w
 
 let report () =
-  let b = buffer () in
   let buf = Buffer.create 1024 in
   let all = spans () in
+  let n = List.length all in
+  let dropped = List.fold_left (fun acc b -> acc + b.n_dropped) 0 (registered ()) in
   let tree_cap = 100 in
   Buffer.add_string buf
-    (Printf.sprintf "trace: %d span%s recorded%s\n" b.n_recorded
-       (if b.n_recorded = 1 then "" else "s")
-       (if b.n_dropped > 0 then Printf.sprintf " (%d dropped)" b.n_dropped else ""));
+    (Printf.sprintf "trace: %d span%s recorded%s\n" n
+       (if n = 1 then "" else "s")
+       (if dropped > 0 then Printf.sprintf " (%d dropped)" dropped else ""));
   List.iteri
     (fun i s ->
       if i < tree_cap then
@@ -238,20 +220,18 @@ let report () =
           (Printf.sprintf "  %s  %s%s\n" (pp_duration s.dur_s) (String.make (2 * s.depth) ' ')
              s.name))
     all;
-  if b.n_recorded > tree_cap then
-    Buffer.add_string buf (Printf.sprintf "  ... (%d more)\n" (b.n_recorded - tree_cap));
+  if n > tree_cap then Buffer.add_string buf (Printf.sprintf "  ... (%d more)\n" (n - tree_cap));
   if all <> [] then begin
     Buffer.add_string buf
-      (Printf.sprintf "  %-32s %8s %12s %12s %10s %10s %7s\n" "profile by name" "calls" "total"
-         "mean" "minor" "major" "gc runs");
+      (Printf.sprintf "  %-32s %8s %12s %12s %10s %10s\n" "profile by name" "calls" "total"
+         "mean" "minor" "major");
     List.iter
       (fun r ->
         Buffer.add_string buf
-          (Printf.sprintf "  %-32s %8d %s %s %s %s %7d\n" r.p_name r.calls
+          (Printf.sprintf "  %-32s %8d %s %s %s %s\n" r.p_name r.calls
              (pp_duration r.total_s)
              (pp_duration (r.total_s /. float_of_int r.calls))
-             (pp_words r.p_minor_words) (pp_words r.p_major_words)
-             (r.p_minor_collections + r.p_major_collections)))
-      (profile ())
+             (pp_words r.p_minor_words) (pp_words r.p_major_words)))
+      (profile all)
   end;
   Buffer.contents buf

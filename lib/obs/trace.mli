@@ -4,15 +4,16 @@
     nest, and the recorded depth reconstructs the call tree.  Durations are
     measured on a monotonic clock (immune to NTP steps); the wall-clock
     epoch timestamp is kept only for [start_s].  Each span also carries the
-    GC allocation delta ([Gc.quick_stat] at entry vs exit).  Tracing is off
-    by default and the disabled path is a single branch — no clock reads,
-    no GC stats, no allocation.
+    words it allocated ([Gc.minor_words] and the domain's major-heap word
+    count, read without allocating), read outside the timed interval, so a
+    duration holds only the span's own work.  Tracing is off by default and the disabled path is a single
+    branch — no clock reads, no GC reads, no allocation.
 
     Span storage is domain-local: each domain records into its own buffer,
     so worker domains (see [Par_fold]) can trace without synchronization.
     Before a worker finishes it calls {!drain}; the main domain folds the
-    result into its own buffer with {!absorb}.  The enable switch stays
-    process-global. *)
+    result into its own buffer with {!absorb}.  {!spans} reads every
+    domain's buffer.  The enable switch stays process-global. *)
 
 type span = {
   name : string;
@@ -25,8 +26,6 @@ type span = {
   dur_s : float;  (** monotonic-clock duration in seconds; never negative *)
   minor_words : float;  (** words allocated in the minor heap during the span *)
   major_words : float;  (** words allocated in the major heap during the span *)
-  minor_collections : int;  (** minor GCs completed during the span *)
-  major_collections : int;  (** major GC cycles completed during the span *)
 }
 
 val set_enabled : bool -> unit
@@ -48,22 +47,21 @@ val emit : name:string -> start_s:float -> dur_s:float -> unit -> unit
     buffer (no-op while disabled).  For intervals no single {!with_span} can cover — e.g. a
     serve request admitted on one domain and answered from another: the
     worker emits the admission→terminal span next to its own solve span,
-    so the two line up on one track in the Chrome trace.  GC fields are
-    recorded as zero; negative durations clamp to 0. *)
+    so the two line up on one track in the Chrome trace.  Allocation
+    fields are recorded as zero; negative durations clamp to 0. *)
 
 val spans : unit -> span list
-(** Completed spans in chronological (start-time) order.  Each domain
-    keeps at most 10 000 spans; later ones are counted as dropped, and
-    {!report} prints the count. *)
-
-val live_spans : unit -> span list
-(** Completed spans across {e every} live domain's buffer, chronological.
-    Unlike {!spans} this may be called from any domain (the obs HTTP
-    server's /snapshot uses it mid-run).  Reads are unsynchronized but
-    memory-safe: span records and list cells are immutable once published,
-    so a concurrent reader sees a consistent, possibly slightly stale,
-    prefix of each domain's history.  Exact totals are only guaranteed
-    after the owning domains have joined. *)
+(** Completed spans of every registered domain's buffer, in chronological
+    (start-time) order.  A domain registers when it records a span and
+    unregisters when it calls {!drain}, so a worker's spans are read once,
+    from the buffer that absorbed them.  Each domain keeps its first
+    10 000 spans; later ones are counted as dropped, and {!report} prints
+    the count.  Any domain may call it, mid-run (the obs HTTP server's
+    /snapshot does).  Reads are unsynchronized but memory-safe: span
+    records and list cells are immutable once published, so a concurrent
+    reader sees a consistent, possibly slightly stale, prefix of each
+    domain's history.  Exact totals are only guaranteed after the owning
+    domains have joined. *)
 
 (** {1 Per-name profile} *)
 
@@ -73,32 +71,25 @@ type profile_row = {
   total_s : float;
   p_minor_words : float;
   p_major_words : float;
-  p_minor_collections : int;
-  p_major_collections : int;
 }
 
-val profile : unit -> profile_row list
-(** Aggregate duration and allocation per span name over every recorded
-    span, sorted by descending total duration.  Nested spans contribute to
-    both their own name and every enclosing name (no self-time
-    subtraction). *)
-
-val profile_of : span list -> profile_row list
-(** The same aggregation over an explicit span list (e.g. {!live_spans}). *)
-
-val clear : unit -> unit
-(** Forget the calling domain's recorded spans (the enable switch is
-    untouched). *)
+val profile : span list -> profile_row list
+(** Aggregate duration and allocation per span name over a span list
+    (e.g. {!spans}[ ()]), sorted by descending total duration.  Nested
+    spans contribute to both their own name and every enclosing name (no
+    self-time subtraction). *)
 
 (** {1 Cross-domain folding} *)
 
 val drain : unit -> span list
 (** Remove and return the calling domain's recorded spans (newest first,
-    the order {!absorb} expects).  Resets the recorded and dropped counts
-    but not the nesting depth, so it is safe to call from inside an open
-    span (a worker draining before it joins).  Also removes the calling
-    domain's buffer from the {!live_spans} registry, so exited workers do
-    not accumulate there; the next recorded span re-registers it. *)
+    the order {!absorb} expects); the other domains' buffers are untouched.
+    Resets the recorded and dropped counts but not the nesting depth, so it
+    is safe to call from inside an open span (a worker draining before it
+    joins).  Also removes the calling domain's buffer from the registry
+    {!spans} reads, so exited workers do not accumulate there; the next
+    recorded span re-registers it.  [ignore (drain ())] forgets the calling
+    domain's spans. *)
 
 val absorb : span list -> unit
 (** Append spans drained on another domain to the calling domain's buffer,
@@ -106,5 +97,6 @@ val absorb : span list -> unit
     10 000-span cap count as dropped. *)
 
 val report : unit -> string
-(** Human-readable report: an indented chronological tree of spans (capped)
-    followed by the per-name profile with allocation deltas. *)
+(** Human-readable report over {!spans}[ ()]: a header counting them and
+    the spans every domain dropped, an indented chronological tree of
+    spans (capped), then the per-name profile with allocation deltas. *)

@@ -107,6 +107,9 @@ let outcome_histograms =
 
 let h_outcome o = List.assq o outcome_histograms
 
+(* the terminal span's name, built once rather than on every terminal *)
+let outcome_spans = List.map (fun o -> (o, "serve.request." ^ outcome_label o)) all_outcomes
+
 type chaos = {
   slow_rate : float;
   slow_s : float;
@@ -308,8 +311,7 @@ let observe_terminal t ~outcome ~budget_ms ~start_wall_s ~total_s phase_fields =
   Metrics.observe (h_outcome outcome) total_s;
   Metrics.observe h_total total_s;
   Metrics.observe h_budget_used (total_s /. (float_of_int budget_ms /. 1000.));
-  Trace.emit ~name:("serve.request." ^ outcome_label outcome) ~start_s:start_wall_s
-    ~dur_s:total_s ();
+  Trace.emit ~name:(List.assq outcome outcome_spans) ~start_s:start_wall_s ~dur_s:total_s ();
   if total_s >= t.cfg.slow_request_s && Logx.would_log Logx.Warn then
     Logx.warn "serve.slow_request"
       ([ ("outcome", Logx.Str (outcome_label outcome));
@@ -386,7 +388,8 @@ let run_job t job =
       Metrics.observe h_solve (solve1 -. solve0)
     in
     match
-      Solver.solve ~domains:t.cfg.solver_domains ~deadline_mono_s:job.deadline_mono_s job.jreq
+      Trace.with_span "serve.solve" (fun () ->
+        Solver.solve ~domains:t.cfg.solver_domains ~deadline_mono_s:job.deadline_mono_s job.jreq)
     with
     | answer ->
       solve_done ();

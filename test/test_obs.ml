@@ -10,12 +10,12 @@ let with_metrics f =
   Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
 
 let with_tracing f =
-  Trace.clear ();
+  ignore (Trace.drain ());
   Trace.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Trace.set_enabled false;
-      Trace.clear ())
+      ignore (Trace.drain ()))
     f
 
 (* ------------------------- minimal JSON validator ------------------------- *)
@@ -249,7 +249,7 @@ let trace_tests =
   [
     Alcotest.test_case "disabled tracing records nothing" `Quick (fun () ->
       Trace.set_enabled false;
-      Trace.clear ();
+      ignore (Trace.drain ());
       let r = Trace.with_span "off" (fun () -> 41 + 1) in
       Alcotest.(check int) "value passes through" 42 r;
       Alcotest.(check int) "no spans" 0 (List.length (Trace.spans ())));
@@ -295,7 +295,7 @@ let trace_tests =
             Sys.opaque_identity (List.init 5000 (fun i -> float_of_int i)) |> ignore)
         done;
         Trace.with_span "alloc_light" (fun () -> ());
-        let rows = Trace.profile () in
+        let rows = Trace.profile (Trace.spans ()) in
         Alcotest.(check int) "two distinct names" 2 (List.length rows);
         let heavy = List.find (fun r -> r.Trace.p_name = "alloc_heavy") rows in
         let light = List.find (fun r -> r.Trace.p_name = "alloc_light") rows in
@@ -305,9 +305,21 @@ let trace_tests =
           (heavy.Trace.p_minor_words > 1000.);
         Alcotest.(check bool) "totals nonnegative" true
           (heavy.Trace.total_s >= 0. && light.Trace.total_s >= 0.)));
+    Alcotest.test_case "a span attributes major-heap allocation" `Quick (fun () ->
+      with_tracing (fun () ->
+        (* a float array this long is allocated straight in the major heap:
+           100 000 words plus its header *)
+        Trace.with_span "big" (fun () -> ignore (Sys.opaque_identity (Array.make 100_000 0.)));
+        match Trace.spans () with
+        | [ s ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "major words %.0f >= 100001" s.Trace.major_words)
+            true
+            (s.Trace.major_words >= 100_001.)
+        | spans -> Alcotest.fail (Printf.sprintf "expected 1 span, got %d" (List.length spans))));
     Alcotest.test_case "disabled with_span is allocation-free" `Quick (fun () ->
       Trace.set_enabled false;
-      Trace.clear ();
+      ignore (Trace.drain ());
       (* Pre-allocate the thunk so the loop body is a single load-and-branch
          plus an indirect call; any per-iteration words would show up here. *)
       let f = Sys.opaque_identity (fun () -> 0) in
@@ -339,7 +351,7 @@ let trace_tests =
             Rng.float01 rng < 0.5)
         in
         Alcotest.(check int) "all samples drawn" 1000 est.Mc.samples;
-        let rows = Trace.profile () in
+        let rows = Trace.profile (Trace.spans ()) in
         let calls name =
           match List.find_opt (fun r -> r.Trace.p_name = name) rows with
           | Some r -> r.Trace.calls
@@ -357,7 +369,8 @@ let trace_tests =
       let lease_spans domains =
         with_tracing (fun () ->
           ignore (Par_fold.sum ~span:"test.lease" ~domains ~items:10 float_of_int);
-          match List.find_opt (fun r -> r.Trace.p_name = "test.lease") (Trace.profile ()) with
+          let rows = Trace.profile (Trace.spans ()) in
+          match List.find_opt (fun r -> r.Trace.p_name = "test.lease") rows with
           | Some r -> r.Trace.calls
           | None -> 0)
       in
@@ -625,7 +638,6 @@ let logx_tests =
 let mk_span ?(depth = 0) ~name ~tid ~start_s ~dur_s () =
   {
     Trace.name; depth; tid; start_s; dur_s; minor_words = 120.; major_words = 8.;
-    minor_collections = 1; major_collections = 0;
   }
 
 let chrome_tests =
@@ -979,12 +991,12 @@ let concurrency_tests =
         Alcotest.(check (float 0.)) "every add landed"
           (float_of_int (n_domains * per_domain))
           (Metrics.gauge_value g)));
-    Alcotest.test_case "live_spans sees spans from joined workers" `Quick (fun () ->
+    Alcotest.test_case "spans sees spans from joined workers" `Quick (fun () ->
       with_tracing (fun () ->
         let rng = Rng.create ~seed:3 in
         ignore (Mc.probability ~domains:2 ~rng ~samples:100 (fun rng ->
           Rng.float01 rng < 0.5));
-        let rows = Trace.profile_of (Trace.live_spans ()) in
+        let rows = Trace.profile (Trace.spans ()) in
         match List.find_opt (fun r -> r.Trace.p_name = "mc.par.lease") rows with
         | Some r -> Alcotest.(check int) "all leases visible" Par_fold.leases r.Trace.calls
         | None -> Alcotest.fail "no lease spans in live view"));

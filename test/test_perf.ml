@@ -225,6 +225,23 @@ let ledger_tests =
           Alcotest.(check (option string)) "detached HEAD" (Some first) (rev repo);
           ignore (git (Printf.sprintf "worktree add -q %s %s" (Filename.quote linked) second));
           Alcotest.(check (option string)) "linked worktree" (Some second) (rev linked)));
+    Alcotest.test_case "a ledger entry names the build, not the working directory" `Quick
+      (fun () ->
+      let dir = Filename.temp_file "test_perf_norepo" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o755;
+      let cwd = Sys.getcwd () in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.chdir cwd;
+          Unix.rmdir dir)
+        (fun () ->
+          Sys.chdir dir;
+          Alcotest.(check (option string)) "not a repository" None (Ledger.git_rev_at ~dir:".");
+          let e =
+            Ledger.entry_of_run ~command:"test" ~argv:[] ~wall_seconds:0. ~gc:(Ledger.gc_now ()) ()
+          in
+          Alcotest.(check (option string)) "the build's revision" Build_rev.rev e.Ledger.rev));
   ]
 
 (* ----------------------------- integration ----------------------------- *)

@@ -1193,6 +1193,31 @@ let serve_tests =
             | Some { Metrics.value = Metrics.Histogram_v { count; _ }; _ } ->
               check Alcotest.int "timeout histogram count" 1 count
             | _ -> Alcotest.fail "timeout histogram not registered"));
+    Alcotest.test_case "a cold solve records one serve.solve span inside its request" `Quick
+      (fun () ->
+      (* an exact threshold solve records no substrate span of its own *)
+      ignore (Trace.drain ());
+      Trace.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Trace.set_enabled false)
+        (fun () ->
+          with_serve Serve.default_config (fun t ->
+            let status, _ = post ~body:"{\"rule\":\"threshold\",\"n\":4}" (Serve.port t) "/eval" in
+            check Alcotest.int "cold 200" 200 status);
+          let named name = List.filter (fun s -> s.Trace.name = name) (Trace.spans ()) in
+          match (named "serve.solve", named "serve.request.cold") with
+          | [ solve ], [ request ] ->
+            check Alcotest.int "on the request's domain" request.Trace.tid solve.Trace.tid;
+            (* starts are wall-clock and durations monotonic: allow 1 ms *)
+            let eps = 1e-3 in
+            checkb "starts inside the request" true
+              (solve.Trace.start_s >= request.Trace.start_s -. eps);
+            checkb "ends inside the request" true
+              (solve.Trace.start_s +. solve.Trace.dur_s
+              <= request.Trace.start_s +. request.Trace.dur_s +. eps)
+          | solves, requests ->
+            Alcotest.failf "%d serve.solve and %d serve.request.cold spans" (List.length solves)
+              (List.length requests)));
   ]
 
 let () =
