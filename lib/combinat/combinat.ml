@@ -82,14 +82,3 @@ let fold_subset_sums_gen ~add ~sub ~zero arr ~init ~f =
     acc := f !acc ~size:!size ~sum:!sum
   done;
   !acc
-
-let subsets_of_size n k =
-  let rec go start k =
-    if k = 0 then [ [] ]
-    else if start >= n then []
-    else begin
-      let with_start = List.map (fun s -> start :: s) (go (start + 1) (k - 1)) in
-      with_start @ go (start + 1) k
-    end
-  in
-  go 0 k

@@ -40,7 +40,3 @@ val fold_subset_sums_gen :
     subset cardinality and the sum of the selected elements.  Subset sums
     are maintained incrementally along a Gray-code walk, so the total cost
     is [O(2^n)] rather than [O(n 2^n)]. *)
-
-val subsets_of_size : int -> int -> int list list
-(** [subsets_of_size n k]: all [k]-subsets of [{0, ..., n-1}] as sorted
-    lists, in lexicographic order. Intended for tests and small [n]. *)

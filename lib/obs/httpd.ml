@@ -122,7 +122,7 @@ let profile_json () =
              ("minor_words", Jsonx.Num r.Trace.p_minor_words);
              ("major_words", Jsonx.Num r.Trace.p_major_words);
            ])
-       (Trace.profile (Trace.spans ())))
+       (Trace.profile ()))
 
 let history_json () =
   Jsonx.Arr
@@ -184,7 +184,7 @@ let query_int q key ~default =
   | Some v -> ( match int_of_string_opt v with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-let route ~ledger_file ~started_s meth path query =
+let route ~ledger_file ~started_s { meth; path; query; _ } =
   match (meth, path) with
   | ("GET" | "HEAD"), "/" -> text index_body
   | ("GET" | "HEAD"), "/healthz" -> text "ok\n"
@@ -202,137 +202,101 @@ let route ~ledger_file ~started_s meth path query =
 
 (* --------------------------- request parsing --------------------------- *)
 
-type parsed =
-  | Parsed of { meth : string; path : string; query : (string * string) list; body : string }
-  | Line_too_long  (** request line exceeded the cap -> 431 *)
-  | Headers_too_large  (** header block exceeded the cap -> 431 *)
-  | Body_too_large  (** declared Content-Length exceeded the cap -> 413 *)
-  | Timed_out  (** whole-request read deadline expired -> 408 *)
-  | Malformed  (** EOF mid-request or an unparseable request line -> 400 *)
+let bad_request = text ~status:400 "bad request\n"
+let too_large = text ~status:431 "request header fields too large\n"
 
-(* Index just past the "\r\n\r\n" terminating the header block, scanning
-   from [from] (so incremental reads don't rescan the whole buffer). *)
-let find_headers_end s from =
-  let n = String.length s in
-  let rec go i =
-    if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some (i + 4)
-    else go (i + 1)
+(* The first [Content-Length] line's value, its name matched in any case;
+   [None] when there is none or it is not an int, and then no body is read. *)
+let content_length lines =
+  let is_length line =
+    String.length line > 14 && line.[14] = ':'
+    && String.lowercase_ascii (String.sub line 0 14) = "content-length"
   in
-  go (max 0 from)
+  Option.bind (List.find_opt is_length lines) (fun line ->
+    int_of_string_opt (String.trim (String.sub line 15 (String.length line - 15))))
 
-let content_length_of headers_block =
-  let lower = String.lowercase_ascii headers_block in
-  let needle = "content-length:" in
-  let rec find i =
-    if i + String.length needle > String.length lower then None
-    else if String.sub lower i (String.length needle) = needle
-            && (i = 0 || lower.[i - 1] = '\n')
-    then
-      let rest = String.sub lower (i + String.length needle)
-          (String.length lower - i - String.length needle) in
-      let line = match String.index_opt rest '\r' with
-        | Some e -> String.sub rest 0 e
-        | None -> rest
-      in
-      int_of_string_opt (String.trim line)
-    else find (i + 1)
-  in
-  find 0
-
-(* Read the header block (and any declared body) under the caps and the
-   wall-clock deadline.  Returns the raw bytes up to the end of headers
-   plus the body, or the rejection reason. *)
-let read_request ~(limits : limits) fd =
+(* Read one request in one pass under the caps and the wall-clock deadline:
+   the header block, then its declared body.  A refusal is the response
+   the client gets. *)
+let read_request ~(limits : limits) client =
+  let ( let* ) = Result.bind in
   let t0 = Trace.now_mono_s () in
-  let deadline_left () = limits.read_deadline_s -. (Trace.now_mono_s () -. t0) in
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 1024 in
-  let read_more () =
-    if deadline_left () <= 0. then `Deadline
+  (* returns after new bytes; when the per-read SO_RCVTIMEO fires, the
+     overall deadline decides whether to keep waiting *)
+  let rec read_more () =
+    if Trace.now_mono_s () -. t0 >= limits.read_deadline_s then
+      Error (text ~status:408 "request read deadline exceeded\n")
     else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> `Eof
-      | k ->
-        Buffer.add_subbytes buf chunk 0 k;
-        `Read
+      match Unix.read client chunk 0 (Bytes.length chunk) with
+      | 0 -> Error bad_request
+      | k -> Ok (Buffer.add_subbytes buf chunk 0 k)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        (* the per-read SO_RCVTIMEO fired; the overall deadline decides
-           whether we keep waiting *)
-        if deadline_left () <= 0. then `Deadline else `Read
+        read_more ()
   in
-  let rec headers () =
-    let s = Buffer.contents buf in
-    match find_headers_end s (Buffer.length buf - Bytes.length chunk - 3) with
+  (* each byte is scanned once: [eol] is the first '\n' seen, and the
+     block ends just past the first "\r\n\r\n" *)
+  let eol = ref (-1) in
+  let rec scan i =
+    if i >= Buffer.length buf then None
+    else if Buffer.nth buf i <> '\n' then scan (i + 1)
+    else begin
+      if !eol < 0 then eol := i;
+      if i >= 3 && Buffer.nth buf (i - 1) = '\r' && Buffer.nth buf (i - 2) = '\n'
+         && Buffer.nth buf (i - 3) = '\r'
+      then Some (i + 1)
+      else scan (i + 1)
+    end
+  in
+  (* the caps apply to complete requests too, but a complete first line
+     alone waits for the rest of the block *)
+  let rec headers from =
+    let n = Buffer.length buf in
+    match scan from with
     | Some hdr_end ->
-      (* the caps apply to complete requests too — an oversized line or
-         header block that arrives terminated in a single read is just as
-         rejected as one that is still streaming in *)
-      if
-        match String.index_opt s '\n' with
-        | Some eol -> eol + 1 > limits.max_line_bytes
-        | None -> false
-      then `Line
-      else if hdr_end > limits.max_header_bytes then `Too_large
-      else `Headers (s, hdr_end)
+      if !eol + 1 > limits.max_line_bytes || hdr_end > limits.max_header_bytes then
+        Error too_large
+      else Ok hdr_end
     | None ->
-      if Buffer.length buf > limits.max_header_bytes then `Too_large
-      else if
-        (* the first line must terminate within the line cap *)
-        (not (String.contains s '\n')) && Buffer.length buf > limits.max_line_bytes
-      then `Line
-      else (
-        match read_more () with
-        | `Read -> headers ()
-        | `Eof -> `Eof
-        | `Deadline -> `Deadline)
+      if n > limits.max_header_bytes || (!eol < 0 && n > limits.max_line_bytes) then
+        Error too_large
+      else
+        let* () = read_more () in
+        headers n
   in
-  match headers () with
-  | `Too_large -> Headers_too_large
-  | `Line -> Line_too_long
-  | `Deadline -> Timed_out
-  | `Eof -> Malformed
-  | `Headers (raw, hdr_end) -> (
-    let header_block = String.sub raw 0 hdr_end in
-    match content_length_of header_block with
-    | Some clen when clen > limits.max_body_bytes -> Body_too_large
-    | Some clen when clen < 0 -> Malformed
-    | clen_opt -> (
-      let clen = Option.value ~default:0 clen_opt in
-      let rec body () =
-        if Buffer.length buf >= hdr_end + clen then
-          `Body (String.sub (Buffer.contents buf) hdr_end clen)
-        else
-          match read_more () with
-          | `Read -> body ()
-          | `Eof -> `Eof
-          | `Deadline -> `Deadline
-      in
-      match body () with
-      | `Eof -> Malformed
-      | `Deadline -> Timed_out
-      | `Body body -> (
-        match String.index_opt header_block '\n' with
-        | None -> Malformed
-        | Some eol -> (
-          let line = String.trim (String.sub header_block 0 eol) in
-          match String.split_on_char ' ' line with
-          | meth :: target :: _ -> (
-            let path, query =
-              match String.index_opt target '?' with
-              | None -> (target, [])
-              | Some i ->
-                ( String.sub target 0 i,
-                  String.split_on_char '&'
-                    (String.sub target (i + 1) (String.length target - i - 1))
-                  |> List.filter_map (fun kv ->
-                         match String.index_opt kv '=' with
-                         | Some j ->
-                           Some (String.sub kv 0 j, String.sub kv (j + 1) (String.length kv - j - 1))
-                         | None -> if kv = "" then None else Some (kv, "")) )
-            in
-            Parsed { meth; path; query; body })
-          | _ -> Malformed))))
+  let* hdr_end = headers 0 in
+  let lines = String.split_on_char '\n' (Buffer.sub buf 0 hdr_end) in
+  let* clen =
+    match content_length lines with
+    | Some clen when clen > limits.max_body_bytes ->
+      Error (text ~status:413 "request body too large\n")
+    | Some clen when clen < 0 -> Error bad_request
+    | clen -> Ok (Option.value ~default:0 clen)
+  in
+  let rec body () =
+    if Buffer.length buf >= hdr_end + clen then Ok (Buffer.sub buf hdr_end clen)
+    else
+      let* () = read_more () in
+      body ()
+  in
+  let* req_body = body () in
+  match String.split_on_char ' ' (String.trim (List.hd lines)) with
+  | meth :: target :: _ ->
+    let path, query =
+      match String.index_opt target '?' with
+      | None -> (target, [])
+      | Some i ->
+        ( String.sub target 0 i,
+          String.split_on_char '&' (String.sub target (i + 1) (String.length target - i - 1))
+          |> List.filter_map (fun kv ->
+                 match String.index_opt kv '=' with
+                 | Some j ->
+                   Some (String.sub kv 0 j, String.sub kv (j + 1) (String.length kv - j - 1))
+                 | None -> if kv = "" then None else Some (kv, "")) )
+    in
+    Ok { meth; path; query; req_body; client }
+  | _ -> Error bad_request
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -374,28 +338,16 @@ let handle_connection ~ledger_file ~limits ~handler ~started_s client =
       Unix.setsockopt_float client Unix.SO_RCVTIMEO limits.read_timeout_s;
       Unix.setsockopt_float client Unix.SO_SNDTIMEO limits.read_timeout_s;
       match read_request ~limits client with
-      | Line_too_long | Headers_too_large ->
-        Metrics.incr rejected_input;
-        respond client ~head_only:false (text ~status:431 "request header fields too large\n")
-      | Body_too_large ->
-        Metrics.incr rejected_input;
-        respond client ~head_only:false (text ~status:413 "request body too large\n")
-      | Timed_out ->
-        Metrics.incr rejected_input;
-        respond client ~head_only:false (text ~status:408 "request read deadline exceeded\n")
-      | Malformed -> respond client ~head_only:false (text ~status:400 "bad request\n")
-      | Parsed { meth; path; query; body } -> (
+      | Error refusal ->
+        if refusal.status <> 400 then Metrics.incr rejected_input;
+        respond client ~head_only:false refusal
+      | Ok req -> (
         Metrics.incr requests;
-        let fallthrough () =
-          respond client ~head_only:(meth = "HEAD") (route ~ledger_file ~started_s meth path query)
-        in
-        match handler with
-        | None -> fallthrough ()
-        | Some h -> (
-          match h { meth; path; query; req_body = body; client } with
-          | Respond r -> respond client ~head_only:(meth = "HEAD") r
-          | Deferred -> deferred := true
-          | Pass -> fallthrough ())))
+        let head_only = req.meth = "HEAD" in
+        match (match handler with Some h -> h req | None -> Pass) with
+        | Respond r -> respond client ~head_only r
+        | Deferred -> deferred := true
+        | Pass -> respond client ~head_only (route ~ledger_file ~started_s req)))
 
 (* ------------------------------ lifecycle ------------------------------ *)
 

@@ -18,12 +18,15 @@ type gc_stats = {
   compactions : int;
 }
 
+(* Gc.quick_stat sums every domain's counts, joined ones included, but a
+   domain's minor words reach it only at a minor collection: the forced
+   one leaves no domain's words uncounted.  (Gc.minor_words would read
+   the calling domain alone.) *)
 let gc_now () =
+  Gc.minor ();
   let s = Gc.quick_stat () in
   {
-    (* quick_stat.minor_words lags until the next minor collection;
-       Gc.minor_words reads the live allocation pointer *)
-    minor_words = Gc.minor_words ();
+    minor_words = s.Gc.minor_words;
     promoted_words = s.Gc.promoted_words;
     major_words = s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;

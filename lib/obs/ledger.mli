@@ -18,7 +18,10 @@ type gc_stats = {
 }
 
 val gc_now : unit -> gc_stats
-(** Current cumulative [Gc.quick_stat] values. *)
+(** Current cumulative [Gc.quick_stat] values, summed over every domain
+    (joined ones included), read right after a forced [Gc.minor ()] so
+    that no domain's minor words are still uncounted.  So a delta's
+    [minor_collections] includes the collection its closing read forces. *)
 
 val gc_delta : before:gc_stats -> after:gc_stats -> gc_stats
 val gc_of_json : Jsonx.t -> gc_stats
@@ -89,5 +92,6 @@ val entry_of_run :
 
 val recording : file:string -> command:string -> argv:string list -> ?seed:int -> (unit -> 'a) -> 'a
 (** Run the thunk, then append one entry covering it (monotonic wall time,
-    GC delta, metrics snapshot at exit).  The entry is appended even if the
-    thunk raises; the exception is re-raised. *)
+    every domain's GC delta between two {!gc_now} reads, metrics snapshot
+    at exit).  The entry is appended even if the thunk raises; the
+    exception is re-raised. *)

@@ -34,6 +34,9 @@ type buffer = {
   mutable recorded : span list; (* completion order, newest first *)
   mutable n_recorded : int;
   mutable n_dropped : int;
+  mutable totals : (string * float array) list;
+      (* per name, every span recorded, past the cap too: calls, seconds,
+         minor words, major words *)
   mutable depth : int;
   mutable registered : bool; (* this buffer is on the registry [spans] reads *)
 }
@@ -71,16 +74,35 @@ let unregister_buffer b =
 
 let buffer_key =
   Domain.DLS.new_key (fun () ->
-    let b = { recorded = []; n_recorded = 0; n_dropped = 0; depth = 0; registered = false } in
+    let b =
+      { recorded = []; n_recorded = 0; n_dropped = 0; totals = []; depth = 0; registered = false }
+    in
     register_buffer b;
     b)
 
 let buffer () = Domain.DLS.get buffer_key
 let registered () = Mutex.protect registry_mu (fun () -> !registry)
 
+(* An existing name's cells are updated in place, allocating nothing; a new
+   name is consed on the front, so a reader on another domain always sees
+   a well-formed list. *)
+let add_totals b s =
+  let cells =
+    try List.assoc s.name b.totals
+    with Not_found ->
+      let fresh = Array.make 4 0. in
+      b.totals <- (s.name, fresh) :: b.totals;
+      fresh
+  in
+  cells.(0) <- cells.(0) +. 1.;
+  cells.(1) <- cells.(1) +. s.dur_s;
+  cells.(2) <- cells.(2) +. s.minor_words;
+  cells.(3) <- cells.(3) +. s.major_words
+
 let record s =
   let b = buffer () in
   register_buffer b;
+  add_totals b s;
   if b.n_recorded < max_recorded then begin
     b.recorded <- s :: b.recorded;
     b.n_recorded <- b.n_recorded + 1
@@ -93,6 +115,7 @@ let drain () =
   b.recorded <- [];
   b.n_recorded <- 0;
   b.n_dropped <- 0;
+  b.totals <- [];
   unregister_buffer b;
   spans
 
@@ -160,36 +183,27 @@ type profile_row = {
   p_major_words : float;
 }
 
-(* Per-name totals over a span list.  Nested spans contribute to both
-   their own name and every enclosing name (no self-time subtraction); none
-   of the instrumented span names recurse today, so totals do not
-   double-count within one name. *)
-let profile spans =
+(* Merges the registered domains' per-name totals.  Nested spans
+   contribute to both their own name and every enclosing name (no
+   self-time subtraction); none of the instrumented span names recurse
+   today, so totals do not double-count within one name. *)
+let profile () =
   let agg = Hashtbl.create 16 in
   List.iter
-    (fun s ->
-      let row =
-        Option.value
-          ~default:
-            {
-              p_name = s.name;
-              calls = 0;
-              total_s = 0.;
-              p_minor_words = 0.;
-              p_major_words = 0.;
-            }
-          (Hashtbl.find_opt agg s.name)
-      in
-      Hashtbl.replace agg s.name
-        {
-          row with
-          calls = row.calls + 1;
-          total_s = row.total_s +. s.dur_s;
-          p_minor_words = row.p_minor_words +. s.minor_words;
-          p_major_words = row.p_major_words +. s.major_words;
-        })
-    spans;
-  Hashtbl.fold (fun _ row acc -> row :: acc) agg []
+    (fun b ->
+      List.iter
+        (fun (name, cells) ->
+          match Hashtbl.find_opt agg name with
+          | Some sum -> Array.iteri (fun i v -> sum.(i) <- sum.(i) +. v) cells
+          | None -> Hashtbl.add agg name (Array.copy cells))
+        b.totals)
+    (registered ());
+  Hashtbl.fold
+    (fun p_name c acc ->
+      { p_name; calls = int_of_float c.(0); total_s = c.(1); p_minor_words = c.(2);
+        p_major_words = c.(3) }
+      :: acc)
+    agg []
   |> List.sort (fun a b -> compare b.total_s a.total_s)
 
 let pp_duration dur =
@@ -232,6 +246,6 @@ let report () =
              (pp_duration r.total_s)
              (pp_duration (r.total_s /. float_of_int r.calls))
              (pp_words r.p_minor_words) (pp_words r.p_major_words)))
-      (profile all)
+      (profile ())
   end;
   Buffer.contents buf

@@ -61,7 +61,7 @@ val spans : unit -> span list
     records and list cells are immutable once published, so a concurrent
     reader sees a consistent, possibly slightly stale, prefix of each
     domain's history.  Exact totals are only guaranteed after the owning
-    domains have joined. *)
+    domains have joined; {!profile} keeps counting past the cap. *)
 
 (** {1 Per-name profile} *)
 
@@ -73,23 +73,27 @@ type profile_row = {
   p_major_words : float;
 }
 
-val profile : span list -> profile_row list
-(** Aggregate duration and allocation per span name over a span list
-    (e.g. {!spans}[ ()]), sorted by descending total duration.  Nested
-    spans contribute to both their own name and every enclosing name (no
-    self-time subtraction). *)
+val profile : unit -> profile_row list
+(** Calls, duration and allocation per span name over every registered
+    domain, sorted by descending total duration.  Each domain keeps these
+    totals as it records, so they count the spans past the 10 000-span
+    cap that {!spans} no longer holds; {!drain} clears the calling
+    domain's, and {!absorb} adds the absorbed spans to the caller's.
+    Nested spans contribute to both their own name and every enclosing
+    name (no self-time subtraction).  Any domain may call it mid-run; a
+    live read may lag the owning domains by a few spans. *)
 
 (** {1 Cross-domain folding} *)
 
 val drain : unit -> span list
 (** Remove and return the calling domain's recorded spans (newest first,
     the order {!absorb} expects); the other domains' buffers are untouched.
-    Resets the recorded and dropped counts but not the nesting depth, so it
-    is safe to call from inside an open span (a worker draining before it
-    joins).  Also removes the calling domain's buffer from the registry
-    {!spans} reads, so exited workers do not accumulate there; the next
-    recorded span re-registers it.  [ignore (drain ())] forgets the calling
-    domain's spans. *)
+    Resets the recorded and dropped counts and the domain's {!profile}
+    totals, but not the nesting depth, so it is safe to call from inside
+    an open span (a worker draining before it joins).  Also removes the
+    calling domain's buffer from the registry {!spans} reads, so exited
+    workers do not accumulate there; the next recorded span re-registers
+    it.  [ignore (drain ())] forgets the calling domain's spans. *)
 
 val absorb : span list -> unit
 (** Append spans drained on another domain to the calling domain's buffer,
@@ -99,4 +103,5 @@ val absorb : span list -> unit
 val report : unit -> string
 (** Human-readable report over {!spans}[ ()]: a header counting them and
     the spans every domain dropped, an indented chronological tree of
-    spans (capped), then the per-name profile with allocation deltas. *)
+    spans (capped), then the per-name {!profile}[ ()] with allocation
+    deltas. *)

@@ -15,7 +15,6 @@ val width : t -> Rat.t
 val mid : t -> Rat.t
 val mem : Rat.t -> t -> bool
 
-val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

@@ -31,20 +31,11 @@ let pp_estimate fmt e =
    Counters are merged on join and the throughput gauge is written once
    here, on the calling domain, so nothing races.
 
-   The closure sampler: each lease folds [step] over its share of draws
-   from its own stream, and the lease accumulators merge in lease order. *)
-let fold_draws ~domains ~rng ~samples ~init ~step ~merge =
-  Par_fold.sample ~span:"mc.par.lease" ~domains ~rng ~samples (fun rng share ->
-      let acc = ref init in
-      for _ = 1 to share do
-        acc := step !acc rng
-      done;
-      !acc)
-  |> Array.fold_left merge init
-
-(* [?kernel] swaps the sampling loop for the batch kernel; this is the one
-   place an estimate is built from either sampler.  [f] is kept in the
-   signature as the scalar reference but is never called.  The kernel runs
+   [?kernel] swaps the closure sampler for the batch kernel; this is the
+   one place an estimate is built from either sampler.  [f] is kept in the
+   signature as the scalar reference but is never called then.  The
+   closure sampler counts each lease's hits over its share of draws from
+   its own stream and sums the leases in lease order.  The kernel runs
    inside the same span and feeds the same finish_run counters, so
    throughput read from the span profile and ddm_mc_samples_total covers
    both. *)
@@ -56,8 +47,13 @@ let probability ?(domains = 1) ?kernel ~rng ~samples f =
     match kernel with
     | Some k -> (Mc_kernel.run ~domains ~rng ~samples k).Mc_kernel.wins
     | None ->
-      fold_draws ~domains ~rng ~samples ~init:0 ~merge:( + ) ~step:(fun k rng ->
-          if f rng then k + 1 else k)
+      Par_fold.sample ~span:"mc.par.lease" ~domains ~rng ~samples (fun rng share ->
+          let hits = ref 0 in
+          for _ = 1 to share do
+            if f rng then incr hits
+          done;
+          !hits)
+      |> Array.fold_left ( + ) 0
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits;
   let n = float_of_int samples in
@@ -65,19 +61,6 @@ let probability ?(domains = 1) ?kernel ~rng ~samples f =
   let stderr = sqrt (p *. (1. -. p) /. n) in
   let ci95 = Stats.wilson_interval ~successes:hits ~trials:samples () in
   { mean = p; stderr; ci95; samples }
-
-let expectation ?(domains = 1) ~rng ~samples f =
-  if samples <= 0 then invalid_arg "Mc.expectation: samples";
-  Trace.with_span "mc.expectation" @@ fun () ->
-  let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
-  let acc =
-    fold_draws ~domains ~rng ~samples ~init:Stats.empty ~merge:Stats.merge
-      ~step:(fun acc rng -> Stats.add acc (f rng))
-  in
-  if !Metrics.on then finish_run ~t0 ~samples ~hits:0;
-  let mean = Stats.mean acc in
-  let stderr = Stats.stderr_of_mean acc in
-  { mean; stderr; ci95 = (mean -. (1.96 *. stderr), mean +. (1.96 *. stderr)); samples }
 
 let agrees e v =
   let lo, hi = e.ci95 in

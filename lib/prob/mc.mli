@@ -36,15 +36,6 @@ val probability :
     calls) passes a spec exactly when the question is the paper's
     no-communication game, which the kernel plays. *)
 
-val expectation :
-  ?domains:int ->
-  rng:Rng.t ->
-  samples:int ->
-  (Rng.t -> float) ->
-  estimate
-(** Sample-mean estimation with a normal-approximation 95% interval.
-    [?domains] behaves as in {!probability}. *)
-
 val agrees : estimate -> float -> bool
 (** [agrees e v]: does [v] fall within the (slightly widened) 95% interval?
     Used by tests comparing closed forms against simulation. *)

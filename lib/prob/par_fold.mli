@@ -15,8 +15,7 @@
     sample budget out over the leases, and each lease draws from its own
     stream split off the root generator.  A Monte-Carlo estimate is then
     a function of [(seed, samples)], never of [domains].
-    {!Mc.probability}, {!Mc.expectation} and
-    {!Mc_kernel.run} all sample through it.
+    {!Mc.probability} and {!Mc_kernel.run} both sample through it.
 
     Exceptions raised by a lease (including cooperative-cancellation
     raises such as [Engine.Cancelled]) park the pool — no new lease

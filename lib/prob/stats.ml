@@ -14,9 +14,6 @@ let mean acc = acc.mean
 let variance acc = if acc.n < 2 then 0. else acc.m2 /. float_of_int (acc.n - 1)
 let stddev acc = sqrt (variance acc)
 
-let stderr_of_mean acc =
-  if acc.n = 0 then 0. else stddev acc /. sqrt (float_of_int acc.n)
-
 let of_array a = Array.fold_left add empty a
 
 (* Constructor for accumulators kept in flat (unboxed) form by batch

@@ -13,7 +13,6 @@ val variance : acc -> float
 (** Unbiased sample variance; [0.] with fewer than two observations. *)
 
 val stddev : acc -> float
-val stderr_of_mean : acc -> float
 
 val of_array : float array -> acc
 

@@ -246,9 +246,10 @@ let chaos_draw t rate =
   | None -> false
   | Some rng -> Mutex.protect t.chaos_mu (fun () -> Rng.bernoulli rng rate)
 
+(* A hit names its tier as its outcome: [Hit_lru] or [Hit_disk]. *)
 let cache_find t key =
   match Lru.find t.lru key with
-  | Some a -> Some ("lru", a)
+  | Some a -> Some (Hit_lru, a)
   | None -> (
     match t.disk with
     | None -> None
@@ -259,7 +260,7 @@ let cache_find t key =
         match Solver.answer_of_json j with
         | Ok a ->
           Lru.put t.lru key a;  (* promote to the hot tier *)
-          Some ("disk", a)
+          Some (Hit_disk, a)
         | Error _ -> None)))
 
 let cache_fill t key answer =
@@ -276,20 +277,24 @@ let cache_fill t key answer =
       if Logx.would_log Logx.Warn then
         Logx.warn "serve.cache_write_failed" [ ("key", Logx.Str key); ("error", Logx.Str msg) ])
 
+(* A request's entry reads no GC counters: they are process-wide, so a
+   per-request delta would hold other requests' allocation, and reading
+   them forces a collection. *)
 let ledger_note t job ~wall_s =
   match t.cfg.ledger_file with
   | None -> ()
   | Some file ->
-    let gc = Ledger.gc_now () in
     let entry =
       {
         Ledger.timestamp_s = Unix.gettimeofday ();
         command = "serve.eval";
         argv = [ job.key ];
-        seed = None;
-        rev = None;
+        seed = (match job.jreq.Solver.mode with Solver.Mc { seed; _ } -> Some seed | _ -> None);
+        rev = Build_rev.rev;
         wall_seconds = wall_s;
-        gc = Ledger.gc_delta ~before:gc ~after:gc;
+        gc =
+          { Ledger.minor_words = 0.; promoted_words = 0.; major_words = 0.;
+            minor_collections = 0; major_collections = 0; compactions = 0 };
         metrics = Jsonx.Null;
       }
     in
@@ -687,9 +692,11 @@ let handle_eval t (req : Httpd.request) =
       let found = cache_find t key in
       Metrics.observe h_cache_lookup (Trace.now_mono_s () -. lookup0);
       match found with
-      | Some (source, answer) ->
-        let outcome = if source = "lru" then Hit_lru else Hit_disk in
-        Atomic.incr (if source = "lru" then t.c_hits_lru else t.c_hits_disk);
+      | Some (outcome, answer) ->
+        let hits, source =
+          if outcome = Hit_lru then (t.c_hits_lru, "lru") else (t.c_hits_disk, "disk")
+        in
+        Atomic.incr hits;
         Metrics.incr m_hits;
         inline t ~outcome ~t0_mono ~t0_wall ~budget_ms
           (Httpd.json (answer_body ~cached:true ~source ~key answer))

@@ -80,7 +80,11 @@ type config = {
   default_budget_ms : int;  (** deadline for requests without [budget_ms] *)
   lru_cap : int;
   cache_dir : string option;  (** durable tier root; [None] = memory-only *)
-  ledger_file : string option;  (** per-request run ledger, rotated past 4 MiB *)
+  ledger_file : string option;
+      (** per-request run ledger, rotated past 4 MiB: one [serve.eval]
+          entry per cold solve, with the build's revision, an mc
+          request's seed and an all-zero [gc] record (the GC's counts are
+          process-wide, so a request has none of its own) *)
   slow_request_s : float;
       (** threshold for the structured [serve.slow_request] log record *)
   chaos : chaos option;

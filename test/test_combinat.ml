@@ -50,15 +50,6 @@ let unit_tests =
       Alcotest.(check (float 1e-9)) "sum over subsets" (16. *. 31.) total;
       let visits = fold (fun acc ~size:_ ~sum:_ -> acc + 1) 0 in
       Alcotest.(check int) "visits" 32 visits);
-    Alcotest.test_case "subsets_of_size" `Quick (fun () ->
-      let s = C.subsets_of_size 4 2 in
-      Alcotest.(check int) "count" 6 (List.length s);
-      Alcotest.(check (list (list int)))
-        "lexicographic"
-        [ [ 0; 1 ]; [ 0; 2 ]; [ 0; 3 ]; [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
-        s;
-      Alcotest.(check (list (list int))) "k=0" [ [] ] (C.subsets_of_size 3 0);
-      Alcotest.(check (list (list int))) "k>n" [] (C.subsets_of_size 2 3));
   ]
 
 let property_tests =

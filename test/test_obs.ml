@@ -295,7 +295,7 @@ let trace_tests =
             Sys.opaque_identity (List.init 5000 (fun i -> float_of_int i)) |> ignore)
         done;
         Trace.with_span "alloc_light" (fun () -> ());
-        let rows = Trace.profile (Trace.spans ()) in
+        let rows = Trace.profile () in
         Alcotest.(check int) "two distinct names" 2 (List.length rows);
         let heavy = List.find (fun r -> r.Trace.p_name = "alloc_heavy") rows in
         let light = List.find (fun r -> r.Trace.p_name = "alloc_light") rows in
@@ -305,6 +305,16 @@ let trace_tests =
           (heavy.Trace.p_minor_words > 1000.);
         Alcotest.(check bool) "totals nonnegative" true
           (heavy.Trace.total_s >= 0. && light.Trace.total_s >= 0.)));
+    Alcotest.test_case "the profile counts spans past the cap" `Quick (fun () ->
+      with_tracing (fun () ->
+        for _ = 1 to 10_050 do
+          Trace.with_span "capped" (fun () -> ())
+        done;
+        Alcotest.(check int) "spans keeps the first 10 000" 10_000
+          (List.length (List.filter (fun s -> s.Trace.name = "capped") (Trace.spans ())));
+        match List.find_opt (fun r -> r.Trace.p_name = "capped") (Trace.profile ()) with
+        | Some r -> Alcotest.(check int) "the profile counts every call" 10_050 r.Trace.calls
+        | None -> Alcotest.fail "no capped row"));
     Alcotest.test_case "a span attributes major-heap allocation" `Quick (fun () ->
       with_tracing (fun () ->
         (* a float array this long is allocated straight in the major heap:
@@ -351,7 +361,7 @@ let trace_tests =
             Rng.float01 rng < 0.5)
         in
         Alcotest.(check int) "all samples drawn" 1000 est.Mc.samples;
-        let rows = Trace.profile (Trace.spans ()) in
+        let rows = Trace.profile () in
         let calls name =
           match List.find_opt (fun r -> r.Trace.p_name = name) rows with
           | Some r -> r.Trace.calls
@@ -369,7 +379,7 @@ let trace_tests =
       let lease_spans domains =
         with_tracing (fun () ->
           ignore (Par_fold.sum ~span:"test.lease" ~domains ~items:10 float_of_int);
-          let rows = Trace.profile (Trace.spans ()) in
+          let rows = Trace.profile () in
           match List.find_opt (fun r -> r.Trace.p_name = "test.lease") rows with
           | Some r -> r.Trace.calls
           | None -> 0)
@@ -996,7 +1006,7 @@ let concurrency_tests =
         let rng = Rng.create ~seed:3 in
         ignore (Mc.probability ~domains:2 ~rng ~samples:100 (fun rng ->
           Rng.float01 rng < 0.5));
-        let rows = Trace.profile (Trace.spans ()) in
+        let rows = Trace.profile () in
         match List.find_opt (fun r -> r.Trace.p_name = "mc.par.lease") rows with
         | Some r -> Alcotest.(check int) "all leases visible" Par_fold.leases r.Trace.calls
         | None -> Alcotest.fail "no lease spans in live view"));

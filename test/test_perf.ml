@@ -242,6 +242,25 @@ let ledger_tests =
             Ledger.entry_of_run ~command:"test" ~argv:[] ~wall_seconds:0. ~gc:(Ledger.gc_now ()) ()
           in
           Alcotest.(check (option string)) "the build's revision" Build_rev.rev e.Ledger.rev));
+    Alcotest.test_case "a recording counts a joined domain's allocation" `Quick (fun () ->
+      let file = tmp_file ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+        (fun () ->
+          (* 250 000 three-word cons cells: 750 000 words; the boxed floats
+             make it over a million *)
+          Ledger.recording ~file ~command:"test" ~argv:[] (fun () ->
+            Domain.join
+              (Domain.spawn (fun () ->
+                 ignore (Sys.opaque_identity (List.init 250_000 float_of_int)))));
+          match Ledger.load ~file with
+          | [ e ], 0 ->
+            let words = e.Ledger.gc.Ledger.minor_words in
+            Alcotest.(check bool)
+              (Printf.sprintf "%.0f minor words >= 1 000 000" words)
+              true (words >= 1e6)
+          | entries, skipped ->
+            Alcotest.failf "%d entries, %d skipped" (List.length entries) skipped));
   ]
 
 (* ----------------------------- integration ----------------------------- *)

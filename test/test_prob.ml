@@ -324,10 +324,6 @@ let stats_tests =
       let est = Mc.probability ~rng ~samples:1000 (fun _ -> true) in
       Alcotest.(check (float 0.)) "p=1" 1. est.Mc.mean;
       Alcotest.(check bool) "agrees with 1" true (Mc.agrees est 1.));
-    Alcotest.test_case "mc expectation of uniform" `Quick (fun () ->
-      let rng = Rng.create ~seed:2 in
-      let est = Mc.expectation ~rng ~samples:100_000 Rng.float01 in
-      Alcotest.(check bool) "mean near 1/2" true (Mc.agrees est 0.5));
   ]
 
 (* ------------------- Stats accumulator edge cases ------------------- *)
@@ -599,19 +595,11 @@ let mc_par_tests =
       let prob j =
         Mc.probability ~domains:j ~rng:(Rng.create ~seed:99) ~samples:30_000 bernoulli_03
       in
-      let expect j =
-        Mc.expectation ~domains:j ~rng:(Rng.create ~seed:99) ~samples:30_000 Rng.float01
-      in
-      let p1 = prob 1 and e1 = expect 1 in
+      let p1 = prob 1 in
       List.iter
         (fun j ->
           Alcotest.(check (float 0.)) (Printf.sprintf "probability j=%d" j) p1.Mc.mean
-            (prob j).Mc.mean;
-          let ej = expect j in
-          Alcotest.(check (float 0.)) (Printf.sprintf "expectation mean j=%d" j) e1.Mc.mean
-            ej.Mc.mean;
-          Alcotest.(check (float 0.)) (Printf.sprintf "expectation stderr j=%d" j) e1.Mc.stderr
-            ej.Mc.stderr)
+            (prob j).Mc.mean)
         [ 2; 4 ];
       Alcotest.(check bool) "estimate is sane" true (Mc.agrees p1 0.3));
     Alcotest.test_case "merged metrics equal the sequential totals" `Quick (fun () ->
@@ -714,9 +702,7 @@ let sampler_props =
     && same_at_every_j (kernel faulty)
     && (samples = 0
        || same_at_every_j (fun j ->
-              Mc.probability ~domains:j ~rng:(rng ()) ~samples bernoulli)
-          && same_at_every_j (fun j ->
-                 Mc.expectation ~domains:j ~rng:(rng ()) ~samples Rng.float01))
+              Mc.probability ~domains:j ~rng:(rng ()) ~samples bernoulli))
   in
   [
     Alcotest.test_case "edge cases: empty, sparse and long-lease runs" `Quick (fun () ->

@@ -689,20 +689,33 @@ let tiny_limits =
     read_timeout_s = 0.3;
   }
 
-let with_tiny_httpd f =
-  match Httpd.start ~limits:tiny_limits ~port:0 () with
+let with_tiny_httpd ?handler f =
+  match Httpd.start ~limits:tiny_limits ?handler ~port:0 () with
   | Error msg -> Alcotest.fail ("httpd did not start: " ^ msg)
   | Ok server -> Fun.protect ~finally:(fun () -> Httpd.stop server) (fun () -> f (Httpd.port server))
 
-let raw_send_recv port payload =
+(* Writes each part in its own write, [pause_s] apart, then half-closes
+   the connection when [eof] is set, and reads the answer. *)
+let raw_exchange ?(pause_s = 0.) ?(eof = false) port parts =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let rec send off =
+  let rec send payload off =
     if off < String.length payload then
-      send (off + Unix.write_substring fd payload off (String.length payload - off))
+      send payload (off + Unix.write_substring fd payload off (String.length payload - off))
   in
-  send 0;
+  List.iteri
+    (fun i part ->
+      if i > 0 then Unix.sleepf pause_s;
+      send part 0)
+    parts;
+  if eof then Unix.shutdown fd Unix.SHUTDOWN_SEND;
   http_read fd
+
+let raw_send_recv port payload = raw_exchange port [ payload ]
+
+let echo_body (req : Httpd.request) =
+  Httpd.Respond
+    { Httpd.status = 200; content_type = "text/plain"; body = req.Httpd.req_body; headers = [] }
 
 let httpd_limit_tests =
   [
@@ -748,6 +761,33 @@ let httpd_limit_tests =
     Alcotest.test_case "well-formed request still fine under tiny limits" `Quick (fun () ->
       with_tiny_httpd (fun port ->
         check Alcotest.int "healthz" 200 (fst (get port "/healthz"))));
+    Alcotest.test_case "the reader's answers: split body, header case, lengths, EOF, caps" `Quick
+      (fun () ->
+      with_tiny_httpd ~handler:echo_body (fun port ->
+        let post headers body = Printf.sprintf "POST /e HTTP/1.1\r\n%s\r\n%s" headers body in
+        (* 5 + 200 + 11 bytes: past the 128-byte line cap, under the 256-byte block cap *)
+        let long_line = Printf.sprintf "GET /%s HTTP/1.1\r\n" (String.make 200 'a') in
+        check Alcotest.int "a 216-byte line" 216 (String.length long_line);
+        let answer = Alcotest.(pair int string) in
+        check answer "body in a second write" (200, "hello")
+          (raw_exchange ~pause_s:0.1 port [ post "Content-Length: 5\r\n" ""; "hello" ]);
+        check answer "lower-case content-length" (200, "hello")
+          (raw_send_recv port (post "content-length: 5\r\n" "hello"));
+        check answer "upper-case content-length" (200, "hello")
+          (raw_send_recv port (post "CONTENT-LENGTH: 5\r\n" "hello"));
+        check Alcotest.int "negative length" 400
+          (fst (raw_send_recv port (post "Content-Length: -1\r\n" "")));
+        check answer "unparsable length reads no body" (200, "")
+          (raw_send_recv port (post "Content-Length: abc\r\n" "hello"));
+        check Alcotest.int "EOF before the blank line" 400
+          (fst (raw_exchange ~eof:true port [ "POST /e HTTP/1.1\r\nHost: t\r\n" ]));
+        check Alcotest.int "EOF inside the body" 400
+          (fst (raw_exchange ~eof:true port [ post "Content-Length: 10\r\n" "abc" ]));
+        check Alcotest.int "a complete long line, then silence" 408
+          (fst (raw_send_recv port long_line));
+        check Alcotest.int "the long line in a complete request" 431
+          (fst (raw_send_recv port (long_line ^ "\r\n")));
+        check Alcotest.int "no target" 400 (fst (raw_send_recv port "GET\r\n\r\n"))));
   ]
 
 (* --------------------------- serve end to end ----------------------- *)
@@ -1193,6 +1233,26 @@ let serve_tests =
             | Some { Metrics.value = Metrics.Histogram_v { count; _ }; _ } ->
               check Alcotest.int "timeout histogram count" 1 count
             | _ -> Alcotest.fail "timeout histogram not registered"));
+    Alcotest.test_case "a cold mc answer's ledger entry names the build and the seed" `Quick
+      (fun () ->
+      let file = Filename.temp_file "ddm_serve_ledger" ".jsonl" in
+      Sys.remove file;
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+        (fun () ->
+          with_serve { Serve.default_config with ledger_file = Some file } (fun t ->
+            let body =
+              "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\",\"samples\":2000,\"seed\":17}"
+            in
+            check Alcotest.int "cold 200" 200 (fst (post ~body (Serve.port t) "/eval")));
+          (* stop has joined the worker, which writes the entry after its answer *)
+          match Ledger.load ~file with
+          | [ e ], 0 ->
+            check Alcotest.string "command" "serve.eval" e.Ledger.command;
+            check Alcotest.(option string) "the build's revision" Build_rev.rev e.Ledger.rev;
+            check Alcotest.(option int) "the request's seed" (Some 17) e.Ledger.seed
+          | entries, skipped ->
+            Alcotest.failf "%d entries, %d skipped" (List.length entries) skipped));
     Alcotest.test_case "a cold solve records one serve.solve span inside its request" `Quick
       (fun () ->
       (* an exact threshold solve records no substrate span of its own *)
