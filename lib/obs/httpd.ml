@@ -26,9 +26,10 @@
 
    Input hardening (slowloris et al.): the request line is capped, the
    total header block is capped (431 on overflow), bodies are capped (413),
-   and the whole read is bounded by a wall-clock deadline (408) layered on
-   top of the per-read SO_RCVTIMEO — a client dribbling one byte per
-   second cannot hold the parser hostage. *)
+   and the whole read is bounded by a wall-clock deadline (408): each read
+   waits at most the per-read SO_RCVTIMEO, cut to the time left before the
+   deadline, so neither a client dribbling one byte per second nor one that
+   sends nothing holds the accept loop past [read_deadline_s]. *)
 
 type response = {
   status : int;
@@ -223,17 +224,21 @@ let read_request ~(limits : limits) client =
   let t0 = Trace.now_mono_s () in
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 1024 in
-  (* returns after new bytes; when the per-read SO_RCVTIMEO fires, the
-     overall deadline decides whether to keep waiting *)
+  (* returns after new bytes.  A read waits no longer than the time left
+     before the deadline: under [read_timeout_s] left, SO_RCVTIMEO shrinks
+     to it, and under 1 ms left the answer is 408, since an SO_RCVTIMEO
+     of 0 never times out. *)
   let rec read_more () =
-    if Trace.now_mono_s () -. t0 >= limits.read_deadline_s then
-      Error (text ~status:408 "request read deadline exceeded\n")
-    else
+    let left = limits.read_deadline_s -. (Trace.now_mono_s () -. t0) in
+    if left < 0.001 then Error (text ~status:408 "request read deadline exceeded\n")
+    else begin
+      if left < limits.read_timeout_s then Unix.setsockopt_float client Unix.SO_RCVTIMEO left;
       match Unix.read client chunk 0 (Bytes.length chunk) with
       | 0 -> Error bad_request
       | k -> Ok (Buffer.add_subbytes buf chunk 0 k)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
         read_more ()
+    end
   in
   (* each byte is scanned once: [eol] is the first '\n' seen, and the
      block ends just past the first "\r\n\r\n" *)

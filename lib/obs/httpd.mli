@@ -33,8 +33,9 @@
     Request parsing is hardened against hostile input: request-line and
     total header-block byte caps (431 on overflow), a declared-body cap
     (413), and a total wall-clock read deadline (408) layered on top of
-    the per-read [SO_RCVTIMEO] — a slowloris client dribbling one byte at
-    a time cannot hold the parser beyond [read_deadline_s].  Rejected
+    the per-read [SO_RCVTIMEO], which shrinks to the time left near the
+    deadline — neither a slowloris client dribbling one byte at a time nor
+    a silent one can hold the parser beyond [read_deadline_s].  Rejected
     reads increment [ddm_obs_http_rejected_input_total].
 
     Unknown paths get 404; non-GET/HEAD methods not claimed by a handler

@@ -24,8 +24,9 @@ val create : depth:int -> 'a t
 
 val push : 'a t -> 'a -> push_result
 val pop : 'a t -> timeout_s:float -> 'a pop_result
-(** Blocks up to [timeout_s] for a job (small internal poll interval, so
-    worker loops stay responsive to supersession flags). *)
+(** Blocks until a job arrives, the queue closes or [timeout_s] passes.
+    A waiting [pop] is woken by {!push} or {!close}; [timeout_s] bounds
+    the wait, so a worker loop still gets back to its supersession flag. *)
 
 val close : 'a t -> unit
 (** Stop admitting; queued jobs remain poppable.  Idempotent. *)

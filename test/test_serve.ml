@@ -360,7 +360,49 @@ let workq_tests =
       let q = Workq.create ~depth:1 in
       let t0 = Unix.gettimeofday () in
       checkb "empty" true (Workq.pop q ~timeout_s:0.05 = Workq.Empty);
-      checkb "waited" true (Unix.gettimeofday () -. t0 >= 0.04));
+      let dt = Unix.gettimeofday () -. t0 in
+      checkb "waited" true (dt >= 0.04);
+      checkb "gave up within 1 s" true (dt < 1.0));
+    Alcotest.test_case "a push wakes a blocked pop" `Quick (fun () ->
+      (* each job is its push time; the pops wait on an empty queue, since
+         the pushes come 1-3 ms apart *)
+      let q = Workq.create ~depth:64 in
+      let n = 50 in
+      let pusher =
+        Domain.spawn (fun () ->
+          for i = 0 to n - 1 do
+            Unix.sleepf (0.001 *. float_of_int (1 + (i mod 3)));
+            ignore (Workq.push q (Trace.now_mono_s ()))
+          done)
+      in
+      let waits =
+        Array.init n (fun _ ->
+          match Workq.pop q ~timeout_s:10. with
+          | Workq.Job pushed -> Trace.now_mono_s () -. pushed
+          | Workq.Empty | Workq.Drained -> Alcotest.fail "no job within 10 s")
+      in
+      Domain.join pusher;
+      Array.sort Float.compare waits;
+      let median_ms = 1000. *. waits.(n / 2) in
+      checkb (Printf.sprintf "median push->return %.3f ms under 0.5 ms" median_ms) true
+        (median_ms < 0.5));
+    Alcotest.test_case "close wakes every blocked pop" `Quick (fun () ->
+      let q : int Workq.t = Workq.create ~depth:1 in
+      let waiter () =
+        Domain.spawn (fun () ->
+          let r = Workq.pop q ~timeout_s:10. in
+          (r, Trace.now_mono_s ()))
+      in
+      let waiters = [ waiter (); waiter () ] in
+      Unix.sleepf 0.1;
+      let closed_at = Trace.now_mono_s () in
+      Workq.close q;
+      List.iter
+        (fun d ->
+          let r, returned_at = Domain.join d in
+          checkb "drained" true (r = Workq.Drained);
+          checkb "within 1 s of close" true (returned_at -. closed_at < 1.0))
+        waiters);
     Alcotest.test_case "drain_remaining empties" `Quick (fun () ->
       let q = Workq.create ~depth:8 in
       ignore (Workq.push q 1);
@@ -689,8 +731,8 @@ let tiny_limits =
     read_timeout_s = 0.3;
   }
 
-let with_tiny_httpd ?handler f =
-  match Httpd.start ~limits:tiny_limits ?handler ~port:0 () with
+let with_tiny_httpd ?(limits = tiny_limits) ?handler f =
+  match Httpd.start ~limits ?handler ~port:0 () with
   | Error msg -> Alcotest.fail ("httpd did not start: " ^ msg)
   | Ok server -> Fun.protect ~finally:(fun () -> Httpd.stop server) (fun () -> f (Httpd.port server))
 
@@ -758,6 +800,15 @@ let httpd_limit_tests =
         let dt = Unix.gettimeofday () -. t0 in
         check Alcotest.int "408" 408 status;
         checkb "cut off near the deadline" true (dt < 3.0)));
+    Alcotest.test_case "a silent client gets its 408 at the read deadline" `Quick (fun () ->
+      (* one per-read timeout outlasts the whole deadline; the read must not *)
+      let limits = { tiny_limits with Httpd.read_deadline_s = 0.2; read_timeout_s = 1.0 } in
+      with_tiny_httpd ~limits (fun port ->
+        let t0 = Unix.gettimeofday () in
+        let status, _ = raw_exchange port [] in
+        let dt = Unix.gettimeofday () -. t0 in
+        check Alcotest.int "408" 408 status;
+        checkb (Printf.sprintf "answered in %.3f s, under 0.6 s" dt) true (dt < 0.6)));
     Alcotest.test_case "well-formed request still fine under tiny limits" `Quick (fun () ->
       with_tiny_httpd (fun port ->
         check Alcotest.int "healthz" 200 (fst (get port "/healthz"))));
